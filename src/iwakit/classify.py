@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass
 
 from .counting import TraceCache, frobenius_data, order_over_extension
-from .elliptic import WeierstrassModel, minimal_model, reduction_type
+from .elliptic import WeierstrassModel, minimal_model
 from .ntheory import is_prime, mult_order, padic_valuation, sieve_primes
 
 __all__ = [
@@ -78,8 +78,8 @@ def classify_prime(
 ) -> PrimeClass:
     _check_primes(p, ell)
     minimal, _ = minimal_model(model)
-    red = reduction_type(minimal, ell)
-    if not red.is_good:
+    # the global minimal model has bad reduction exactly at the primes of its discriminant
+    if minimal.disc % ell == 0:
         return PrimeClass(ell=ell, category="Q1", a_ell=None, in_script_q=False)
     if cache is not None:
         a = cache.trace(minimal, ell)
@@ -143,6 +143,7 @@ def bulk_classify(
     if bound < 2:
         return []
     minimal, _ = minimal_model(model)
+    disc = minimal.disc
     if cache is None:
         cache = TraceCache(None)
     out: list[PrimeClass] = []
@@ -150,7 +151,7 @@ def bulk_classify(
     for ell in sieve_primes(bound).primes:
         if ell == p:
             continue
-        if reduction_type(minimal, ell).is_good:
+        if disc % ell:
             good.append(ell)
         else:
             out.append(PrimeClass(ell=ell, category="Q1", a_ell=None, in_script_q=False))

@@ -78,15 +78,8 @@ def _curve_arg(text: str) -> WeierstrassModel:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _prime_list_arg(text: str) -> tuple[int, ...]:
-    # keeps the user's order so --exponents stays aligned prime by prime
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
-
-
 def _int_list_arg(text: str) -> tuple[int, ...]:
+    # keeps the user's order so --exponents stays aligned prime by prime
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
@@ -174,23 +167,27 @@ def _curve_keys(model: WeierstrassModel) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _class_counts(records) -> dict:
+    counts = {"Q1": 0, "Q2": 0, "Q3": 0, "script_Q": 0}
+    for rec in records:
+        counts[rec.category] += 1
+        if rec.in_script_q:
+            counts["script_Q"] += 1
+    return counts
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
     cache = _cache_from(args)
     records = bulk_classify(args.curve, args.p, args.bound, cache=cache, jobs=args.jobs)
     if args.format == "csv":
         _write_text(classification_csv(records), args.out)
         return EXIT_OK
-    counts = {"Q1": 0, "Q2": 0, "Q3": 0, "script_Q": 0}
-    for rec in records:
-        counts[rec.category] += 1
-        if rec.in_script_q:
-            counts["script_Q"] += 1
     payload = {
         "subcommand": "classify",
         **_curve_keys(args.curve),
         "p": args.p,
         "bound": args.bound,
-        "counts": counts,
+        "counts": _class_counts(records),
         "primes": [
             {
                 "ell": rec.ell,
@@ -325,9 +322,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     model = args.curve
     p = args.p
     minimal, _ = minimal_model(model)
-    bad = [ell for ell, _ in factorize(conductor(minimal))]
+    level = conductor(minimal)
     reduction = []
-    for ell in bad:
+    for ell, _ in factorize(level):
         local = reduction_type(minimal, ell)
         reduction.append({
             "ell": ell,
@@ -337,11 +334,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             "conductor_exponent": local.conductor_exponent,
         })
     records = bulk_classify(model, p, args.bound, cache=cache, jobs=args.jobs)
-    counts = {"Q1": 0, "Q2": 0, "Q3": 0, "script_Q": 0}
-    for rec in records:
-        counts[rec.category] += 1
-        if rec.in_script_q:
-            counts["script_Q"] += 1
     try:
         euler: dict = euler_factors_record(euler_char_factors(model, p))
     except ValueError as exc:
@@ -351,9 +343,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         "subcommand": "report",
         **_curve_keys(model),
         "p": p,
-        "conductor": conductor(minimal),
+        "conductor": level,
         "reduction": reduction,
-        "classification": {"bound": args.bound, "counts": counts},
+        "classification": {"bound": args.bound, "counts": _class_counts(records)},
         "euler": euler,
         "density_constants": {
             "alpha": str(alpha_closed_form(p)),
@@ -399,7 +391,7 @@ def _add_cache(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_extension(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--ramified", type=_prime_list_arg, default=(),
+    sub.add_argument("--ramified", type=_int_list_arg, default=(),
                      help="tame ramified primes, comma separated")
     sub.add_argument("--exponents", type=_int_list_arg, default=None,
                      help="character exponents per tame prime (default all 1)")

@@ -10,6 +10,8 @@ appear only inside the least-squares fit.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import statistics
 from dataclasses import dataclass
@@ -18,8 +20,8 @@ from fractions import Fraction
 from .classify import bulk_classify
 from .counting import TraceCache
 from .elliptic import WeierstrassModel
-from .fields import M_of_X, g_of_X
-from .ntheory import is_prime, sieve_primes
+from .fields import _m_weights, _weight_builder
+from .ntheory import iroot, is_prime
 
 __all__ = [
     "DensityReport",
@@ -98,9 +100,23 @@ def empirical_density(
     _check_p(p)
     if bound < 2:
         return Fraction(0)
+    return _script_q_primes_and_density(model, p, bound, cache, jobs)[1]
+
+
+def _script_q_primes_and_density(model, p, bound, cache, jobs) -> tuple[list[int], Fraction]:
+    """The distinguished primes <= bound and their share of all primes <= bound."""
     records = bulk_classify(model, p, bound, cache=cache, jobs=jobs)
-    hits = sum(r.in_script_q for r in records)
-    return Fraction(hits, len(sieve_primes(bound).primes))
+    primes = [r.ell for r in records if r.in_script_q]
+    # every prime <= bound is classified except p itself
+    return primes, Fraction(len(primes), len(records) + (p <= bound))
+
+
+def _grid_totals(weights: dict[int, int], bounds: list[int]) -> list[int]:
+    """Total weight of the keys <= each bound; every key is <= bounds[-1]."""
+    per_point = [0] * len(bounds)
+    for key, w in weights.items():
+        per_point[bisect.bisect_left(bounds, key)] += w
+    return list(itertools.accumulate(per_point))
 
 
 def delange_exponents(p: int, alpha: Fraction) -> tuple[Fraction, Fraction]:
@@ -178,6 +194,10 @@ def asymptotic_report(
 ) -> DensityReport:
     """Exact g/M tables over the grid plus the fitted log exponent.
 
+    One classification pass up to the grid maximum gives the empirical
+    density and the g weights; every grid value is then read off one g and
+    one M weight table built at that maximum.
+
     The final table doubles as a lower-bound curve: the count of fields with
     conductor <= X bounds the rank-growth count at discriminant X^(p-1) from
     below, and only ever appears as a bound here.
@@ -193,13 +213,14 @@ def asymptotic_report(
     if grid[-1] > budget:
         raise ValueError(f"grid max {grid[-1]} exceeds the budget {budget}")
 
-    if cache is None:
-        cache = TraceCache()
+    build = _weight_builder(method)
     alpha = alpha_closed_form(p)
-    g_table = tuple(
-        (x, g_of_X(model, p, x, cache=cache, jobs=jobs, method=method)) for x in grid
-    )
-    m_table = tuple((x, M_of_X(p, x, method=method)) for x in grid)
+    primes, density = _script_q_primes_and_density(model, p, grid[-1], cache, jobs)
+    g_weights = build(primes, p, grid[-1])
+    g_table = tuple(zip(grid, _grid_totals(g_weights, grid)))
+    m_weights = _m_weights(p, grid[-1], method)
+    m_bounds = [iroot(x, p - 1) for x in grid]
+    m_table = tuple(zip(grid, _grid_totals(m_weights, m_bounds)))
 
     usable = [(x, g) for x, g in g_table if g > 0]
     if len(usable) < 2:
@@ -214,7 +235,7 @@ def asymptotic_report(
         alpha=alpha,
         alpha_brute=alpha_brute_force(p),
         delange_pair=delange_exponents(p, alpha),
-        empirical_density=empirical_density(model, p, grid[-1], cache=cache, jobs=jobs),
+        empirical_density=density,
         g_table=g_table,
         M_table=m_table,
         n_lower_table=tuple((x ** (p - 1), g) for x, g in g_table),

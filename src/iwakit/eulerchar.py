@@ -271,8 +271,9 @@ def has_rational_p_torsion(model: WeierstrassModel, p: int) -> bool:
     if p == 2 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     minimal, _ = minimal_model(model)
+    disc = minimal.disc
     for ell in sieve_primes(1000).primes:
-        if ell == p or not reduction_type(minimal, ell).is_good:
+        if ell == p or disc % ell == 0:
             continue
         if (ell + 1 - trace_of_frobenius(minimal, ell)) % p != 0:
             return False

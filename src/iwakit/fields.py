@@ -9,6 +9,7 @@ polynomials are never constructed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .classify import bulk_classify, cyclotomic_split_count
@@ -262,12 +263,56 @@ def _product_weights_sieve(primes: list[int], p: int, bound: int) -> dict[int, i
 _WEIGHT_METHODS = {"dfs": _product_weights_dfs, "sieve": _product_weights_sieve}
 
 
+# the dual-algorithm tests compare these two sums
 def _product_sum_dfs(primes: list[int], p: int, bound: int) -> int:
     return sum(_product_weights_dfs(primes, p, bound).values())
 
 
 def _product_sum_sieve(primes: list[int], p: int, bound: int) -> int:
     return sum(_product_weights_sieve(primes, p, bound).values())
+
+
+def _weight_builder(method: str):
+    """The (primes, p, bound) -> {conductor: weight} builder named by method."""
+    builder = _WEIGHT_METHODS.get(method)
+    if builder is None:
+        raise ValueError(f"unknown method {method!r}")
+    return builder
+
+
+def _g_weights(model, p, bound, *, cache, jobs, method) -> dict[int, int]:
+    """Weight of each squarefree conductor <= bound in g_of_X."""
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
+    build = _weight_builder(method)
+    return build(script_q_primes(model, p, bound, cache=cache, jobs=jobs), p, bound)
+
+
+def _m_weights(p: int, bound: int, method: str) -> dict[int, int]:
+    """Number of degree-p cyclic fields at each conductor, discriminant <= bound."""
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
+    build = _weight_builder(method)
+    max_conductor = iroot(bound, p - 1)
+    if max_conductor < 2:
+        return {}
+    primes = [ell for ell in sieve_primes(max_conductor).primes if ell % p == 1]
+    weights = build(primes, p, max_conductor)
+    wild_bound = max_conductor // (p * p)
+    if wild_bound >= 1:
+        # conductor p^2 * n: the wild place joins the ramified set
+        weights[p * p] = 1
+        for n, w in build(primes, p, wild_bound).items():
+            # tame conductors are squarefree, so p^2 * n never collides
+            weights[p * p * n] = (p - 1) * w
+    return weights
+
+
+def _running_totals(weights: dict[int, int]):
+    keys = sorted(weights)
+    return zip(keys, itertools.accumulate(weights[k] for k in keys))
 
 
 def g_of_X(
@@ -280,35 +325,12 @@ def g_of_X(
     method: str = "dfs",
 ) -> int:
     """Count of distinguished-set-ramified fields with squarefree conductor <= bound."""
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
-    primes = script_q_primes(model, p, bound, cache=cache, jobs=jobs)
-    if method == "dfs":
-        return _product_sum_dfs(primes, p, bound)
-    if method == "sieve":
-        return _product_sum_sieve(primes, p, bound)
-    raise ValueError(f"unknown method {method!r}")
+    return sum(_g_weights(model, p, bound, cache=cache, jobs=jobs, method=method).values())
 
 
 def M_of_X(p: int, bound: int, *, method: str = "dfs") -> int:
     """Count of all degree-p cyclic fields with discriminant <= bound."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
-    max_conductor = iroot(bound, p - 1)
-    if max_conductor < 2:
-        return 0
-    primes = [ell for ell in sieve_primes(max_conductor).primes if ell % p == 1]
-    fn = {"dfs": _product_sum_dfs, "sieve": _product_sum_sieve}.get(method)
-    if fn is None:
-        raise ValueError(f"unknown method {method!r}")
-    total = fn(primes, p, max_conductor)
-    wild_bound = max_conductor // (p * p)
-    if wild_bound >= 1:
-        # conductor p^2 * n: the wild place joins the ramified set
-        total += 1 + (p - 1) * fn(primes, p, wild_bound)
-    return total
+    return sum(_m_weights(p, bound, method).values())
 
 
 def g_steps(
@@ -326,47 +348,14 @@ def g_steps(
     before the first jump and constant between consecutive jumps, so two
     methods producing equal step lists agree at every X.
     """
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
-    weight_fn = _WEIGHT_METHODS.get(method)
-    if weight_fn is None:
-        raise ValueError(f"unknown method {method!r}")
-    primes = script_q_primes(model, p, bound, cache=cache, jobs=jobs)
-    weights = weight_fn(primes, p, bound)
-    steps = []
-    running = 0
-    for value in sorted(weights):
-        running += weights[value]
-        steps.append((value, running))
-    return tuple(steps)
+    return tuple(_running_totals(
+        _g_weights(model, p, bound, cache=cache, jobs=jobs, method=method)))
 
 
 def m_steps(p: int, bound: int, *, method: str = "dfs") -> tuple[tuple[int, int], ...]:
     """Jump points of X -> M_of_X(X) as (discriminant, running count)."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
-    weight_fn = _WEIGHT_METHODS.get(method)
-    if weight_fn is None:
-        raise ValueError(f"unknown method {method!r}")
-    max_conductor = iroot(bound, p - 1)
-    if max_conductor < 2:
-        return ()
-    primes = [ell for ell in sieve_primes(max_conductor).primes if ell % p == 1]
-    by_conductor = dict(weight_fn(primes, p, max_conductor))
-    wild_bound = max_conductor // (p * p)
-    if wild_bound >= 1:
-        by_conductor[p * p] = 1
-        for n, w in weight_fn(primes, p, wild_bound).items():
-            # tame conductors are squarefree, so p^2 * n never collides
-            by_conductor[p * p * n] = (p - 1) * w
-    steps = []
-    running = 0
-    for conductor in sorted(by_conductor):
-        running += by_conductor[conductor]
-        steps.append((conductor ** (p - 1), running))
-    return tuple(steps)
+    weights = _m_weights(p, bound, method)
+    return tuple((f ** (p - 1), n) for f, n in _running_totals(weights))
 
 
 def extension_record(ext: CyclicExtension) -> dict:

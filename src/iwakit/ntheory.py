@@ -5,6 +5,7 @@ Everything here is exact bigint arithmetic; no floating point.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -28,7 +29,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond 2^64."""
+    """Miller-Rabin to the prime bases 2..37: proven for n < 3.18e23
+    (Sorenson-Webster 2015), a strong probable-prime test above that."""
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -71,19 +73,8 @@ class PrimeSieve:
     def __contains__(self, n: int) -> bool:
         if n > self.bound:
             raise ValueError(f"{n} exceeds sieve bound {self.bound}")
-        i = _bisect(self.primes, n)
+        i = bisect.bisect_left(self.primes, n)
         return i < len(self.primes) and self.primes[i] == n
-
-
-def _bisect(seq: tuple[int, ...], x: int) -> int:
-    lo, hi = 0, len(seq)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if seq[mid] < x:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 def _sieve_flat(bound: int) -> list[int]:
@@ -257,12 +248,14 @@ def iroot(n: int, k: int) -> int:
         raise ValueError("iroot needs n >= 0, k >= 1")
     if n == 0:
         return 0
-    x = int(round(n ** (1.0 / k))) + 1
-    while x**k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
+    # integer Newton from above: the start 2^ceil(bits/k) exceeds the root,
+    # and the iterates fall monotonically until they reach the floor
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 @dataclass(frozen=True)

@@ -212,3 +212,21 @@ def test_classification_csv_format():
     row7 = next(line for line in lines if line.startswith("7,"))
     assert row7 == "7,Q3,-2,true"
     assert classification_csv(records) == text
+
+
+def test_bulk_classify_non_minimal_model():
+    # E99 rescaled by u = 2; the bad primes come from the minimal model
+    scaled = WeierstrassModel(0, 0, 8, -48, -320)
+    minimal, u = minimal_model(scaled)
+    assert u == 2 and minimal_model(E99)[0] == minimal
+    records = bulk_classify(scaled, 3, 2000)
+    assert records == bulk_classify(E99, 3, 2000)
+    q1 = {r.ell for r in records if r.category == "Q1"}
+    oracle = {
+        ell for ell in sieve_primes(2000).primes
+        if reduction_type(minimal, ell).v_disc > 0
+    }
+    assert q1 == oracle - {3}
+    assert [classify_prime(scaled, 3, ell) for ell in (2, 5, 11)] == [
+        r for r in records if r.ell in (2, 5, 11)
+    ]

@@ -126,6 +126,29 @@ def test_asymptotic_report_small_grid():
     assert rep.empirical_density == empirical_density(E99, 3, 10**4, cache=cache)
 
 
+@pytest.mark.parametrize("method", ["dfs", "sieve"])
+def test_asymptotic_report_tables_at_and_between_jumps(method):
+    # 7 and 49 are jumps of g and M, 81 = 9^2 brings in the wild conductor 9
+    grid = [1, 7, 48, 49, 80, 81, 700]
+    cache = TraceCache()
+    rep = asymptotic_report(E99, 3, grid, cache=cache, method=method)
+    assert rep.g_table == tuple(
+        (x, g_of_X(E99, 3, x, cache=cache, method=method)) for x in grid
+    )
+    assert rep.M_table == tuple((x, M_of_X(3, x, method=method)) for x in grid)
+    assert rep.empirical_density == empirical_density(E99, 3, 700, cache=cache)
+
+
+def test_asymptotic_report_rejects_unknown_method_before_classifying(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("classified before checking the method")
+
+    monkeypatch.setattr("iwakit.density.bulk_classify", fail)
+    monkeypatch.setattr("iwakit.fields.bulk_classify", fail)
+    with pytest.raises(ValueError, match="unknown method"):
+        asymptotic_report(E99, 3, [7, 100, 1000, 10**4], method="bogus")
+
+
 def test_asymptotic_report_grid_errors():
     with pytest.raises(FitUnavailableError):
         asymptotic_report(E99, 3, [10, 100, 1000])

@@ -247,6 +247,24 @@ def test_product_sum_helpers_agree_at_scale():
         assert _product_sum_dfs(primes, 3, bound) == _product_sum_sieve(primes, 3, bound)
 
 
+def test_unknown_method_rejected_before_any_work(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before checking the method")
+
+    monkeypatch.setattr("iwakit.fields.bulk_classify", fail)
+    monkeypatch.setattr("iwakit.fields.sieve_primes", fail)
+    calls = [
+        lambda: g_of_X(E99, 3, 600, method="bogus"),
+        lambda: g_steps(E99, 3, 600, method="bogus"),
+        lambda: M_of_X(3, 600, method="bogus"),
+        lambda: m_steps(3, 600, method="bogus"),
+        lambda: M_of_X(3, 1, method="bogus"),  # no field at all below 49
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown method"):
+            call()
+
+
 def test_m_of_x_smallest_fields():
     assert M_of_X(3, 48) == 0
     assert M_of_X(3, 49) == 1

@@ -172,6 +172,19 @@ def test_iroot(n, k):
     assert r**k <= n < (r + 1) ** k
 
 
+@given(st.integers(min_value=0, max_value=2**2000 - 1), st.integers(min_value=1, max_value=12))
+def test_iroot_big(n, k):
+    r = iroot(n, k)
+    assert r**k <= n < (r + 1) ** k
+
+
+def test_iroot_beyond_float_range():
+    # a float guess overflows above about 1e308
+    r = iroot(10**400, 12)
+    assert r**12 <= 10**400 < (r + 1) ** 12
+    assert iroot(10**408, 12) == 10**34
+
+
 def test_inv_mod():
     assert inv_mod(3, 7) * 3 % 7 == 1
     with pytest.raises(ValueError):
