@@ -6,24 +6,23 @@ curve at p = 3, transferred across the cubic field ramified at 7.
 """
 
 import argparse
+import math
 import sys
 
 from iwakit import (
     CyclicExtension,
     check_hypotheses,
     classify_prime,
-    conductor,
     count_points,
     euler_char_factors,
     lambda_transfer,
+    local_data,
     minimal_model,
     mu_lambda_vanish,
     parse_model,
     rank_claim,
-    reduction_type,
 )
 from iwakit.kida import HypothesisBlockedError
-from iwakit.ntheory import factorize
 
 
 def main() -> int:
@@ -38,11 +37,11 @@ def main() -> int:
     p = args.p
     minimal, _ = minimal_model(model)
     print(f"curve {args.curve}, minimal model {minimal.coefficients()}")
-    print(f"conductor {conductor(minimal)}")
+    bad = local_data(minimal)
+    print(f"conductor {math.prod(local.ell ** local.conductor_exponent for local in bad)}")
 
-    for ell, _ in factorize(conductor(minimal)):
-        local = reduction_type(minimal, ell)
-        print(f"  reduction at {ell}: {local.type} ({local.kodaira}), "
+    for local in bad:
+        print(f"  reduction at {local.ell}: {local.type} ({local.kodaira}), "
               f"Tamagawa {local.tamagawa}")
 
     verdict = classify_prime(model, p, args.ell)

@@ -31,6 +31,7 @@ from .elliptic import (
     WeierstrassModel,
     conductor,
     format_model,
+    local_data,
     minimal_model,
     parse_model,
     quadratic_twist,
@@ -85,7 +86,7 @@ __all__ = [
     # curves and local data
     "WeierstrassModel", "LocalReductionData", "SingularCurveError",
     "parse_model", "format_model", "minimal_model", "quadratic_twist",
-    "reduction_type", "conductor",
+    "reduction_type", "local_data", "conductor",
     # point counting
     "FrobeniusData", "TraceCache", "count_points", "trace_of_frobenius",
     "frobenius_data", "order_over_extension",

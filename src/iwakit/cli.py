@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -27,11 +28,10 @@ from .density import (
 )
 from .elliptic import (
     WeierstrassModel,
-    conductor,
     format_model,
+    local_data,
     minimal_model,
     parse_model,
-    reduction_type,
 )
 from .eulerchar import (
     HypothesisNotMetError,
@@ -48,7 +48,6 @@ from .kida import (
     kida_record,
     lambda_transfer,
 )
-from .ntheory import factorize
 from .refdata import ingest_reference, reference_record
 
 __all__ = ["main", "EXIT_OK", "EXIT_FAILURE", "EXIT_USAGE", "EXIT_BLOCKED"]
@@ -321,18 +320,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
     cache = _cache_from(args)
     model = args.curve
     p = args.p
-    minimal, _ = minimal_model(model)
-    level = conductor(minimal)
-    reduction = []
-    for ell, _ in factorize(level):
-        local = reduction_type(minimal, ell)
-        reduction.append({
-            "ell": ell,
+    bad = local_data(model)
+    reduction = [
+        {
+            "ell": local.ell,
             "type": local.type,
             "kodaira": local.kodaira,
             "tamagawa": local.tamagawa,
             "conductor_exponent": local.conductor_exponent,
-        })
+        }
+        for local in bad
+    ]
     records = bulk_classify(model, p, args.bound, cache=cache, jobs=args.jobs)
     try:
         euler: dict = euler_factors_record(euler_char_factors(model, p))
@@ -343,7 +341,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         "subcommand": "report",
         **_curve_keys(model),
         "p": p,
-        "conductor": level,
+        "conductor": math.prod(local.ell ** local.conductor_exponent for local in bad),
         "reduction": reduction,
         "classification": {"bound": args.bound, "counts": _class_counts(records)},
         "euler": euler,

@@ -49,18 +49,22 @@ def _check_p(p: int) -> None:
         raise ValueError(f"p must be an odd prime, got {p}")
 
 
-def sl2_trace_count(p: int, t: int) -> int:
-    """Matrices in SL_2(F_p) of trace t, by exhaustive entry enumeration."""
-    _check_p(p)
-    t %= p
-    count = 0
+def _sl2_trace_histogram(p: int) -> list[int]:
+    """Matrices in SL_2(F_p) per trace t in 0..p-1, by exhaustive entry enumeration."""
+    counts = [0] * p
     for a in range(p):
         for b in range(p):
             for c in range(p):
                 for d in range(p):
-                    if (a * d - b * c) % p == 1 and (a + d) % p == t:
-                        count += 1
-    return count
+                    if (a * d - b * c) % p == 1:
+                        counts[(a + d) % p] += 1
+    return counts
+
+
+def sl2_trace_count(p: int, t: int) -> int:
+    """Matrices in SL_2(F_p) of trace t, by exhaustive entry enumeration."""
+    _check_p(p)
+    return _sl2_trace_histogram(p)[t % p]
 
 
 def alpha_closed_form(p: int) -> Fraction:
@@ -74,18 +78,9 @@ def alpha_brute_force(p: int) -> Fraction:
     _check_p(p)
     if p > BRUTE_FORCE_BOUND:
         raise ValueError(f"enumeration budget is p <= {BRUTE_FORCE_BOUND}, got {p}")
-    sl2 = 0
-    trace2 = 0
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    if (a * d - b * c) % p == 1:
-                        sl2 += 1
-                        if (a + d) % p == 2 % p:
-                            trace2 += 1
+    counts = _sl2_trace_histogram(p)
     gl2 = (p * p - 1) * (p * p - p)
-    return Fraction(sl2 - trace2, gl2)
+    return Fraction(sum(counts) - counts[2 % p], gl2)
 
 
 def empirical_density(

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .ntheory import (
     inv_mod,
-    iroot,
     is_prime,
     is_squarefree,
     factorize,
@@ -34,6 +33,7 @@ __all__ = [
     "minimal_model",
     "is_minimal_at",
     "reduction_type",
+    "local_data",
     "quadratic_twist",
     "model_from_c4c6",
     "conductor",
@@ -248,14 +248,23 @@ def _minimality_exponent(c4: int, c6: int, disc: int, q: int) -> int:
 
 
 def minimal_model(model: WeierstrassModel) -> tuple[WeierstrassModel, int]:
-    """Global minimal model and the scaling u with c4 = u^4 c4', c6 = u^6 c6'."""
+    """Global minimal model and the scaling u with c4 = u^4 c4', c6 = u^6 c6'.
+
+    A prime q can be scaled away only when q^4 divides g = gcd(c4, c6), so
+    the candidates come from trial division of g, stopping once q^4 exceeds
+    what is left of g.  The loop runs to about the fourth root of g with its
+    small primes removed: fast for small prime content, while a large prime
+    content of g still needs a subexponential factorizer such as Pollard rho.
+    """
     c4, c6, disc = model.c4, model.c6, model.disc
     u = 1
-    # only primes q with q^12 | disc can be removed
-    bound = iroot(abs(disc), 12)
+    g = math.gcd(c4, c6)
     q = 2
-    while q <= bound:
-        if disc % q == 0 and is_prime(q):
+    while q**4 <= g:
+        if g % q == 0:
+            # every smaller prime is stripped from g, so q is prime here
+            while g % q == 0:
+                g //= q
             u *= q ** _minimality_exponent(c4, c6, disc, q)
         q += 1
     return model_from_c4c6(c4 // u**4, c6 // u**6), u
@@ -267,13 +276,15 @@ def is_minimal_at(model: WeierstrassModel, q: int) -> bool:
     return _minimality_exponent(model.c4, model.c6, model.disc, q) == 0
 
 
+def local_data(model: WeierstrassModel) -> list[LocalReductionData]:
+    """Tate's algorithm at each bad prime of the minimal model, in increasing order."""
+    mm, _ = minimal_model(model)
+    return [reduction_type(mm, q) for q, _ in factorize(mm.disc)]
+
+
 def conductor(model: WeierstrassModel) -> int:
     """Product of q^f_q over the bad primes of the minimal model."""
-    mm, _ = minimal_model(model)
-    n = 1
-    for q, _ in factorize(mm.disc):
-        n *= q ** reduction_type(mm, q).conductor_exponent
-    return n
+    return math.prod(local.ell ** local.conductor_exponent for local in local_data(model))
 
 
 def has_potential_good_reduction(model: WeierstrassModel, q: int) -> bool:

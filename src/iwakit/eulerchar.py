@@ -17,6 +17,7 @@ from .counting import trace_of_frobenius
 from .elliptic import (
     WeierstrassModel,
     has_potential_good_reduction,
+    local_data,
     minimal_model,
     quadratic_twist,
     reduction_type,
@@ -104,6 +105,13 @@ def _is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
+def _cyclotomic_twist(minimal: WeierstrassModel, p: int) -> tuple[int, WeierstrassModel]:
+    """d = (-1)^((p-1)/2) p and the minimal model of the twist by d."""
+    # unit twists are unramified at p, and every d with v_p(d) = 1 is this d times a unit
+    d = p if p % 4 == 1 else -p
+    return d, minimal_model(quadratic_twist(minimal, d))[0]
+
+
 def good_ordinary_twist(model: WeierstrassModel, p: int) -> OrdinaryTwist:
     """Twist by the discriminant of the degree-2 field inside the p-th
     cyclotomic field; the result must be good ordinary at p."""
@@ -117,8 +125,7 @@ def good_ordinary_twist(model: WeierstrassModel, p: int) -> OrdinaryTwist:
         )
     if not has_potential_good_reduction(minimal, p):
         raise ValueError(f"potentially multiplicative at {p}: no good twist exists")
-    d = p if p % 4 == 1 else -p
-    twisted, _ = minimal_model(quadratic_twist(minimal, d))
+    d, twisted = _cyclotomic_twist(minimal, p)
     if not reduction_type(twisted, p).is_good:
         raise TwistNotGoodError(
             f"twist by {d} is not good at {p}; the quadratic-subfield assumption fails"
@@ -298,13 +305,7 @@ def _division_poly_torsion(model: WeierstrassModel, p: int) -> bool:
 
 def tamagawa_product_away_from(model: WeierstrassModel, p: int) -> int:
     """Product of Tamagawa numbers over all bad primes except p."""
-    minimal, _ = minimal_model(model)
-    prod = 1
-    for ell, _ in factorize(abs(minimal.disc)):
-        if ell == p:
-            continue
-        prod *= reduction_type(minimal, ell).tamagawa
-    return prod
+    return math.prod(local.tamagawa for local in local_data(model) if local.ell != p)
 
 
 def euler_char_factors(

@@ -23,12 +23,11 @@ from .elliptic import (
     format_model,
     has_potential_good_reduction,
     minimal_model,
-    quadratic_twist,
     reduction_type,
 )
-from .eulerchar import euler_char_factors, mu_lambda_vanish
+from .eulerchar import _cyclotomic_twist, euler_char_factors, mu_lambda_vanish
 from .fields import CyclicExtension, ramified_splitting
-from .ntheory import factorize, is_prime, is_squarefree
+from .ntheory import is_prime
 
 __all__ = [
     "HypothesisBlockedError",
@@ -45,8 +44,6 @@ __all__ = [
     "stable_extension_test",
     "tower_transfer",
 ]
-
-TWIST_SEARCH_BOUND = 163
 
 STABILITY_LABELS = (
     "satisfied",
@@ -157,41 +154,17 @@ class KidaResult:
                 raise ValueError(f"contribution of {w.ell} does not match its bucket")
 
 
-def _squarefree_twists(p: int):
-    """Candidate twist parameters: the quadratic subfield discriminant of the
-    p-th cyclotomic field first, then small squarefree d."""
-    canonical = p if p % 4 == 1 else -p
-    yield canonical
-    for a in range(1, TWIST_SEARCH_BOUND + 1):
-        if a == 1 or not is_squarefree(a):
-            continue
-        for d in (a, -a):
-            if d != canonical:
-                yield d
-    yield -1
-
-
-def _good_twist_search(minimal: WeierstrassModel, p: int):
-    for d in _squarefree_twists(p):
-        twisted = minimal_model(quadratic_twist(minimal, d))[0]
-        if reduction_type(twisted, p).is_good:
-            return d, twisted
-    return None
-
-
 def _additive_stability(minimal: WeierstrassModel, p: int, ext: CyclicExtension) -> str:
     if p >= 5:
         return "satisfied_by_p_ge_5"
     # p = 3: additive reduction away from p survives only over extensions
-    # unramified at the additive primes
-    additive = [
-        ell
-        for ell, _ in factorize(abs(minimal.disc))
-        if ell != p and reduction_type(minimal, ell).is_additive
-    ]
-    if not set(additive) & set(ext.tame_ramified):
-        return "satisfied_by_unramified"
-    return "unresolved"
+    # unramified at the additive primes; tame primes are 1 mod p, never p
+    if any(
+        minimal.disc % ell == 0 and reduction_type(minimal, ell).is_additive
+        for ell in ext.tame_ramified
+    ):
+        return "unresolved"
+    return "satisfied_by_unramified"
 
 
 def _base_invariants(minimal: WeierstrassModel, p: int) -> bool | None:
@@ -226,10 +199,11 @@ def check_hypotheses(
         defect = False
         note = "potentially multiplicative at p; no extension restores good reduction"
     else:
-        good_twist = _good_twist_search(minimal, p)
-        if good_twist is not None:
+        d, twisted = _cyclotomic_twist(minimal, p)
+        if reduction_type(twisted, p).is_good:
+            good_twist = (d, twisted)
             defect = True
-            note = f"additive at p with good quadratic twist d = {good_twist[0]}"
+            note = f"additive at p with good quadratic twist d = {d}"
         else:
             defect = None
             note = "no quadratic twist reaches good reduction at p; deeper twists are unresolved"

@@ -14,6 +14,7 @@ from iwakit.elliptic import (
     has_potential_good_reduction,
     invariants,
     is_minimal_at,
+    local_data,
     minimal_model,
     model_from_c4c6,
     parse_model,
@@ -119,6 +120,57 @@ def test_minimal_despite_high_valuations():
     w = WeierstrassModel(0, 0, 0, 4, 0)
     assert is_minimal_at(w, 2)
     assert minimal_model(w) == (w, 1)
+
+
+def _rescale(w: WeierstrassModel, u: int) -> WeierstrassModel:
+    """The model with a_i scaled by u^i, so c4 and c6 pick up u^4 and u^6."""
+    return WeierstrassModel(u * w.a1, u**2 * w.a2, u**3 * w.a3, u**4 * w.a4, u**6 * w.a6)
+
+
+def test_minimal_model_big_discriminant():
+    # a 603-digit discriminant whose content is 10^50: found from gcd(c4, c6)
+    # in a few steps instead of walking every q up to |disc|^(1/12)
+    w = WeierstrassModel(0, 0, 0, 10**200, 10**300)
+    assert len(str(abs(w.disc))) == 603
+    assert minimal_model(w) == (WeierstrassModel(0, 0, 0, 1, 1), 10**50)
+
+
+@given(
+    st.sampled_from([0, 1]), st.sampled_from([-1, 0, 1]), st.sampled_from([0, 1]),
+    st.integers(-500, 500), st.integers(-500, 500), st.integers(1, 30),
+)
+@settings(deadline=None)
+def test_minimal_model_rescaling_invariant(a1, a2, a3, a4, a6, u):
+    try:
+        w = WeierstrassModel(a1, a2, a3, a4, a6)
+    except SingularCurveError:
+        return
+    mm, u0 = minimal_model(w)
+    assert minimal_model(_rescale(w, u)) == (mm, u * u0)
+
+
+def _tate_at_disc_factors(w: WeierstrassModel) -> list[LocalReductionData]:
+    mm, _ = minimal_model(w)
+    return [reduction_type(mm, q) for q, _ in factorize(mm.disc)]
+
+
+def test_local_data_named_curves():
+    for w in (E99, E11, E32, E27, E37, E389):
+        assert local_data(w) == _tate_at_disc_factors(w)
+        assert [local.ell for local in local_data(w)] == [q for q, _ in factorize(conductor(w))]
+
+
+@given(
+    st.sampled_from([0, 1]), st.sampled_from([-1, 0, 1]), st.sampled_from([0, 1]),
+    st.integers(-300, 300), st.integers(-300, 300), st.sampled_from([1, 2, 3, 5, 6]),
+)
+@settings(deadline=None, max_examples=50)
+def test_local_data_rescaled_random_curves(a1, a2, a3, a4, a6, u):
+    try:
+        w = _rescale(WeierstrassModel(a1, a2, a3, a4, a6), u)
+    except SingularCurveError:
+        return
+    assert local_data(w) == _tate_at_disc_factors(w)
 
 
 def test_model_from_c4c6_errors():

@@ -1,11 +1,19 @@
 """Hypothesis audit and the lambda-transfer formula."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iwakit.classify import cyclotomic_split_count
-from iwakit.elliptic import WeierstrassModel, minimal_model, quadratic_twist, reduction_type
+from iwakit.elliptic import (
+    WeierstrassModel,
+    has_potential_good_reduction,
+    minimal_model,
+    quadratic_twist,
+    reduction_type,
+)
 from iwakit.fields import CyclicExtension
 from iwakit.kida import (
     HypothesisBlockedError,
@@ -22,6 +30,7 @@ from iwakit.kida import (
     stable_extension_test,
     tower_transfer,
 )
+from iwakit.ntheory import is_squarefree
 
 E99 = WeierstrassModel(0, 0, 1, -3, -5)
 E11 = WeierstrassModel(0, -1, 1, -10, -20)
@@ -76,6 +85,57 @@ def test_check_hypotheses_no_quadratic_twist():
     assert rep.prime_to_p_defect is None
     with pytest.raises(HypothesisBlockedError, match="twist"):
         lambda_transfer(0, 3, EXT7, cm, report=rep)
+
+
+def _squarefree_twist_search(minimal: WeierstrassModel, p: int, bound: int = 163):
+    """Oracle: the first good twist among p*, every squarefree 1 < |d| <= bound, then -1."""
+    canonical = p if p % 4 == 1 else -p
+    candidates = [canonical]
+    for a in range(2, bound + 1):
+        if is_squarefree(a):
+            candidates.extend(d for d in (a, -a) if d != canonical)
+    candidates.append(-1)
+    for d in candidates:
+        twisted = minimal_model(quadratic_twist(minimal, d))[0]
+        if reduction_type(twisted, p).is_good:
+            return d, twisted
+    return None
+
+
+@pytest.mark.parametrize(("p", "ell"), [(3, 7), (5, 11), (7, 29)])
+def test_good_twist_matches_squarefree_search(p, ell):
+    # random curves, their twists by p and their cusps mod p (a4, a6 times p):
+    # additive curves with and without a good quadratic twist both occur
+    rng = random.Random(p)
+    ext = CyclicExtension(p=p, tame_ramified=(ell,), wild_at_p=False, exponents=(1,))
+    outcomes = []
+    while len(outcomes) < 30:
+        a4, a6 = rng.randint(-200, 200), rng.randint(-200, 200)
+        try:
+            base = WeierstrassModel(rng.randint(0, 1), rng.randint(-1, 1), rng.randint(0, 1), a4, a6)
+            cusp = WeierstrassModel(0, 0, 0, p * a4, p * a6)
+        except ValueError:
+            continue
+        for w in (base, quadratic_twist(base, p), cusp):
+            minimal = minimal_model(w)[0]
+            local = reduction_type(minimal, p)
+            if not (local.is_additive and has_potential_good_reduction(minimal, p)):
+                continue
+            expected = _squarefree_twist_search(minimal, p)
+            assert check_hypotheses(w, p, ext).good_twist == expected
+            outcomes.append(expected is None)
+    assert set(outcomes) == {True, False}
+
+
+def test_check_hypotheses_additive_at_ramified_prime():
+    # the twist of E11 by 7 stays good at 3 but is additive at 7
+    tw = quadratic_twist(E11, 7)
+    assert reduction_type(minimal_model(tw)[0], 7).is_additive
+    rep = check_hypotheses(tw, 3, EXT7)
+    assert rep.additive_stability == "unresolved"
+    assert check_hypotheses(tw, 3, EXT13).additive_stability == "satisfied_by_unramified"
+    with pytest.raises(HypothesisBlockedError, match="additive reduction may degenerate"):
+        lambda_transfer(0, 3, EXT7, tw, report=rep)
 
 
 def test_check_hypotheses_external_base():
