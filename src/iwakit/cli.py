@@ -42,11 +42,12 @@ from .eulerchar import (
 )
 from .fields import CyclicExtension, count_extensions, enumerate_extensions, extension_record
 from .kida import (
+    _BASE_FLAG,
     HypothesisBlockedError,
-    check_hypotheses,
+    _audit,
+    _transfer,
     hypothesis_record,
     kida_record,
-    lambda_transfer,
 )
 from .refdata import ingest_reference, reference_record
 
@@ -156,9 +157,12 @@ def _write_text(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _curve_keys(model: WeierstrassModel) -> dict:
-    minimal, _ = minimal_model(model)
+def _curve_keys(model: WeierstrassModel, minimal: WeierstrassModel) -> dict:
     return {"curve": format_model(model), "minimal_model": format_model(minimal)}
+
+
+def _failure(exc: ValueError) -> dict:
+    return {"blocked" if isinstance(exc, BLOCKED_ERRORS) else "error": str(exc)}
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +187,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         return EXIT_OK
     payload = {
         "subcommand": "classify",
-        **_curve_keys(args.curve),
+        **_curve_keys(args.curve, minimal_model(args.curve)[0]),
         "p": args.p,
         "bound": args.bound,
         "counts": _class_counts(records),
@@ -215,24 +219,34 @@ def _resolve_lambda_base(args: argparse.Namespace, report) -> int:
     )
 
 
+def _kida_records(
+    args: argparse.Namespace,
+    ext: CyclicExtension,
+    minimal: WeierstrassModel,
+    mu_lambda_zero: bool | None,
+) -> dict:
+    """The extension, hypothesis audit and transfer records of kida and report."""
+    report = _audit(minimal, args.p, ext, mu_lambda_zero)
+    lambda_base = _resolve_lambda_base(args, report)
+    override = getattr(args, "override", False)  # report has no --override
+    result = _transfer(lambda_base, args.p, ext, minimal, report, override)
+    return {
+        "extension": extension_record(ext),
+        "hypotheses": hypothesis_record(report),
+        "transfer": kida_record(result),
+    }
+
+
 def _cmd_kida(args: argparse.Namespace) -> int:
     ext = _extension_from(args)
-    report = check_hypotheses(
-        args.curve, args.p, ext, mu_lambda_zero_at_base=args.mu_lambda_zero
-    )
-    lambda_base = _resolve_lambda_base(args, report)
-    result = lambda_transfer(
-        lambda_base, args.p, ext, args.curve, report=report, override=args.override
-    )
+    minimal, _ = minimal_model(args.curve)
     payload = {
         "subcommand": "kida",
-        **_curve_keys(args.curve),
-        "extension": extension_record(ext),
+        **_curve_keys(args.curve, minimal),
         # the transfer depends only on the ramification data, so every
         # normalized character with the same tame set and wild flag shares it
         "fields_sharing_result": _sharing_count(ext),
-        "hypotheses": hypothesis_record(report),
-        "transfer": kida_record(result),
+        **_kida_records(args, ext, minimal, args.mu_lambda_zero),
     }
     _emit(payload, args.out)
     return EXIT_OK
@@ -246,10 +260,7 @@ def _sharing_count(ext: CyclicExtension) -> int:
 def _cmd_euler_char(args: argparse.Namespace) -> int:
     dataset = ingest_reference(args.reference) if args.reference else None
     minimal, _ = minimal_model(args.curve)
-    if dataset is not None:
-        record = reference_record(minimal, args.p, dataset=dataset)
-    else:
-        record = reference_record(minimal, args.p)
+    record = reference_record(minimal, args.p, dataset=dataset)
     sha_order = None
     sha_explicit = args.sha is not None
     if sha_explicit and args.sha != "unknown":
@@ -269,7 +280,7 @@ def _cmd_euler_char(args: argparse.Namespace) -> int:
     )
     payload = {
         "subcommand": "euler-char",
-        **_curve_keys(args.curve),
+        **_curve_keys(args.curve, minimal),
         "p": args.p,
         "factors": euler_factors_record(factors),
         "external": {
@@ -309,7 +320,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
         _write_text(table_csv(report.M_table, "M"), args.m_csv)
     payload = {
         "subcommand": "density",
-        **_curve_keys(args.curve),
+        **_curve_keys(args.curve, minimal_model(args.curve)[0]),
         **density_record(report),
     }
     _emit(payload, args.out)
@@ -320,7 +331,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     cache = _cache_from(args)
     model = args.curve
     p = args.p
-    bad = local_data(model)
+    minimal, _ = minimal_model(model)
+    bad = local_data(minimal)
     reduction = [
         {
             "ell": local.ell,
@@ -333,13 +345,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     ]
     records = bulk_classify(model, p, args.bound, cache=cache, jobs=args.jobs)
     try:
-        euler: dict = euler_factors_record(euler_char_factors(model, p))
+        euler: dict = euler_factors_record(euler_char_factors(minimal, p))
     except ValueError as exc:
-        key = "blocked" if isinstance(exc, BLOCKED_ERRORS) else "error"
-        euler = {key: str(exc)}
+        euler = _failure(exc)
     payload = {
         "subcommand": "report",
-        **_curve_keys(model),
+        **_curve_keys(model, minimal),
         "p": p,
         "conductor": math.prod(local.ell ** local.conductor_exponent for local in bad),
         "reduction": reduction,
@@ -352,19 +363,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
         },
     }
     if args.ramified:
+        # the Euler audit above already settled the base invariants
+        base = _BASE_FLAG.get(euler.get("mu_lambda_vanish"))
         try:
             ext = _extension_from(args)
-            report = check_hypotheses(model, p, ext, mu_lambda_zero_at_base=None)
-            lambda_base = _resolve_lambda_base(args, report)
-            result = lambda_transfer(lambda_base, p, ext, model, report=report)
-            payload["kida"] = {
-                "extension": extension_record(ext),
-                "hypotheses": hypothesis_record(report),
-                "transfer": kida_record(result),
-            }
+            payload["kida"] = _kida_records(args, ext, minimal, base)
         except ValueError as exc:
-            key = "blocked" if isinstance(exc, BLOCKED_ERRORS) else "error"
-            payload["kida"] = {key: str(exc)}
+            payload["kida"] = _failure(exc)
     _emit(payload, args.out)
     return EXIT_OK
 

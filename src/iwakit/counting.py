@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import random
+import tempfile
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 from pathlib import Path
@@ -256,7 +258,10 @@ class TraceCache:
     """a_ell values per curve, optionally persisted as "ell a_ell" lines.
 
     Files are keyed by a hash of the minimal model, so isomorphic models share
-    an entry.  Stored values must be bit-identical to recomputation.
+    an entry.  Stored values must be bit-identical to recomputation.  A line
+    that is not two integers, or whose a_ell breaks the Hasse bound, is a
+    miss: it is recomputed and rewritten.  Files are replaced whole, through
+    a temporary file, so a reader never sees a partial write.
     """
 
     def __init__(self, directory: str | Path | None = None):
@@ -278,11 +283,13 @@ class TraceCache:
         table: dict[int, int] = {}
         path = self._path(key)
         if path is not None and path.exists():
-            for line in path.read_text("ascii").splitlines():
-                if not line.strip():
+            for line in path.read_text("ascii", errors="replace").splitlines():
+                try:
+                    ell, a = map(int, line.split())
+                except ValueError:
                     continue
-                ell_s, a_s = line.split()
-                table[int(ell_s)] = int(a_s)
+                if a * a <= 4 * ell:
+                    table[ell] = a
         self._mem[key] = table
         return table
 
@@ -291,8 +298,15 @@ class TraceCache:
         if path is None:
             return
         table = self._mem[key]
-        lines = [f"{ell} {table[ell]}\n" for ell in sorted(table)]
-        path.write_text("".join(lines), "ascii")
+        text = "".join(f"{ell} {table[ell]}\n" for ell in sorted(table))
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="ascii") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def trace(self, model: WeierstrassModel, ell: int) -> int:
         return self.traces(model, [ell])[ell]

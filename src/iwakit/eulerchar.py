@@ -10,11 +10,12 @@ is consumed, and Lagrange gives that from the residue count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .counting import trace_of_frobenius
 from .elliptic import (
+    LocalReductionData,
     WeierstrassModel,
     has_potential_good_reduction,
     local_data,
@@ -83,8 +84,7 @@ class EulerFactors:
 
     def __post_init__(self) -> None:
         p = self.p
-        if p == 2 or not is_prime(p):
-            raise ValueError(f"p must be an odd prime, got {p}")
+        _check_p(p)
         if abs(p + 1 - self.frak_F_count) ** 2 > 4 * p:
             raise ValueError(f"residue count {self.frak_F_count} violates the Hasse bound at {p}")
         if self.pi_image_status not in ("prime_to_p_implied", "unknown"):
@@ -97,6 +97,11 @@ class EulerFactors:
             raise ValueError(f"sha order must be a power of {p}, got {self.sha_p_order}")
 
 
+def _check_p(p: int) -> None:
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+
+
 def _is_p_power(n: int, p: int) -> bool:
     if n < 1:
         return False
@@ -105,35 +110,50 @@ def _is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
-def _cyclotomic_twist(minimal: WeierstrassModel, p: int) -> tuple[int, WeierstrassModel]:
-    """d = (-1)^((p-1)/2) p and the minimal model of the twist by d."""
+def _twist_at_p(
+    minimal: WeierstrassModel, p: int
+) -> tuple[LocalReductionData, bool, int, WeierstrassModel | None]:
+    """Reduction at p, potential good reduction at p, a twist d and the model
+    good at p that it reaches: d = 1 and the curve when it is good at p, else
+    d = (-1)^((p-1)/2) p and its minimal twist, or None if that is not good."""
+    local = reduction_type(minimal, p)
+    potentially_good = has_potential_good_reduction(minimal, p)
+    if local.is_good:
+        return local, potentially_good, 1, minimal
     # unit twists are unramified at p, and every d with v_p(d) = 1 is this d times a unit
     d = p if p % 4 == 1 else -p
-    return d, minimal_model(quadratic_twist(minimal, d))[0]
+    if not potentially_good:
+        return local, False, d, None
+    twisted = minimal_model(quadratic_twist(minimal, d))[0]
+    return local, True, d, twisted if reduction_type(twisted, p).is_good else None
+
+
+def _ordinary_twist(
+    p: int, local: LocalReductionData, potentially_good: bool, d: int, good: WeierstrassModel | None
+) -> OrdinaryTwist:
+    """The twist pipeline's reading of a twist decision: raise unless good ordinary."""
+    if not local.is_additive:
+        raise ValueError(
+            f"reduction at {p} is {local.type}; the twist pipeline starts from additive reduction"
+        )
+    if not potentially_good:
+        raise ValueError(f"potentially multiplicative at {p}: no good twist exists")
+    if good is None:
+        raise TwistNotGoodError(
+            f"twist by {d} is not good at {p}; the quadratic-subfield assumption fails"
+        )
+    a_p = trace_of_frobenius(good, p)
+    if a_p % p == 0:
+        raise SupersingularTwistError(f"twist by {d} is supersingular at {p} (a_p = {a_p})")
+    return OrdinaryTwist(p=p, d=d, model=good, a_p=a_p)
 
 
 def good_ordinary_twist(model: WeierstrassModel, p: int) -> OrdinaryTwist:
     """Twist by the discriminant of the degree-2 field inside the p-th
     cyclotomic field; the result must be good ordinary at p."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    _check_p(p)
     minimal, _ = minimal_model(model)
-    red = reduction_type(minimal, p)
-    if not red.is_additive:
-        raise ValueError(
-            f"reduction at {p} is {red.type}; the twist pipeline starts from additive reduction"
-        )
-    if not has_potential_good_reduction(minimal, p):
-        raise ValueError(f"potentially multiplicative at {p}: no good twist exists")
-    d, twisted = _cyclotomic_twist(minimal, p)
-    if not reduction_type(twisted, p).is_good:
-        raise TwistNotGoodError(
-            f"twist by {d} is not good at {p}; the quadratic-subfield assumption fails"
-        )
-    a_p = trace_of_frobenius(twisted, p)
-    if a_p % p == 0:
-        raise SupersingularTwistError(f"twist by {d} is supersingular at {p} (a_p = {a_p})")
-    return OrdinaryTwist(p=p, d=d, model=twisted, a_p=a_p)
+    return _ordinary_twist(p, *_twist_at_p(minimal, p))
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +295,7 @@ def has_rational_p_torsion(model: WeierstrassModel, p: int) -> bool:
     p-division polynomial of the integral short model is searched for
     integer roots giving rational points; torsion roots are integral there.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    _check_p(p)
     minimal, _ = minimal_model(model)
     disc = minimal.disc
     for ell in sieve_primes(1000).primes:
@@ -322,8 +341,23 @@ def euler_char_factors(
     use_reference is off; the analytic rank is required, the sha order may
     stay unknown and propagates as such.
     """
-    twist = good_ordinary_twist(model, p)
+    _check_p(p)
     minimal, _ = minimal_model(model)
+    return _euler_factors(
+        minimal, p, _twist_at_p(minimal, p), sha_order, analytic_rank_zero, use_reference
+    )
+
+
+def _euler_factors(
+    minimal: WeierstrassModel,
+    p: int,
+    decision: tuple[LocalReductionData, bool, int, WeierstrassModel | None],
+    sha_order: int | None = None,
+    analytic_rank_zero: bool | None = None,
+    use_reference: bool = True,
+) -> EulerFactors:
+    """euler_char_factors on a minimal model, from its twist decision at p."""
+    twist = _ordinary_twist(p, *decision)
     if use_reference and (sha_order is None or analytic_rank_zero is None):
         rec = reference_record(minimal, p)
         if rec is not None:
@@ -371,14 +405,4 @@ def mu_lambda_vanish(ef: EulerFactors) -> str:
 
 def euler_factors_record(ef: EulerFactors) -> dict:
     """JSON-ready view of the factors with the vanishing verdict attached."""
-    return {
-        "p": ef.p,
-        "sha_p_order": ef.sha_p_order,
-        "frak_F_count": ef.frak_F_count,
-        "pi_image_status": ef.pi_image_status,
-        "tamagawa_product": ef.tamagawa_product,
-        "ordinary": ef.ordinary,
-        "analytic_rank_zero": ef.analytic_rank_zero,
-        "torsion_free_at_p": ef.torsion_free_at_p,
-        "mu_lambda_vanish": mu_lambda_vanish(ef),
-    }
+    return {**asdict(ef), "mu_lambda_vanish": mu_lambda_vanish(ef)}

@@ -14,20 +14,13 @@ places above them in the cyclotomic tower.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .classify import classify_prime, p2_membership
 from .counting import TraceCache, trace_of_frobenius
-from .elliptic import (
-    WeierstrassModel,
-    format_model,
-    has_potential_good_reduction,
-    minimal_model,
-    reduction_type,
-)
-from .eulerchar import _cyclotomic_twist, euler_char_factors, mu_lambda_vanish
+from .elliptic import WeierstrassModel, format_model, minimal_model, reduction_type
+from .eulerchar import _check_p, _euler_factors, _twist_at_p, mu_lambda_vanish
 from .fields import CyclicExtension, ramified_splitting
-from .ntheory import is_prime
 
 __all__ = [
     "HypothesisBlockedError",
@@ -57,9 +50,14 @@ class HypothesisBlockedError(ValueError):
     """The transfer hypotheses are unresolved and no override was given."""
 
 
-def _check_p(p: int) -> None:
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
+# base mu = lambda = 0 read off a mu_lambda_vanish verdict; any other verdict leaves it open
+_BASE_FLAG = {"zero": True, "nonzero": False}
+
+
+def _check_extension(p: int, ext: CyclicExtension) -> None:
+    _check_p(p)
+    if ext.p != p:
+        raise ValueError(f"extension degree {ext.p} does not match p = {p}")
 
 
 @dataclass(frozen=True)
@@ -167,14 +165,6 @@ def _additive_stability(minimal: WeierstrassModel, p: int, ext: CyclicExtension)
     return "satisfied_by_unramified"
 
 
-def _base_invariants(minimal: WeierstrassModel, p: int) -> bool | None:
-    try:
-        verdict = mu_lambda_vanish(euler_char_factors(minimal, p))
-    except ValueError:
-        return None
-    return {"zero": True, "nonzero": False}.get(verdict)
-
-
 def check_hypotheses(
     model: WeierstrassModel,
     p: int,
@@ -183,39 +173,39 @@ def check_hypotheses(
     mu_lambda_zero_at_base: bool | None = None,
 ) -> HypothesisReport:
     """Audit the transfer hypotheses; unresolved flags never raise here."""
-    _check_p(p)
-    if ext.p != p:
-        raise ValueError(f"extension degree {ext.p} does not match p = {p}")
-    minimal, _ = minimal_model(model)
-    local = reduction_type(minimal, p)
-    potentially_good = has_potential_good_reduction(minimal, p)
+    _check_extension(p, ext)
+    return _audit(minimal_model(model)[0], p, ext, mu_lambda_zero_at_base)
 
-    good_twist: tuple[int, WeierstrassModel] | None = None
+
+def _audit(
+    minimal: WeierstrassModel, p: int, ext: CyclicExtension, base: bool | None
+) -> HypothesisReport:
+    """check_hypotheses on a minimal model, for a p and ext already checked."""
+    decision = _twist_at_p(minimal, p)
+    local, potentially_good, d, good = decision
     if local.is_good:
-        good_twist = (1, minimal)
         defect: bool | None = True
         note = "good reduction at p; the transfer runs in the Hachimori-Matsuno setting"
     elif not potentially_good:
         defect = False
         note = "potentially multiplicative at p; no extension restores good reduction"
+    elif good is not None:
+        defect = True
+        note = f"additive at p with good quadratic twist d = {d}"
     else:
-        d, twisted = _cyclotomic_twist(minimal, p)
-        if reduction_type(twisted, p).is_good:
-            good_twist = (d, twisted)
-            defect = True
-            note = f"additive at p with good quadratic twist d = {d}"
-        else:
-            defect = None
-            note = "no quadratic twist reaches good reduction at p; deeper twists are unresolved"
+        defect = None
+        note = "no quadratic twist reaches good reduction at p; deeper twists are unresolved"
 
-    base = mu_lambda_zero_at_base
     if base is None:
-        base = _base_invariants(minimal, p)
+        try:
+            base = _BASE_FLAG.get(mu_lambda_vanish(_euler_factors(minimal, p, decision)))
+        except ValueError:
+            pass  # the Euler-characteristic audit does not apply: base stays open
     return HypothesisReport(
         p=p,
         additive_at_p=local.is_additive,
         potentially_good_at_p=potentially_good,
-        good_twist=good_twist,
+        good_twist=None if good is None else (d, good),
         prime_to_p_defect=defect,
         additive_stability=_additive_stability(minimal, p, ext),
         base_mu_lambda_zero=base,
@@ -273,16 +263,23 @@ def lambda_transfer(
     Blocks on unresolved hypotheses unless override is set; pass a report
     built with external knowledge to resolve flags without overriding.
     """
-    _check_p(p)
+    _check_extension(p, ext)
+    return _transfer(lambda_K, p, ext, minimal_model(model)[0], report, override)
+
+
+def _transfer(
+    lambda_K: int,
+    p: int,
+    ext: CyclicExtension,
+    minimal: WeierstrassModel,
+    report: HypothesisReport | None,
+    override: bool,
+) -> KidaResult:
+    """lambda_transfer on a minimal model, for a p and ext already checked."""
     if lambda_K < 0:
         raise ValueError(f"lambda_K must be >= 0, got {lambda_K}")
-    if ext.p != p:
-        raise ValueError(f"extension degree {ext.p} does not match p = {p}")
-    minimal, _ = minimal_model(model)
     if not override:
-        if report is None:
-            report = check_hypotheses(minimal, p, ext)
-        _require_unblocked(report, p)
+        _require_unblocked(report or _audit(minimal, p, ext, None), p)
 
     if not ext.tame_ramified:
         # wild-only field: it sits inside the cyclotomic tower, so the
@@ -395,14 +392,11 @@ def stable_extension_test(
     When true, the local terms vanish and lambda scales by the degree.
     A wild place at p is never in Q3, so wild extensions fail the test.
     """
-    _check_p(p)
-    if ext.p != p:
-        raise ValueError(f"extension degree {ext.p} does not match p = {p}")
+    _check_extension(p, ext)
     if ext.wild_at_p:
         return False
-    minimal, _ = minimal_model(model)
     return all(
-        classify_prime(minimal, p, ell, cache=cache).in_script_q
+        classify_prime(model, p, ell, cache=cache).in_script_q
         for ell in ext.tame_ramified
     )
 
@@ -412,38 +406,13 @@ def hypothesis_record(report: HypothesisReport) -> dict:
     twist = None
     if report.good_twist is not None:
         twist = {"d": report.good_twist[0], "model": format_model(report.good_twist[1])}
-    return {
-        "p": report.p,
-        "additive_at_p": report.additive_at_p,
-        "potentially_good_at_p": report.potentially_good_at_p,
-        "good_twist": twist,
-        "prime_to_p_defect": report.prime_to_p_defect,
-        "additive_stability": report.additive_stability,
-        "base_mu_lambda_zero": report.base_mu_lambda_zero,
-        "note": report.note,
-    }
+    return {**asdict(report), "good_twist": twist}
 
 
 def kida_record(kr: KidaResult) -> dict:
     return {
-        "p": kr.p,
-        "lambda_K": kr.lambda_K,
-        "degree": kr.degree,
-        "p1_term": kr.p1_term,
-        "p2_term": kr.p2_term,
-        "lambda_L": kr.lambda_L,
+        **asdict(kr),
         "rank_bound": rank_bound(kr),
         "rank_claim": rank_claim(kr),
-        "witnesses": [
-            {
-                "ell": w.ell,
-                "reduction": w.reduction,
-                "w_count": w.w_count,
-                "ramification": w.ramification,
-                "p_torsion": w.p_torsion,
-                "bucket": w.bucket,
-                "contribution": w.contribution,
-            }
-            for w in kr.witnesses
-        ],
+        "witnesses": [asdict(w) for w in kr.witnesses],
     }

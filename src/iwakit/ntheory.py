@@ -191,8 +191,19 @@ def sqrt_mod(a: int, p: int) -> int:
     return r
 
 
+# trial division stops here; a cofactor below its square is then 1 or prime
+_TRIAL_BOUND = 1 << 16
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Trial-division factorization of |n| as [(prime, exponent), ...]."""
+    """Factorization of |n| as [(prime, exponent), ...] in increasing order.
+
+    Trial division runs up to _TRIAL_BOUND, so every n below its square takes
+    that path alone.  A composite cofactor left after it is split by Pollard
+    rho with Brent's cycle search (Brent 1980), whose running time grows with
+    the square root of the second-largest prime factor.  Factors above the
+    proven range of is_prime are strong probable primes.
+    """
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
@@ -206,18 +217,65 @@ def factorize(n: int) -> list[tuple[int, int]]:
             out.append((q, e))
     q = 5
     step = 2
-    while q * q <= n:
-        e = 0
-        while n % q == 0:
-            n //= q
-            e += 1
-        if e:
+    limit = min(math.isqrt(n), _TRIAL_BOUND)
+    while q <= limit:
+        if n % q == 0:
+            e = 0
+            while n % q == 0:
+                n //= q
+                e += 1
             out.append((q, e))
+            limit = min(math.isqrt(n), _TRIAL_BOUND)
         q += step
         step = 6 - step  # 5, 7, 11, 13, ... wheel
-    if n > 1:
-        out.append((n, 1))
-    return out
+    if q * q > n:
+        if n > 1:
+            out.append((n, 1))
+        return out
+    # every prime factor left exceeds the trial bound, so the order is kept
+    exponents: dict[int, int] = {}
+    pending = [n]
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            exponents[m] = exponents.get(m, 0) + 1
+        else:
+            d = _rho_divisor(m)
+            pending += [d, m // d]
+    return out + sorted(exponents.items())
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of an odd composite n (Pollard rho, Brent's variant).
+
+    Products of |x - y| are batched 128 steps to a gcd; a batch that
+    overshoots to n is replayed one step at a time, and a walk that still
+    gives n restarts with the next constant c of x -> x^2 + c.
+    """
+    c = 1
+    while True:
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+        c += 1
 
 
 def is_squarefree(n: int) -> bool:

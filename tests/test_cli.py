@@ -1,13 +1,22 @@
 """Exit codes, JSON payloads, determinism, and cache coherence of the CLI."""
 
+import functools
 import json
 import shutil
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from iwakit import elliptic, eulerchar
 from iwakit.cli import EXIT_BLOCKED, EXIT_FAILURE, EXIT_OK, main
 
 E99 = "0,0,1,-3,-5"
+# stdout, stderr and exit code of kida, report and euler-char on E99, its u = 2
+# rescaling, E11 and the j = 0 curve 0,0,1,0,0 (exit 3), recorded before the
+# per-curve audit was merged into one pass
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
 
 
 def _run(capsys, argv):
@@ -190,6 +199,54 @@ def test_report_embeds_blocked_reason_without_failing(capsys):
     assert code == EXIT_OK
     assert "multiplicative" in payload["euler"]["error"]
     assert "blocked" in payload["kida"]
+
+
+def test_report_two_large_prime_factors(capsys):
+    # the discriminant has two prime factors beyond the reach of trial division
+    code, payload = _run_json(capsys, ["report", "--curve", "0,0,1,-7,1234567891011",
+                                       "--p", "3"])
+    assert code == EXIT_OK
+    assert payload["conductor"] == 91026379747 * 7233465781205009
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_golden_output(capsys, monkeypatch, case):
+    monkeypatch.delenv("IWAKIT_CACHE_DIR", raising=False)
+    code = main(case["argv"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])
+
+
+def _count_calls(monkeypatch, functions) -> Counter:
+    """Wrap each function in every iwakit namespace that binds it."""
+    counts: Counter = Counter()
+    for fn in functions:
+        @functools.wraps(fn)
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("iwakit") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    return counts
+
+
+@pytest.mark.parametrize(("argv", "bounds"), [
+    (["kida", "--curve", E99, "--p", "3", "--ramified", "7"],
+     {"quadratic_twist": 1, "minimal_model": 7, "reduction_type": 6}),
+    (["report", "--curve", E99, "--p", "3", "--ramified", "31", "--jobs", "1"],
+     {"euler_char_factors": 1, "local_data": 2}),
+])
+def test_one_audit_per_call(capsys, monkeypatch, argv, bounds):
+    # one twist decision and one Euler-characteristic audit per call
+    counts = _count_calls(monkeypatch, [
+        elliptic.minimal_model, elliptic.reduction_type, elliptic.quadratic_twist,
+        elliptic.local_data, eulerchar.euler_char_factors,
+    ])
+    assert _run(capsys, argv)[0] == EXIT_OK
+    for name, bound in bounds.items():
+        assert 1 <= counts[name] <= bound, (name, counts[name])
 
 
 def test_usage_errors_exit_two():

@@ -421,6 +421,17 @@ def test_trace_cache_roundtrip(tmp_path):
     assert files[0].read_text() == text  # bit-identical after a pure hit
 
 
+def test_trace_cache_recomputes_damaged_lines(tmp_path):
+    good = TraceCache(None).traces(E99, [5, 7, 13, 463])
+    TraceCache(tmp_path).traces(E99, [5])
+    (path,) = tmp_path.glob("*.traces")
+    # a truncated line, a garbage line and an a_ell outside the Hasse bound
+    path.write_text(f"5 {good[5]}\n7\nxyz 1\n13 99\n463 {good[463]}\n")
+    assert TraceCache(tmp_path).traces(E99, [5, 7, 13, 463]) == good
+    assert path.read_text() == "".join(f"{ell} {good[ell]}\n" for ell in sorted(good))
+    assert list(tmp_path.iterdir()) == [path]  # no temporary file is left behind
+
+
 def test_trace_cache_isomorphic_models_share_key(tmp_path):
     cache = TraceCache(tmp_path)
     cache.traces(E99, [7])

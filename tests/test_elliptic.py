@@ -160,6 +160,17 @@ def test_local_data_named_curves():
         assert [local.ell for local in local_data(w)] == [q for q, _ in factorize(conductor(w))]
 
 
+def test_local_data_two_large_prime_factors():
+    # Delta = 91026379747 * 7233465781205009: trial division alone runs towards 9e10
+    w = WeierstrassModel(0, 0, 1, -7, 1234567891011)
+    bad = local_data(w)
+    assert [(local.ell, local.kodaira) for local in bad] == [
+        (91026379747, "I1"), (7233465781205009, "I1"),
+    ]
+    assert bad == _tate_at_disc_factors(w)
+    assert conductor(w) == -w.disc == 91026379747 * 7233465781205009
+
+
 @given(
     st.sampled_from([0, 1]), st.sampled_from([-1, 0, 1]), st.sampled_from([0, 1]),
     st.integers(-300, 300), st.integers(-300, 300), st.sampled_from([1, 2, 3, 5, 6]),

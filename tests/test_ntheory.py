@@ -159,6 +159,40 @@ def test_factorize_reconstructs(n):
     assert prod == n
 
 
+def _trial_division(n: int) -> list[tuple[int, int]]:
+    out = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def _next_prime(n: int) -> int:
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@given(
+    st.integers(min_value=1, max_value=10**4),
+    st.integers(min_value=2**16, max_value=2**18).map(_next_prime),
+    st.integers(min_value=2**16, max_value=2**34).map(_next_prime),
+)
+@settings(deadline=None, max_examples=40)
+def test_factorize_two_large_primes_matches_trial_division(smooth, p, q):
+    # both primes lie above the trial bound, so the cofactor p*q reaches rho
+    n = smooth * p * q
+    assert factorize(n) == _trial_division(n)
+
+
 def test_is_squarefree():
     assert is_squarefree(1)
     assert is_squarefree(-15)
