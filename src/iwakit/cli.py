@@ -14,9 +14,11 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
+from itertools import islice
 from pathlib import Path
 
-from .classify import bulk_classify, classification_csv
+from .classify import PrimeClass, bulk_classify, classification_csv
 from .counting import TraceCache
 from .density import (
     alpha_closed_form,
@@ -57,6 +59,16 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2  # argparse exits with this on its own
 EXIT_BLOCKED = 3
+
+
+def _prime_record(obj: object) -> dict:
+    if not isinstance(obj, PrimeClass):
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    return {"ell": obj.ell, "class": obj.category, "a_ell": obj.a_ell,
+            "in_script_Q": obj.in_script_q}
+
+
+_JSON = json.JSONEncoder(sort_keys=True, indent=2, default=_prime_record)
 
 BLOCKED_ERRORS = (
     HypothesisBlockedError,
@@ -146,8 +158,14 @@ def _extension_from(args: argparse.Namespace) -> CyclicExtension:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps({"schema": 1, **payload}, sort_keys=True, indent=2) + "\n"
-    _write_text(text, out)
+    # written in slices of the encoder's output: json.dumps would hold every
+    # small string of a 10^4-prime payload in one list before joining them
+    chunks = _JSON.iterencode({"schema": 1, **payload})
+    opened = open(out, "w", encoding="utf-8") if out is not None else nullcontext(sys.stdout)
+    with opened as fh:
+        while piece := "".join(islice(chunks, 4096)):
+            fh.write(piece)
+        fh.write("\n")
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -180,8 +198,9 @@ def _class_counts(records) -> dict:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    cache = _cache_from(args)
-    records = bulk_classify(args.curve, args.p, args.bound, cache=cache, jobs=args.jobs)
+    # the trace cache is not kept, so its table is freed before the output
+    records = bulk_classify(args.curve, args.p, args.bound, cache=_cache_from(args),
+                            jobs=args.jobs)
     if args.format == "csv":
         _write_text(classification_csv(records), args.out)
         return EXIT_OK
@@ -191,15 +210,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         "p": args.p,
         "bound": args.bound,
         "counts": _class_counts(records),
-        "primes": [
-            {
-                "ell": rec.ell,
-                "class": rec.category,
-                "a_ell": rec.a_ell,
-                "in_script_Q": rec.in_script_q,
-            }
-            for rec in records
-        ],
+        "primes": records,  # each becomes a dict only while it is written
     }
     _emit(payload, args.out)
     return EXIT_OK

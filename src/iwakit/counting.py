@@ -2,9 +2,16 @@
 per-curve trace cache.
 
 Counts always refer to the good reduction of the curve, i.e. the reduction of
-a model minimal at ell.  Naive enumeration is O(ell); above a configurable
-crossover a baby-step/giant-step order search inside the Hasse interval takes
-over, with the quadratic-twist constraint N + N' = 2(ell+1) as a tiebreaker.
+a model minimal at ell.  Naive enumeration is O(ell).  Above a configurable
+crossover, and always above 229, the Shanks-Mestre baby-step/giant-step
+search takes over (Cohen, A Course in Computational Algebraic Number Theory,
+7.4.3).  Three facts make it correct: an exact (x, y) match between a giant
+and a baby step proves n*P = O, so no match is re-checked; the annihilators
+of a point in the Hasse interval are found completely, so the order N is one
+of them and N' = 2(ell + 1) - N one of each twist point's; and for
+ell > 229 (Mestre; Schoof 1995, Thm 3.2) the curve or its quadratic twist has
+a point with a single annihilator there, so the candidates come down to one.
+Below 229 the search need not stop, and count_points counts naively.
 """
 
 from __future__ import annotations
@@ -12,14 +19,13 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import random
 import tempfile
 from dataclasses import dataclass, field
-from multiprocessing import Pool
+from functools import partial
 from pathlib import Path
 
 from .elliptic import BadReductionError, WeierstrassModel, format_model, minimal_model
-from .ntheory import factorize, is_prime, legendre, sqrt_mod
+from .ntheory import _sqrt_residue, is_prime
 
 __all__ = [
     "CROSSOVER",
@@ -34,6 +40,9 @@ __all__ = [
 ]
 
 CROSSOVER = 457
+# Mestre (Schoof 1995, Thm 3.2): for ell > 229, E or its quadratic twist has a
+# point whose order has exactly one multiple in the Hasse interval
+_MESTRE_BOUND = 229
 
 
 def _good_model_at(model: WeierstrassModel, ell: int) -> WeierstrassModel:
@@ -109,99 +118,130 @@ def _ec_mul(n, p, a, ell):
     return acc
 
 
+def _multiples(d, lo, hi):
+    return list(range(lo + (-lo) % d, hi + 1, d))
+
+
 def _bsgs_annihilators(p, a, ell, lo, hi):
-    """All n in [lo, hi] with n*P = O on y^2 = x^3 + ax + b."""
+    """All n in [lo, hi] with n*P = O on y^2 = x^3 + ax + b, ascending.
+
+    Baby steps jP (1 <= j <= m) are keyed by x, so one lookup matches +-jP.
+    A point of order d <= 2m - 1 shows itself as the first repeated x, jP =
+    -iP with i + j = d (if y(jP) = 0, then (j+1)P = -(j-1)P a step later),
+    and the answer is the multiples of d.  Otherwise d > 2m - 1 = s, the
+    points +-jP (j < m) are distinct and none has y = 0, so the blocks
+    ks - (m-1) .. ks + (m-1) around the giant steps ksP hold one annihilator
+    at most, matched by the baby step with x(ksP); an exact (x, y) match
+    proves n*P = O.  So the list is complete, which Mestre's early stop in
+    count_points_bsgs relies on.
+    """
     if p is None:
         return list(range(lo, hi + 1))
-    width = hi - lo + 1
-    m = math.isqrt(width) + 1
-    baby: dict[int, list[tuple[int, int]]] = {}
-    q = None
-    for j in range(m):
-        if q is None:
-            baby.setdefault(-1, []).append((j, 0))
-        else:
-            baby.setdefault(q[0], []).append((j, q[1]))
-        q = _ec_add(q, p, a, ell)
-    step = _ec_mul(m, p, a, ell)
+    px, py = p
+    if py == 0:
+        return _multiples(2, lo, hi)
+    m = max(2, math.isqrt((hi - lo) // 2) + 1)
+    baby = {px: 1}
+    ys = [0, py]
+    # (x, y) = jP, starting from 2P by the tangent
+    lam = (3 * px * px + a) * pow(2 * py, -1, ell) % ell
+    x = (lam * lam - 2 * px) % ell
+    y = (lam * (px - x) - py) % ell
+    lx, ly = px, py
+    for j in range(2, m + 1):
+        i = baby.get(x)
+        if i is not None:  # jP = -iP: jP = iP would have met O first
+            return _multiples(i + j, lo, hi)
+        if j == m:
+            break
+        baby[x] = j
+        ys.append(y)
+        # (j+1)P = jP + P by the chord: x != px, as px is a key of baby
+        lx, ly = x, y
+        lam = (ly - py) * pow(lx - px, -1, ell) % ell
+        x = (lam * lam - lx - px) % ell
+        y = (lam * (lx - x) - ly) % ell
+    # the stride (2m - 1)P = mP + (m-1)P, and x(mP) != x((m-1)P)
+    lam = (y - ly) * pow(x - lx, -1, ell) % ell
+    sx = (lam * lam - x - lx) % ell
+    sy = (lam * (x - sx) - y) % ell
+    stride = (sx, sy)
+    # blocks centred on the multiples of the stride s tile the integers; start
+    # at the first block that reaches lo, so the scalar is about ell / s
+    s = 2 * m - 1
+    k = -((m - 1 - lo) // s)
     out = []
-    giant = _ec_mul(lo, p, a, ell)
-    for k in range(width // m + 2):
-        base = lo + k * m
-        if giant is None:
-            matches = baby.get(-1, [])
-            for j, _ in matches:
-                for n in (base - j, base + j):
-                    if lo <= n <= hi and _ec_mul(n, p, a, ell) is None:
-                        out.append(n)
+    g = _ec_mul(k, stride, a, ell)
+    for base in range(k * s, hi + m, s):
+        if g is None:
+            n = base
         else:
-            for j, y in baby.get(giant[0], []):
-                if giant[1] == y:
-                    n = base - j
-                else:
-                    n = base + j
-                if lo <= n <= hi and _ec_mul(n, p, a, ell) is None:
-                    out.append(n)
-        giant = _ec_add(giant, step, a, ell)
-    return sorted(set(out))
+            gx, gy = g
+            j = baby.get(gx)
+            n = None if j is None else base - j if gy == ys[j] else base + j
+        if n is not None and lo <= n <= hi:
+            out.append(n)
+        if g is None or gx == sx:
+            g = _ec_add(g, stride, a, ell)
+        else:
+            lam = (sy - gy) * pow(sx - gx, -1, ell) % ell
+            x = (lam * lam - gx - sx) % ell
+            g = (x, (lam * (gx - x) - gy) % ell)
+    return out
 
 
-def _point_order(p, a, ell, lo, hi):
-    anns = _bsgs_annihilators(p, a, ell, lo, hi)
-    if not anns:
-        raise AssertionError("point order search missed the Hasse interval")
-    d = anns[0]
-    for q, _ in factorize(d):
-        while d % q == 0 and _ec_mul(d // q, p, a, ell) is None:
-            d //= q
-    return d
-
-
-def _random_point(rng, a, b, ell):
-    while True:
-        x = rng.randrange(ell)
+def _points(a, b, ell, z):
+    """Affine points of y^2 = x^3 + ax + b, one per x, by increasing x
+    (Cohen, Algorithm 7.4.12); z is a non-residue mod ell."""
+    half = (ell - 1) // 2
+    for x in range(ell):
         g = (x * x * x + a * x + b) % ell
         if g == 0:
-            return (x, 0)
-        if legendre(g, ell) == 1:
-            return (x, sqrt_mod(g, ell))
+            yield (x, 0)
+        elif pow(g, half, ell) == 1:  # Euler's criterion
+            yield (x, _sqrt_residue(g, ell, z))
 
 
 def count_points_bsgs(model: WeierstrassModel, ell: int) -> int:
-    """#E(F_ell) by point-order accumulation; requires ell > 3."""
-    if not is_prime(ell) or ell <= 3:
-        raise ValueError(f"count_points_bsgs needs a prime ell > 3, got {ell}")
+    """#E(F_ell) by Shanks-Mestre baby-step/giant-step; ell must be a prime > 229.
+
+    Points are drawn on E and on its quadratic twist E' in turn.  The order N
+    of E(F_ell) lies in every point's annihilator set in the Hasse interval,
+    and 2(ell + 1) - N in every twist point's; their intersection shrinks
+    until one candidate is left.  Mestre's theorem (Schoof 1995, Thm 3.2)
+    makes this terminate: above 229, E or E' has a point whose order has
+    exactly one multiple in the interval.
+    """
+    if ell <= _MESTRE_BOUND or not is_prime(ell):
+        raise ValueError(f"count_points_bsgs needs a prime ell > {_MESTRE_BOUND}, got {ell}")
     w = _good_model_at(model, ell)
     a = (-27 * w.c4) % ell
     b = (-54 * w.c6) % ell
     t = math.isqrt(4 * ell)
     lo, hi = ell + 1 - t, ell + 1 + t
-    rng = random.Random(ell * 1_000_003 + a * 7 + b)
-    g = 2
-    while legendre(g, ell) != -1:
-        g += 1
-    at, bt = a * g * g % ell, b * g**3 % ell
-    lcm_curve, lcm_twist = 1, 1
-    for attempt in range(256):
-        if attempt % 2 == 0:
-            d = _point_order(_random_point(rng, a, b, ell), a, ell, lo, hi)
-            lcm_curve = lcm_curve * d // math.gcd(lcm_curve, d)
-        else:
-            d = _point_order(_random_point(rng, at, bt, ell), at, ell, lo, hi)
-            lcm_twist = lcm_twist * d // math.gcd(lcm_twist, d)
-        first = lo + (-lo) % lcm_curve
-        cands = [
-            n for n in range(first, hi + 1, lcm_curve)
-            if (2 * (ell + 1) - n) % lcm_twist == 0
-        ]
+    z = 2
+    while pow(z, (ell - 1) // 2, ell) != ell - 1:
+        z += 1
+    at = a * z * z % ell
+    curves = ((_points(a, b, ell, z), a, 0),
+              (_points(at, b * z**3 % ell, ell, z), at, 2 * (ell + 1)))
+    cands = None
+    # each curve has over 100 x with a point, so neither generator runs out
+    for attempt in range(128):
+        points, ca, mirror = curves[attempt % 2]
+        anns = _bsgs_annihilators(next(points), ca, ell, lo, hi)
+        if mirror:
+            anns = [mirror - n for n in anns]
+        cands = set(anns) if cands is None else cands.intersection(anns)
         if len(cands) == 1:
-            return cands[0]
+            return cands.pop()
     raise AssertionError(f"group order at {ell} not pinned down")
 
 
 def count_points(model: WeierstrassModel, ell: int, *, crossover: int = CROSSOVER) -> int:
-    """Dispatch between naive and BSGS counting."""
-    if ell <= crossover or ell <= 3:
+    """Dispatch between naive and BSGS counting: BSGS only above both the
+    crossover and Mestre's bound."""
+    if ell <= max(crossover, _MESTRE_BOUND):
         return count_points_naive(model, ell)
     return count_points_bsgs(model, ell)
 
@@ -249,11 +289,6 @@ def order_over_extension(fd: FrobeniusData, n: int) -> int:
 # -- trace cache -------------------------------------------------------------
 
 
-def _trace_worker(args: tuple[tuple[int, int, int, int, int], int]) -> tuple[int, int]:
-    coeffs, ell = args
-    return ell, trace_of_frobenius(WeierstrassModel(*coeffs), ell)
-
-
 class TraceCache:
     """a_ell values per curve, optionally persisted as "ell a_ell" lines.
 
@@ -270,9 +305,9 @@ class TraceCache:
             self.directory.mkdir(parents=True, exist_ok=True)
         self._mem: dict[str, dict[int, int]] = {}
 
-    def _key(self, model: WeierstrassModel) -> str:
-        mm, _ = minimal_model(model)
-        return hashlib.sha256(format_model(mm).encode("ascii")).hexdigest()[:24]
+    @staticmethod
+    def _key(minimal: WeierstrassModel) -> str:
+        return hashlib.sha256(format_model(minimal).encode("ascii")).hexdigest()[:24]
 
     def _path(self, key: str) -> Path | None:
         return None if self.directory is None else self.directory / f"{key}.traces"
@@ -313,20 +348,20 @@ class TraceCache:
 
     def traces(self, model: WeierstrassModel, ells, *, jobs: int = 1) -> dict[int, int]:
         """a_ell for each requested good prime, computing and caching misses."""
-        key = self._key(model)
+        minimal, _ = minimal_model(model)
+        key = self._key(minimal)
         table = self._load(key)
         wanted = sorted(set(ells))
         missing = [ell for ell in wanted if ell not in table]
         if missing:
-            mm, _ = minimal_model(model)
-            coeffs = mm.coefficients()
-            tasks = [(coeffs, ell) for ell in missing]
+            trace = partial(trace_of_frobenius, minimal)
             if jobs > 1:
+                from multiprocessing import Pool  # one-job runs skip this import
+
                 with Pool(jobs) as pool:
-                    results = pool.map(_trace_worker, tasks, chunksize=64)
+                    results = pool.map(trace, missing, chunksize=64)
             else:
-                results = [_trace_worker(t) for t in tasks]
-            for ell, a in results:
-                table[ell] = a
+                results = [trace(ell) for ell in missing]
+            table.update(zip(missing, results))
             self._store(key)
         return {ell: table[ell] for ell in wanted}

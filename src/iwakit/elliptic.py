@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .ntheory import (
@@ -101,8 +102,9 @@ class WeierstrassModel:
     def c6(self) -> int:
         return -self.b2**3 + 36 * self.b2 * self.b4 - 216 * self.b6
 
-    @property
+    @cached_property
     def disc(self) -> int:
+        # computed once per model, by the singularity check in __post_init__
         b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
         return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 

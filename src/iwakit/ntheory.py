@@ -169,16 +169,21 @@ def sqrt_mod(a: int, p: int) -> int:
         return 0
     if legendre(a, p) != 1:
         raise ValueError(f"{a} is not a square modulo {p}")
+    z = 2
+    while p % 4 == 1 and legendre(z, p) != -1:
+        z += 1
+    return _sqrt_residue(a, p, z)
+
+
+def _sqrt_residue(a: int, p: int, z: int) -> int:
+    """A square root of the nonzero square a modulo the odd prime p, given a
+    non-residue z (read only when p = 1 mod 4).  Nothing is checked."""
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
-    # p = 1 mod 4: Tonelli-Shanks
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         t2, i = t * t % p, 1
@@ -193,6 +198,9 @@ def sqrt_mod(a: int, p: int) -> int:
 
 # trial division stops here; a cofactor below its square is then 1 or prime
 _TRIAL_BOUND = 1 << 16
+# steps one rho call may take: enough for a second-largest prime factor up to
+# about 1e11, while a harder n fails in bounded time
+_RHO_STEPS = 1 << 20
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -201,8 +209,9 @@ def factorize(n: int) -> list[tuple[int, int]]:
     Trial division runs up to _TRIAL_BOUND, so every n below its square takes
     that path alone.  A composite cofactor left after it is split by Pollard
     rho with Brent's cycle search (Brent 1980), whose running time grows with
-    the square root of the second-largest prime factor.  Factors above the
-    proven range of is_prime are strong probable primes.
+    the square root of the second-largest prime factor.  A cofactor that rho
+    cannot split within _RHO_STEPS steps raises ValueError ("cannot factor").
+    Factors above the proven range of is_prime are strong probable primes.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -250,12 +259,17 @@ def _rho_divisor(n: int) -> int:
 
     Products of |x - y| are batched 128 steps to a gcd; a batch that
     overshoots to n is replayed one step at a time, and a walk that still
-    gives n restarts with the next constant c of x -> x^2 + c.
+    gives n restarts with the next constant c of x -> x^2 + c.  Raises
+    ValueError once the walks have taken more than _RHO_STEPS steps.
     """
-    c = 1
+    c, steps = 1, 0
     while True:
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if steps > _RHO_STEPS:
+                raise ValueError(f"cannot factor {n}: Pollard rho found no divisor "
+                                 f"in {_RHO_STEPS} steps")
+            steps += 2 * r
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

@@ -93,6 +93,16 @@ def test_classify_json_counts(capsys):
     assert seven == {"ell": 7, "class": "Q3", "a_ell": -2, "in_script_Q": True}
 
 
+def test_classify_json_is_one_shot_text(capsys):
+    # the JSON is written in slices of the encoder's output (over 4096 chunks
+    # here) and each record becomes a dict only while it is written
+    code, out = _run(capsys, ["classify", "--curve", E99, "--p", "3", "--bound", "3000"])
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert len(payload["primes"]) == 429
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def test_classify_csv_rows(capsys):
     code, out = _run(capsys, ["classify", "--curve", E99, "--p", "3",
                               "--bound", "20", "--format", "csv"])
@@ -207,6 +217,16 @@ def test_report_two_large_prime_factors(capsys):
                                        "--p", "3"])
     assert code == EXIT_OK
     assert payload["conductor"] == 91026379747 * 7233465781205009
+
+
+def test_report_unfactorable_discriminant(capsys):
+    # two 20-digit prime factors: factoring gives up instead of hanging
+    a6 = 10000000000000000051 * 30000000000000000041
+    code = main(["report", "--curve", f"1,0,0,0,{a6}", "--p", "3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_FAILURE
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot factor")
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))

@@ -1,12 +1,16 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from iwakit import counting
 from iwakit.counting import (
     CROSSOVER,
     FrobeniusData,
     TraceCache,
+    _bsgs_annihilators,
+    _ec_mul,
     count_points,
     count_points_bsgs,
     count_points_naive,
@@ -17,9 +21,11 @@ from iwakit.counting import (
 from iwakit.elliptic import (
     BadReductionError,
     WeierstrassModel,
+    minimal_model,
     model_from_c4c6,
     quadratic_twist,
 )
+from iwakit.ntheory import legendre, sieve_primes, sqrt_mod
 
 E99 = WeierstrassModel(0, 0, 1, -3, -5)
 E32 = WeierstrassModel(0, 0, 0, -1, 0)
@@ -364,6 +370,74 @@ def test_dispatcher_crossover():
     assert count_points(E99, 461, crossover=100) == count_points_naive(E99, 461)
 
 
+def test_small_ell_counts_naively_below_mestre_bound():
+    # BSGS used to stop with "group order at 5 not pinned down" on this curve
+    w = WeierstrassModel(1, 1, 1, 2656, 2341)
+    assert count_points_naive(w, 5) == 8
+    assert count_points(w, 5, crossover=3) == 8
+    for ell in (5, 7, 229):
+        with pytest.raises(ValueError):
+            count_points_bsgs(w, ell)
+    for model in (w, E99, E32, E11):
+        for ell in _primes_in(3, 240):
+            if model.disc % ell:
+                assert count_points(model, ell, crossover=3) == count_points_naive(model, ell)
+    assert count_points_bsgs(E99, 233) == count_points_naive(E99, 233)
+
+
+def _short_order(a, b, ell):
+    """#E(F_ell) for y^2 = x^3 + ax + b, by enumeration."""
+    is_sq = bytearray(ell)
+    for t in range(1, ell):
+        is_sq[t * t % ell] = 1
+    total = 1
+    for x in range(ell):
+        g = (x * x * x + a * x + b) % ell
+        total += 1 if g == 0 else 2 * is_sq[g]
+    return total
+
+
+def _some_points(a, b, ell, rng, k):
+    out = []
+    while len(out) < k:
+        x = rng.randrange(ell)
+        g = (x * x * x + a * x + b) % ell
+        if legendre(g, ell) >= 0:
+            out.append((x, sqrt_mod(g, ell)))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bsgs_annihilators_complete(seed):
+    # Mestre's early stop returns a lone annihilator in the Hasse window as
+    # the group order, which is right only if no annihilator is ever missed
+    rng = random.Random(seed)
+    primes = [q for q in sieve_primes(5000).primes if q > 229]
+    for ell in rng.sample(primes, 4):
+        t = math.isqrt(4 * ell)
+        lo, hi = ell + 1 - t, ell + 1 + t
+        z = next(z for z in range(2, ell) if legendre(z, ell) == -1)
+        a, r, s = rng.randrange(ell), rng.randrange(ell), rng.randrange(1, ell)
+        special = [
+            (a, rng.randrange(ell), None),
+            (a, (-r * r * r - a * r) % ell, (r, 0)),  # a point of order 2
+            (0, s * s % ell, (0, s)),  # a point of order 3
+        ]
+        for a0, b0, p0 in special:
+            if (4 * a0**3 + 27 * b0 * b0) % ell == 0:
+                continue
+            twist = (a0 * z * z % ell, b0 * z**3 % ell, None)
+            for ca, cb, pt in ((a0, b0, p0), twist):
+                order = _short_order(ca, cb, ell)
+                base = _some_points(ca, cb, ell, rng, 2) + ([pt] if pt else [])
+                # multiples of small order, down to the y = 0 and repeated-x cases
+                small = [_ec_mul(order // d, p, ca, ell) for p in base
+                         for d in range(2, 65) if order % d == 0]
+                for p in base + small:
+                    want = [n for n in range(lo, hi + 1) if _ec_mul(n, p, ca, ell) is None]
+                    assert _bsgs_annihilators(p, ca, ell, lo, hi) == want, (ell, ca, cb, p)
+
+
 # ---------------------------------------------------------------------------
 # Frobenius data and extensions
 # ---------------------------------------------------------------------------
@@ -455,6 +529,19 @@ def test_trace_cache_bad_prime():
     cache = TraceCache(None)
     with pytest.raises(BadReductionError):
         cache.trace(E99, 11)
+
+
+def test_trace_cache_minimizes_once(monkeypatch):
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return minimal_model(model)
+
+    monkeypatch.setattr(counting, "minimal_model", counted)
+    blown = model_from_c4c6(6**4 * 144, 6**6 * 4104)
+    assert TraceCache(None).traces(blown, [5, 7, 13, 467]) == TraceCache(None).traces(E99, [5, 7, 13, 467])
+    assert len(calls) == 2  # one per traces call
 
 
 def test_trace_matches_count():

@@ -171,6 +171,13 @@ def test_local_data_two_large_prime_factors():
     assert conductor(w) == -w.disc == 91026379747 * 7233465781205009
 
 
+def test_local_data_unfactorable_discriminant():
+    # Delta = -a6 (1 + 432 a6) with a6 the product of two 20-digit primes
+    w = WeierstrassModel(1, 0, 0, 0, 10000000000000000051 * 30000000000000000041)
+    with pytest.raises(ValueError, match="cannot factor"):
+        local_data(w)
+
+
 @given(
     st.sampled_from([0, 1]), st.sampled_from([-1, 0, 1]), st.sampled_from([0, 1]),
     st.integers(-300, 300), st.integers(-300, 300), st.sampled_from([1, 2, 3, 5, 6]),

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -191,6 +192,14 @@ def test_factorize_two_large_primes_matches_trial_division(smooth, p, q):
     # both primes lie above the trial bound, so the cofactor p*q reaches rho
     n = smooth * p * q
     assert factorize(n) == _trial_division(n)
+
+
+def test_factorize_gives_up_on_two_20_digit_primes():
+    # rho would need about 1e10 steps; the step budget turns that into an error
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cannot factor"):
+        factorize(10000000000000000051 * 30000000000000000041)
+    assert time.perf_counter() - start < 20.0
 
 
 def test_is_squarefree():
