@@ -18,10 +18,7 @@ from iwakit import (
     empirical_density,
     parse_model,
 )
-
-
-def _grid(text: str) -> tuple[int, ...]:
-    return tuple(int(float(part)) for part in text.split(","))
+from iwakit.cli import _grid_arg, _jobs_arg
 
 
 def main() -> int:
@@ -30,10 +27,10 @@ def main() -> int:
     parser.add_argument("--p", type=int, default=3)
     parser.add_argument("--bound", type=int, default=10**5,
                         help="classification bound for the density estimate")
-    parser.add_argument("--grid", type=_grid, default=(10**3, 10**4, 10**5, 10**6),
+    parser.add_argument("--grid", type=_grid_arg, default=(10**3, 10**4, 10**5, 10**6),
                         help="X grid for the counting tables, e.g. 1e3,1e4,1e5,1e6")
     parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=_jobs_arg, default=1)
     args = parser.parse_args()
 
     model = parse_model(args.curve)

@@ -165,6 +165,33 @@ def bulk_classify(
     return out
 
 
+def _distinguished_primes(
+    model: WeierstrassModel,
+    p: int,
+    bound: int,
+    cache: TraceCache | None,
+    jobs: int,
+) -> tuple[list[int], int]:
+    """The distinguished primes <= bound, ascending, and the count of all primes <= bound.
+
+    The same set as the ``in_script_q`` records of ``bulk_classify``, but only
+    the good primes = 1 mod p reach the trace cache and no record is built.
+    """
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if bound < 2:
+        return [], 0
+    minimal, _ = minimal_model(model)
+    disc = minimal.disc
+    primes = sieve_primes(bound).primes
+    # ell = 1 mod p leaves out ell = p, and the point count there is 2 - a_ell mod p
+    candidates = [ell for ell in primes if ell % p == 1 and disc % ell]
+    if cache is None:
+        cache = TraceCache(None)
+    traces = cache.traces(minimal, candidates, jobs=jobs)
+    return [ell for ell in candidates if (2 - traces[ell]) % p], len(primes)
+
+
 def classification_csv(records: list[PrimeClass]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

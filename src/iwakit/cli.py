@@ -13,8 +13,10 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from contextlib import nullcontext
+from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
@@ -98,18 +100,39 @@ def _int_list_arg(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+_DECIMAL = re.compile(r"\s*[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE]([+-]?\d+))?\s*")
+# bounds the digits of a parsed grid point: far past GRID_BUDGET, but never slow
+_GRID_DIGITS = 1000
+
+
 def _grid_arg(text: str) -> tuple[int, ...]:
-    # accepts scientific notation for convenience: "1e3,1e4" -> (1000, 10000)
+    # exact decimals with scientific notation: "1e3,1e4" -> (1000, 10000), and
+    # 2**53 + 1 stays itself; the grid budget is checked by the report
     out = []
     for part in text.split(","):
-        try:
-            value = float(part)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"bad grid point {part!r}") from exc
-        if value != int(value):
+        match = _DECIMAL.fullmatch(part)
+        if match is None:
+            raise argparse.ArgumentTypeError(
+                f"grid point {part!r} is not a finite decimal number")
+        if len(part) > _GRID_DIGITS or abs(int(match[1] or 0)) > _GRID_DIGITS:
+            raise argparse.ArgumentTypeError(
+                f"grid point {part[:40]!r} is out of range: "
+                f"length or exponent above {_GRID_DIGITS}")
+        value = Fraction(part)
+        if value.denominator != 1:
             raise argparse.ArgumentTypeError(f"grid point {part!r} is not an integer")
         out.append(int(value))
     return tuple(out)
+
+
+def _jobs_arg(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"--jobs must be >= 1, got {jobs}")
+    return jobs
 
 
 def _bool_arg(text: str) -> bool:
@@ -401,7 +424,8 @@ def _add_common(sub: argparse.ArgumentParser, *, curve: bool = True) -> None:
 def _add_cache(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cache-dir", default=None,
                      help="trace cache directory (or IWAKIT_CACHE_DIR)")
-    sub.add_argument("--jobs", type=int, default=1, help="worker count")
+    sub.add_argument("--jobs", type=_jobs_arg, default=1,
+                     help="worker count, at most the CPU count")
 
 
 def _add_extension(sub: argparse.ArgumentParser) -> None:

@@ -355,6 +355,7 @@ class TraceCache:
         missing = [ell for ell in wanted if ell not in table]
         if missing:
             trace = partial(trace_of_frobenius, minimal)
+            jobs = min(jobs, os.cpu_count() or 1)
             if jobs > 1:
                 from multiprocessing import Pool  # one-job runs skip this import
 

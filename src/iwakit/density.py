@@ -17,7 +17,8 @@ import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import bulk_classify
+# bulk_classify stays bound here so a test can fail-patch every classification entry
+from .classify import _distinguished_primes, bulk_classify  # noqa: F401
 from .counting import TraceCache
 from .elliptic import WeierstrassModel
 from .fields import _m_weights, _weight_builder
@@ -100,10 +101,8 @@ def empirical_density(
 
 def _script_q_primes_and_density(model, p, bound, cache, jobs) -> tuple[list[int], Fraction]:
     """The distinguished primes <= bound and their share of all primes <= bound."""
-    records = bulk_classify(model, p, bound, cache=cache, jobs=jobs)
-    primes = [r.ell for r in records if r.in_script_q]
-    # every prime <= bound is classified except p itself
-    return primes, Fraction(len(primes), len(records) + (p <= bound))
+    primes, prime_count = _distinguished_primes(model, p, bound, cache, jobs)
+    return primes, Fraction(len(primes), prime_count)
 
 
 def _grid_totals(weights: dict[int, int], bounds: list[int]) -> list[int]:
@@ -189,9 +188,10 @@ def asymptotic_report(
 ) -> DensityReport:
     """Exact g/M tables over the grid plus the fitted log exponent.
 
-    One classification pass up to the grid maximum gives the empirical
-    density and the g weights; every grid value is then read off one g and
-    one M weight table built at that maximum.
+    One sieve up to the grid maximum gives the empirical density and the g
+    weights; a_ell is looked up (and stored in the cache) only at the good
+    primes ell = 1 mod p.  Every grid value is then read off one g and one M
+    weight table built at that maximum.
 
     The final table doubles as a lower-bound curve: the count of fields with
     conductor <= X bounds the rank-growth count at discriminant X^(p-1) from

@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .classify import bulk_classify, cyclotomic_split_count
+# bulk_classify stays bound here so a test can fail-patch every classification entry
+from .classify import _distinguished_primes, bulk_classify, cyclotomic_split_count  # noqa: F401
 from .counting import TraceCache
 from .elliptic import WeierstrassModel
 from .ntheory import iroot, is_prime, primitive_root, sieve_primes
@@ -219,8 +220,7 @@ def script_q_primes(
     jobs: int = 1,
 ) -> list[int]:
     """Good primes = 1 mod p, below the bound, with no p-torsion mod ell."""
-    records = bulk_classify(model, p, bound, cache=cache, jobs=jobs)
-    return [r.ell for r in records if r.in_script_q]
+    return _distinguished_primes(model, p, bound, cache, jobs)[0]
 
 
 def _product_weights_dfs(primes: list[int], p: int, bound: int) -> dict[int, int]:

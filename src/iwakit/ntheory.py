@@ -6,6 +6,7 @@ Everything here is exact bigint arithmetic; no floating point.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -79,11 +80,12 @@ class PrimeSieve:
 
 def _sieve_flat(bound: int) -> list[int]:
     flags = bytearray([1]) * (bound + 1)
-    flags[0:2] = b"\x00\x00"
+    flags[0:2] = bytes(2)
     for q in range(2, math.isqrt(bound) + 1):
         if flags[q]:
-            flags[q * q : bound + 1 : q] = b"\x00" * len(range(q * q, bound + 1, q))
-    return [i for i in range(bound + 1) if flags[i]]
+            flags[q * q : bound + 1 : q] = bytes(len(range(q * q, bound + 1, q)))
+    return list(itertools.compress(range(bound + 1), flags))
+
 
 def _sieve_segmented(bound: int, segment: int) -> list[int]:
     base = _sieve_flat(math.isqrt(bound))
@@ -96,8 +98,8 @@ def _sieve_segmented(bound: int, segment: int) -> list[int]:
             start = max(q * q, (lo + q - 1) // q * q)
             if start > hi:
                 continue
-            flags[start - lo : hi - lo + 1 : q] = b"\x00" * len(range(start, hi + 1, q))
-        primes.extend(lo + i for i in range(hi - lo + 1) if flags[i])
+            flags[start - lo : hi - lo + 1 : q] = bytes(len(range(start, hi + 1, q)))
+        primes.extend(itertools.compress(range(lo, hi + 1), flags))
         lo = hi + 1
     return primes
 

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iwakit.classify import (
     CyclotomicSplitting,
@@ -14,13 +15,14 @@ from iwakit.classify import (
     layer_split_count,
     p2_membership,
 )
+from iwakit.classify import _distinguished_primes
 from iwakit.counting import (
     TraceCache,
     count_points_naive,
     frobenius_data,
     order_over_extension,
 )
-from iwakit.elliptic import WeierstrassModel, minimal_model, reduction_type
+from iwakit.elliptic import SingularCurveError, WeierstrassModel, minimal_model, reduction_type
 from iwakit.ntheory import padic_valuation, sieve_primes
 
 E99 = WeierstrassModel(0, 0, 1, -3, -5)
@@ -230,3 +232,37 @@ def test_bulk_classify_non_minimal_model():
     assert [classify_prime(scaled, 3, ell) for ell in (2, 5, 11)] == [
         r for r in records if r.ell in (2, 5, 11)
     ]
+
+
+def _bulk_oracle(model, p, bound, cache=None):
+    records = bulk_classify(model, p, bound, cache=cache)
+    return [r.ell for r in records if r.in_script_q], len(records) + (p <= bound)
+
+
+@given(
+    st.sampled_from([0, 1]), st.sampled_from([-1, 0, 1]), st.sampled_from([0, 1]),
+    st.integers(-300, 300), st.integers(-300, 300), st.sampled_from([1, 2]),
+    st.sampled_from([3, 5, 7]), st.integers(0, 3000),
+)
+@settings(deadline=None, max_examples=30)
+def test_distinguished_primes_match_bulk_classify(a1, a2, a3, a4, a6, u, p, bound):
+    try:
+        model = WeierstrassModel(a1 * u, a2 * u**2, a3 * u**3, a4 * u**4, a6 * u**6)
+    except SingularCurveError:
+        return
+    expected = _bulk_oracle(model, p, bound)
+    # cold, then warm on what it stored, then on a cache bulk_classify filled
+    cache = TraceCache(None)
+    assert _distinguished_primes(model, p, bound, cache, 1) == expected
+    assert _distinguished_primes(model, p, bound, cache, 1) == expected
+    assert _bulk_oracle(model, p, bound, cache) == expected
+    filled = TraceCache(None)
+    bulk_classify(model, p, bound, cache=filled)
+    assert _distinguished_primes(model, p, bound, filled, 1) == expected
+
+
+def test_distinguished_primes_edges():
+    assert _distinguished_primes(E99, 3, 1, None, 1) == ([], 0)
+    assert _distinguished_primes(E99, 3, 7, None, 1) == ([7], 4)
+    with pytest.raises(ValueError, match="odd prime"):
+        _distinguished_primes(E99, 9, 100, None, 1)

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import multiprocessing
 import shutil
 import sys
 from collections import Counter
@@ -185,6 +186,67 @@ def test_density_with_csv_outputs(capsys, tmp_path):
 def test_density_grid_too_small_fails(capsys):
     code = main(["density", "--curve", E99, "--p", "3", "--grid", "1e2,1e3"])
     assert code == EXIT_FAILURE
+
+
+@pytest.mark.parametrize("point", ["inf", "-inf", "nan", "1e3.5", "1/2", "", "0x10",
+                                   "2.5", "1e-1", "1e1001", "1e-999999999",
+                                   pytest.param("1" * 1001, id="1001-digits")])
+def test_density_grid_rejects_non_integer_points(capsys, point):
+    with pytest.raises(SystemExit) as exc:
+        main(["density", "--curve", E99, "--p", "3", "--grid", f"1e2,1e3,1e4,{point}"])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(("point", "shown"), [
+    ("1e400", str(10**400)),
+    ("9007199254740993", "9007199254740993"),  # 2**53 + 1, which a float rounds down
+    (" +1.0e8 ", "100000000"),
+])
+def test_density_grid_points_are_exact(capsys, point, shown):
+    code = main(["density", "--curve", E99, "--p", "3", "--grid", f"1e2,1e3,1e4,{point}"])
+    assert code == EXIT_FAILURE
+    assert capsys.readouterr().err == f"error: grid max {shown} exceeds the budget 10000000\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+def test_jobs_below_one_is_usage_error(capsys, jobs):
+    for sub in (["classify", "--bound", "10"], ["density", "--grid", "1e1,1e2,1e3,1e4"],
+                ["report"]):
+        with pytest.raises(SystemExit) as exc:
+            main([sub[0], "--curve", E99, "--p", "3", *sub[1:], "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
+class _SerialPool:
+    """Stands in for multiprocessing.Pool: records its size, starts no process."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return [fn(item) for item in items]
+
+
+@pytest.mark.parametrize(("cpus", "pools"), [(2, [2]), (1, []), (None, [])])
+def test_jobs_capped_at_cpu_count(capsys, monkeypatch, cpus, pools):
+    monkeypatch.delenv("IWAKIT_CACHE_DIR", raising=False)  # every trace is a miss
+    argv = ["classify", "--curve", E99, "--p", "3", "--bound", "2000"]
+    serial = _run(capsys, argv)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    assert _run(capsys, [*argv, "--jobs", "100000"]) == serial
+    assert _SerialPool.sizes == pools
 
 
 def test_report_composite(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from iwakit import counting
 from iwakit.classify import bulk_classify
 from iwakit.counting import TraceCache
 from iwakit.density import (
@@ -23,6 +24,7 @@ from iwakit.density import (
 )
 from iwakit.elliptic import WeierstrassModel
 from iwakit.fields import M_of_X, g_of_X, g_steps, m_steps
+from iwakit.ntheory import sieve_primes
 
 E99 = WeierstrassModel(0, 0, 1, -3, -5)
 
@@ -145,8 +147,29 @@ def test_asymptotic_report_rejects_unknown_method_before_classifying(monkeypatch
 
     monkeypatch.setattr("iwakit.density.bulk_classify", fail)
     monkeypatch.setattr("iwakit.fields.bulk_classify", fail)
+    monkeypatch.setattr("iwakit.density._distinguished_primes", fail)
+    monkeypatch.setattr("iwakit.fields._distinguished_primes", fail)
     with pytest.raises(ValueError, match="unknown method"):
         asymptotic_report(E99, 3, [7, 100, 1000, 10**4], method="bogus")
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_cold_report_counts_only_primes_one_mod_p(monkeypatch, p):
+    counted = []
+    trace = counting.trace_of_frobenius
+
+    def recording(model, ell, **kwargs):
+        counted.append(ell)
+        return trace(model, ell, **kwargs)
+
+    monkeypatch.setattr(counting, "trace_of_frobenius", recording)
+    grid = [100, 1000, 2000, 4000]
+    report = asymptotic_report(E99, p, grid, cache=TraceCache(None))
+    assert all(ell % p == 1 for ell in counted)
+    assert len(counted) == len(set(counted))
+    # at most every prime = 1 mod p, about 1/(p-1) of all primes
+    assert 1 <= len(counted) <= sum(1 for ell in sieve_primes(grid[-1]) if ell % p == 1)
+    assert report.empirical_density == empirical_density(E99, p, grid[-1])
 
 
 def test_asymptotic_report_grid_errors():

@@ -253,6 +253,7 @@ def test_unknown_method_rejected_before_any_work(monkeypatch):
 
     monkeypatch.setattr("iwakit.fields.bulk_classify", fail)
     monkeypatch.setattr("iwakit.fields.sieve_primes", fail)
+    monkeypatch.setattr("iwakit.fields._distinguished_primes", fail)
     calls = [
         lambda: g_of_X(E99, 3, 600, method="bogus"),
         lambda: g_steps(E99, 3, 600, method="bogus"),
