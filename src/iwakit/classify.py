@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .counting import TraceCache, frobenius_data, order_over_extension
 from .elliptic import WeierstrassModel, minimal_model
-from .ntheory import is_prime, mult_order, padic_valuation, sieve_primes
+from .ntheory import check_odd_prime, is_prime, mult_order, padic_valuation, sieve_primes
 
 __all__ = [
     "PrimeClass",
@@ -61,8 +61,7 @@ class CyclotomicSplitting:
 
 
 def _check_primes(p: int, ell: int) -> None:
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    check_odd_prime(p)
     if not is_prime(ell):
         raise ValueError(f"ell must be prime, got {ell}")
     if ell == p:
@@ -104,9 +103,8 @@ def p2_membership(model: WeierstrassModel, p: int, ell: int, f: int) -> bool:
     _check_primes(p, ell)
     if f < 1:
         raise ValueError(f"residue degree must be >= 1, got {f}")
-    minimal, _ = minimal_model(model)
-    fd = frobenius_data(minimal, ell)
-    return order_over_extension(fd, f) % p == 0
+    # point counting minimizes a model that is bad at ell
+    return order_over_extension(frobenius_data(model, ell), f) % p == 0
 
 
 def cyclotomic_split_count(ell: int, p: int) -> CyclotomicSplitting:
@@ -138,8 +136,7 @@ def bulk_classify(
     jobs: int = 1,
 ) -> list[PrimeClass]:
     """Classify every prime ell <= bound except p, in increasing order."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    check_odd_prime(p)
     if bound < 2:
         return []
     minimal, _ = minimal_model(model)
@@ -177,8 +174,7 @@ def _distinguished_primes(
     The same set as the ``in_script_q`` records of ``bulk_classify``, but only
     the good primes = 1 mod p reach the trace cache and no record is built.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    check_odd_prime(p)
     if bound < 2:
         return [], 0
     minimal, _ = minimal_model(model)

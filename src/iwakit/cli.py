@@ -48,10 +48,10 @@ from .fields import CyclicExtension, count_extensions, enumerate_extensions, ext
 from .kida import (
     _BASE_FLAG,
     HypothesisBlockedError,
-    _audit,
-    _transfer,
+    check_hypotheses,
     hypothesis_record,
     kida_record,
+    lambda_transfer,
 )
 from .refdata import ingest_reference, reference_record
 
@@ -260,10 +260,10 @@ def _kida_records(
     mu_lambda_zero: bool | None,
 ) -> dict:
     """The extension, hypothesis audit and transfer records of kida and report."""
-    report = _audit(minimal, args.p, ext, mu_lambda_zero)
+    report = check_hypotheses(minimal, args.p, ext, mu_lambda_zero_at_base=mu_lambda_zero)
     lambda_base = _resolve_lambda_base(args, report)
     override = getattr(args, "override", False)  # report has no --override
-    result = _transfer(lambda_base, args.p, ext, minimal, report, override)
+    result = lambda_transfer(lambda_base, args.p, ext, minimal, report=report, override=override)
     return {
         "extension": extension_record(ext),
         "hypotheses": hypothesis_record(report),

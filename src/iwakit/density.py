@@ -17,12 +17,11 @@ import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
-# bulk_classify stays bound here so a test can fail-patch every classification entry
-from .classify import _distinguished_primes, bulk_classify  # noqa: F401
+from .classify import _distinguished_primes
 from .counting import TraceCache
 from .elliptic import WeierstrassModel
 from .fields import _m_weights, _weight_builder
-from .ntheory import iroot, is_prime
+from .ntheory import check_odd_prime, iroot
 
 __all__ = [
     "DensityReport",
@@ -45,11 +44,6 @@ class FitUnavailableError(ValueError):
     """The grid has too few usable points for a least-squares fit."""
 
 
-def _check_p(p: int) -> None:
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
-
-
 def _sl2_trace_histogram(p: int) -> list[int]:
     """Matrices in SL_2(F_p) per trace t in 0..p-1, by exhaustive entry enumeration."""
     counts = [0] * p
@@ -64,19 +58,19 @@ def _sl2_trace_histogram(p: int) -> list[int]:
 
 def sl2_trace_count(p: int, t: int) -> int:
     """Matrices in SL_2(F_p) of trace t, by exhaustive entry enumeration."""
-    _check_p(p)
+    check_odd_prime(p)
     return _sl2_trace_histogram(p)[t % p]
 
 
 def alpha_closed_form(p: int) -> Fraction:
     """Density of primes with Frobenius trace != 2 and determinant 1."""
-    _check_p(p)
+    check_odd_prime(p)
     return Fraction(p * p - p - 1, p**3 - p * p - p + 1)
 
 
 def alpha_brute_force(p: int) -> Fraction:
     """The same density as #{A in SL_2 : trace != 2} / #GL_2, enumerated."""
-    _check_p(p)
+    check_odd_prime(p)
     if p > BRUTE_FORCE_BOUND:
         raise ValueError(f"enumeration budget is p <= {BRUTE_FORCE_BOUND}, got {p}")
     counts = _sl2_trace_histogram(p)
@@ -93,7 +87,7 @@ def empirical_density(
     jobs: int = 1,
 ) -> Fraction:
     """Fraction of all primes <= bound that land in the distinguished set."""
-    _check_p(p)
+    check_odd_prime(p)
     if bound < 2:
         return Fraction(0)
     return _script_q_primes_and_density(model, p, bound, cache, jobs)[1]
@@ -118,7 +112,7 @@ def delange_exponents(p: int, alpha: Fraction) -> tuple[Fraction, Fraction]:
 
     The counting function then grows like c * X^a * (log X)^(b-1).
     """
-    _check_p(p)
+    check_odd_prime(p)
     return Fraction(1), (p - 1) * Fraction(alpha)
 
 
@@ -128,7 +122,7 @@ def beta_stated_form(p: int) -> Fraction:
     Inconsistent with (p-1)*alpha - 1 (see DensityReport.note); kept so the
     discrepancy stays visible instead of being silently resolved.
     """
-    _check_p(p)
+    check_odd_prime(p)
     return Fraction(p * p - p + 2, p**3 - p * p - p + 1)
 
 
@@ -151,7 +145,7 @@ class DensityReport:
     note: str
 
     def __post_init__(self) -> None:
-        _check_p(self.p)
+        check_odd_prime(self.p)
         if self.alpha != self.alpha_brute:
             raise ValueError("closed form and brute force must agree exactly")
         if not 0 < self.alpha < 1:
@@ -184,7 +178,6 @@ def asymptotic_report(
     cache: TraceCache | None = None,
     jobs: int = 1,
     method: str = "dfs",
-    budget: int = GRID_BUDGET,
 ) -> DensityReport:
     """Exact g/M tables over the grid plus the fitted log exponent.
 
@@ -197,7 +190,7 @@ def asymptotic_report(
     conductor <= X bounds the rank-growth count at discriminant X^(p-1) from
     below, and only ever appears as a bound here.
     """
-    _check_p(p)
+    check_odd_prime(p)
     grid = tuple(int(x) for x in grid)
     if len(grid) < 4:
         raise FitUnavailableError(f"need at least 4 grid points, got {len(grid)}")
@@ -205,8 +198,8 @@ def asymptotic_report(
         raise ValueError("grid must be strictly increasing")
     if grid[0] < 1:
         raise ValueError("grid points must be >= 1")
-    if grid[-1] > budget:
-        raise ValueError(f"grid max {grid[-1]} exceeds the budget {budget}")
+    if grid[-1] > GRID_BUDGET:
+        raise ValueError(f"grid max {grid[-1]} exceeds the budget {GRID_BUDGET}")
 
     build = _weight_builder(method)
     alpha = alpha_closed_form(p)

@@ -257,7 +257,13 @@ def minimal_model(model: WeierstrassModel) -> tuple[WeierstrassModel, int]:
     what is left of g.  The loop runs to about the fourth root of g with its
     small primes removed: fast for small prime content, while a large prime
     content of g still needs a subexponential factorizer such as Pollard rho.
+
+    The answer is kept on the model, and the minimal model keeps (itself, 1),
+    so each curve is minimized once.  Like disc it sits in the instance
+    __dict__, outside the fields that == and hash read.
     """
+    if "_minimal" in model.__dict__:
+        return model.__dict__["_minimal"]
     c4, c6, disc = model.c4, model.c6, model.disc
     u = 1
     g = math.gcd(c4, c6)
@@ -269,7 +275,10 @@ def minimal_model(model: WeierstrassModel) -> tuple[WeierstrassModel, int]:
                 g //= q
             u *= q ** _minimality_exponent(c4, c6, disc, q)
         q += 1
-    return model_from_c4c6(c4 // u**4, c6 // u**6), u
+    minimal = model_from_c4c6(c4 // u**4, c6 // u**6)
+    minimal.__dict__["_minimal"] = (minimal, 1)
+    model.__dict__["_minimal"] = (minimal, u)
+    return minimal, u
 
 
 def is_minimal_at(model: WeierstrassModel, q: int) -> bool:

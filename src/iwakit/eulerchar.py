@@ -23,7 +23,7 @@ from .elliptic import (
     quadratic_twist,
     reduction_type,
 )
-from .ntheory import factorize, is_prime, sieve_primes
+from .ntheory import check_odd_prime, factorize, sieve_primes
 from .refdata import reference_record
 
 __all__ = [
@@ -84,7 +84,7 @@ class EulerFactors:
 
     def __post_init__(self) -> None:
         p = self.p
-        _check_p(p)
+        check_odd_prime(p)
         if abs(p + 1 - self.frak_F_count) ** 2 > 4 * p:
             raise ValueError(f"residue count {self.frak_F_count} violates the Hasse bound at {p}")
         if self.pi_image_status not in ("prime_to_p_implied", "unknown"):
@@ -95,11 +95,6 @@ class EulerFactors:
             raise ValueError("Tamagawa product is a positive integer")
         if self.sha_p_order is not None and not _is_p_power(self.sha_p_order, p):
             raise ValueError(f"sha order must be a power of {p}, got {self.sha_p_order}")
-
-
-def _check_p(p: int) -> None:
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
 
 
 def _is_p_power(n: int, p: int) -> bool:
@@ -151,7 +146,7 @@ def _ordinary_twist(
 def good_ordinary_twist(model: WeierstrassModel, p: int) -> OrdinaryTwist:
     """Twist by the discriminant of the degree-2 field inside the p-th
     cyclotomic field; the result must be good ordinary at p."""
-    _check_p(p)
+    check_odd_prime(p)
     minimal, _ = minimal_model(model)
     return _ordinary_twist(p, *_twist_at_p(minimal, p))
 
@@ -295,7 +290,7 @@ def has_rational_p_torsion(model: WeierstrassModel, p: int) -> bool:
     p-division polynomial of the integral short model is searched for
     integer roots giving rational points; torsion roots are integral there.
     """
-    _check_p(p)
+    check_odd_prime(p)
     minimal, _ = minimal_model(model)
     disc = minimal.disc
     for ell in sieve_primes(1000).primes:
@@ -341,7 +336,7 @@ def euler_char_factors(
     use_reference is off; the analytic rank is required, the sha order may
     stay unknown and propagates as such.
     """
-    _check_p(p)
+    check_odd_prime(p)
     minimal, _ = minimal_model(model)
     return _euler_factors(
         minimal, p, _twist_at_p(minimal, p), sha_order, analytic_rank_zero, use_reference

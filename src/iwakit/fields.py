@@ -12,11 +12,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-# bulk_classify stays bound here so a test can fail-patch every classification entry
-from .classify import _distinguished_primes, bulk_classify, cyclotomic_split_count  # noqa: F401
+from .classify import _distinguished_primes, cyclotomic_split_count
 from .counting import TraceCache
 from .elliptic import WeierstrassModel
-from .ntheory import iroot, is_prime, primitive_root, sieve_primes
+from .ntheory import check_odd_prime, iroot, is_prime, primitive_root, sieve_primes
 
 __all__ = [
     "CyclicExtension",
@@ -47,8 +46,7 @@ class CyclicExtension:
 
     def __post_init__(self) -> None:
         p = self.p
-        if p == 2 or not is_prime(p):
-            raise ValueError(f"p must be an odd prime, got {p}")
+        check_odd_prime(p)
         if not self.tame_ramified and not self.wild_at_p:
             raise ValueError("a nontrivial extension of Q ramifies somewhere")
         if list(self.tame_ramified) != sorted(set(self.tame_ramified)):
@@ -105,8 +103,7 @@ class SplittingRecord:
 
 
 def _check_ram_set(p: int, ram_set) -> tuple[int, ...]:
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    check_odd_prime(p)
     primes = sorted(ram_set)
     if len(primes) != len(set(primes)):
         raise ValueError("ramified primes must be distinct")
@@ -290,8 +287,7 @@ def _g_weights(model, p, bound, *, cache, jobs, method) -> dict[int, int]:
 
 def _m_weights(p: int, bound: int, method: str) -> dict[int, int]:
     """Number of degree-p cyclic fields at each conductor, discriminant <= bound."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    check_odd_prime(p)
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     build = _weight_builder(method)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .ntheory import is_prime, padic_valuation
+from .ntheory import check_odd_prime, padic_valuation
 
 __all__ = [
     "CharSeries",
@@ -52,8 +52,7 @@ class CharSeries:
     exact: bool = True
 
     def __post_init__(self) -> None:
-        if self.p == 2 or not is_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
+        check_odd_prime(self.p)
         if self.precision < 1:
             raise ValueError(f"precision must be >= 1, got {self.precision}")
         if not self.coeffs:

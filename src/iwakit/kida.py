@@ -19,8 +19,9 @@ from dataclasses import asdict, dataclass
 from .classify import classify_prime, p2_membership
 from .counting import TraceCache, trace_of_frobenius
 from .elliptic import WeierstrassModel, format_model, minimal_model, reduction_type
-from .eulerchar import _check_p, _euler_factors, _twist_at_p, mu_lambda_vanish
+from .eulerchar import _euler_factors, _twist_at_p, mu_lambda_vanish
 from .fields import CyclicExtension, ramified_splitting
+from .ntheory import check_odd_prime
 
 __all__ = [
     "HypothesisBlockedError",
@@ -55,7 +56,7 @@ _BASE_FLAG = {"zero": True, "nonzero": False}
 
 
 def _check_extension(p: int, ext: CyclicExtension) -> None:
-    _check_p(p)
+    check_odd_prime(p)
     if ext.p != p:
         raise ValueError(f"extension degree {ext.p} does not match p = {p}")
 
@@ -79,7 +80,7 @@ class HypothesisReport:
     note: str
 
     def __post_init__(self) -> None:
-        _check_p(self.p)
+        check_odd_prime(self.p)
         if self.additive_stability not in STABILITY_LABELS:
             raise ValueError(f"unknown stability label {self.additive_stability!r}")
         if self.additive_stability == "satisfied_by_p_ge_5" and self.p < 5:
@@ -129,7 +130,7 @@ class KidaResult:
     witnesses: tuple[LocalTerm, ...]
 
     def __post_init__(self) -> None:
-        _check_p(self.p)
+        check_odd_prime(self.p)
         if self.lambda_K < 0 or self.p1_term < 0 or self.p2_term < 0:
             raise ValueError("lambda and the local terms are nonnegative")
         d = self.degree
@@ -174,13 +175,7 @@ def check_hypotheses(
 ) -> HypothesisReport:
     """Audit the transfer hypotheses; unresolved flags never raise here."""
     _check_extension(p, ext)
-    return _audit(minimal_model(model)[0], p, ext, mu_lambda_zero_at_base)
-
-
-def _audit(
-    minimal: WeierstrassModel, p: int, ext: CyclicExtension, base: bool | None
-) -> HypothesisReport:
-    """check_hypotheses on a minimal model, for a p and ext already checked."""
+    minimal, _ = minimal_model(model)
     decision = _twist_at_p(minimal, p)
     local, potentially_good, d, good = decision
     if local.is_good:
@@ -196,6 +191,7 @@ def _audit(
         defect = None
         note = "no quadratic twist reaches good reduction at p; deeper twists are unresolved"
 
+    base = mu_lambda_zero_at_base
     if base is None:
         try:
             base = _BASE_FLAG.get(mu_lambda_vanish(_euler_factors(minimal, p, decision)))
@@ -264,22 +260,10 @@ def lambda_transfer(
     built with external knowledge to resolve flags without overriding.
     """
     _check_extension(p, ext)
-    return _transfer(lambda_K, p, ext, minimal_model(model)[0], report, override)
-
-
-def _transfer(
-    lambda_K: int,
-    p: int,
-    ext: CyclicExtension,
-    minimal: WeierstrassModel,
-    report: HypothesisReport | None,
-    override: bool,
-) -> KidaResult:
-    """lambda_transfer on a minimal model, for a p and ext already checked."""
     if lambda_K < 0:
         raise ValueError(f"lambda_K must be >= 0, got {lambda_K}")
     if not override:
-        _require_unblocked(report or _audit(minimal, p, ext, None), p)
+        _require_unblocked(report or check_hypotheses(model, p, ext), p)
 
     if not ext.tame_ramified:
         # wild-only field: it sits inside the cyclotomic tower, so the
@@ -289,6 +273,7 @@ def _transfer(
             lambda_L=lambda_K, witnesses=(),
         )
 
+    minimal, _ = minimal_model(model)
     witnesses = []
     for ell in ext.tame_ramified:
         places = ramified_splitting(ext, ell)

@@ -15,6 +15,7 @@ __all__ = [
     "Residue",
     "sieve_primes",
     "is_prime",
+    "check_odd_prime",
     "legendre",
     "padic_valuation",
     "mult_order",
@@ -52,6 +53,11 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def check_odd_prime(p: int) -> None:
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
 
 
 @dataclass(frozen=True)

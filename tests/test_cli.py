@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from iwakit import elliptic, eulerchar
+from iwakit import elliptic, eulerchar, kida
 from iwakit.cli import EXIT_BLOCKED, EXIT_FAILURE, EXIT_OK, main
 
 E99 = "0,0,1,-3,-5"
@@ -316,7 +316,8 @@ def _count_calls(monkeypatch, functions) -> Counter:
 
 @pytest.mark.parametrize(("argv", "bounds"), [
     (["kida", "--curve", E99, "--p", "3", "--ramified", "7"],
-     {"quadratic_twist": 1, "minimal_model": 7, "reduction_type": 6}),
+     {"quadratic_twist": 1, "minimal_model": 7, "reduction_type": 6,
+      "check_hypotheses": 1, "lambda_transfer": 1}),
     (["report", "--curve", E99, "--p", "3", "--ramified", "31", "--jobs", "1"],
      {"euler_char_factors": 1, "local_data": 2}),
 ])
@@ -325,10 +326,24 @@ def test_one_audit_per_call(capsys, monkeypatch, argv, bounds):
     counts = _count_calls(monkeypatch, [
         elliptic.minimal_model, elliptic.reduction_type, elliptic.quadratic_twist,
         elliptic.local_data, eulerchar.euler_char_factors,
+        kida.check_hypotheses, kida.lambda_transfer,
     ])
     assert _run(capsys, argv)[0] == EXIT_OK
     for name, bound in bounds.items():
         assert 1 <= counts[name] <= bound, (name, counts[name])
+
+
+@pytest.mark.parametrize(("argv", "bound"), [
+    (["kida", "--curve", E99, "--p", "3", "--ramified", "7"], 3),
+    (["report", "--curve", E99, "--p", "3", "--ramified", "31", "--jobs", "1"], 5),
+    (["density", "--curve", E99, "--p", "3", "--grid", "1e2,1e3,2e3,4e3", "--jobs", "1"], 1),
+])
+def test_each_curve_minimized_once(capsys, monkeypatch, argv, bound):
+    # every minimal model and every twist is built by model_from_c4c6; kida
+    # builds three: the curve's minimal model, the p* twist and its minimal model
+    counts = _count_calls(monkeypatch, [elliptic.model_from_c4c6])
+    assert _run(capsys, argv)[0] == EXIT_OK
+    assert 1 <= counts["model_from_c4c6"] <= bound, counts["model_from_c4c6"]
 
 
 def test_usage_errors_exit_two():

@@ -145,8 +145,6 @@ def test_asymptotic_report_rejects_unknown_method_before_classifying(monkeypatch
     def fail(*args, **kwargs):
         raise AssertionError("classified before checking the method")
 
-    monkeypatch.setattr("iwakit.density.bulk_classify", fail)
-    monkeypatch.setattr("iwakit.fields.bulk_classify", fail)
     monkeypatch.setattr("iwakit.density._distinguished_primes", fail)
     monkeypatch.setattr("iwakit.fields._distinguished_primes", fail)
     with pytest.raises(ValueError, match="unknown method"):

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -145,8 +146,16 @@ def test_minimal_model_rescaling_invariant(a1, a2, a3, a4, a6, u):
         w = WeierstrassModel(a1, a2, a3, a4, a6)
     except SingularCurveError:
         return
+    fresh = WeierstrassModel(a1, a2, a3, a4, a6)
+    key = hash(w)
     mm, u0 = minimal_model(w)
     assert minimal_model(_rescale(w, u)) == (mm, u * u0)
+    # the answer is kept on the model, and the minimal model is its own
+    assert minimal_model(mm) == (mm, 1) and minimal_model(mm)[0] is mm
+    assert minimal_model(w) == minimal_model(fresh)
+    # the kept answer is not a field: ==, hash and pickling see the coefficients only
+    assert w == fresh and hash(w) == hash(fresh) == key
+    assert pickle.loads(pickle.dumps(w)) == w
 
 
 def _tate_at_disc_factors(w: WeierstrassModel) -> list[LocalReductionData]:

@@ -251,7 +251,6 @@ def test_unknown_method_rejected_before_any_work(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("work started before checking the method")
 
-    monkeypatch.setattr("iwakit.fields.bulk_classify", fail)
     monkeypatch.setattr("iwakit.fields.sieve_primes", fail)
     monkeypatch.setattr("iwakit.fields._distinguished_primes", fail)
     calls = [
