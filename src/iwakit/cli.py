@@ -23,6 +23,7 @@ from pathlib import Path
 from .classify import PrimeClass, bulk_classify, classification_csv
 from .counting import TraceCache
 from .density import (
+    GRID_BUDGET,
     alpha_closed_form,
     asymptotic_report,
     beta_stated_form,
@@ -220,7 +221,14 @@ def _class_counts(records) -> dict:
     return counts
 
 
+def _check_bound(bound: int) -> None:
+    # the same budget as a density grid: classification sieves to the bound
+    if bound > GRID_BUDGET:
+        raise ValueError(f"bound {bound} exceeds the budget {GRID_BUDGET}")
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
+    _check_bound(args.bound)
     # the trace cache is not kept, so its table is freed before the output
     records = bulk_classify(args.curve, args.p, args.bound, cache=_cache_from(args),
                             jobs=args.jobs)
@@ -362,6 +370,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    _check_bound(args.bound)
     cache = _cache_from(args)
     model = args.curve
     p = args.p

@@ -293,10 +293,14 @@ class TraceCache:
     """a_ell values per curve, optionally persisted as "ell a_ell" lines.
 
     Files are keyed by a hash of the minimal model, so isomorphic models share
-    an entry.  Stored values must be bit-identical to recomputation.  A line
-    that is not two integers, or whose a_ell breaks the Hasse bound, is a
-    miss: it is recomputed and rewritten.  Files are replaced whole, through
-    a temporary file, so a reader never sees a partial write.
+    an entry.  Stored values must be bit-identical to recomputation.  A file is
+    the sorted "ell a_ell" lines and a trailer "# <line count> <sha256 of the
+    lines>"; a file whose trailer is missing or does not match is a miss as a
+    whole, so truncation, a flipped byte or a file without a trailer is
+    recomputed and rewritten, never trusted line by line.  Files are replaced
+    whole, through a temporary file, after merging in what is on disk, so a
+    reader never sees a partial write and a writer keeps the entries another
+    process stored before it.
     """
 
     def __init__(self, directory: str | Path | None = None):
@@ -312,32 +316,40 @@ class TraceCache:
     def _path(self, key: str) -> Path | None:
         return None if self.directory is None else self.directory / f"{key}.traces"
 
+    @staticmethod
+    def _trailer(body: bytes) -> bytes:
+        return b"# %d %s\n" % (body.count(b"\n"), hashlib.sha256(body).hexdigest().encode("ascii"))
+
+    @classmethod
+    def _read(cls, path: Path) -> dict[int, int]:
+        """The table in a cache file, or {} unless its trailer verifies."""
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            return {}
+        body, mark, _ = data.rpartition(b"#")
+        if not mark or data[len(body):] != cls._trailer(body):
+            return {}
+        nums = map(int, body.split())
+        return {ell: a for ell, a in zip(nums, nums) if a * a <= 4 * ell}
+
     def _load(self, key: str) -> dict[int, int]:
-        if key in self._mem:
-            return self._mem[key]
-        table: dict[int, int] = {}
-        path = self._path(key)
-        if path is not None and path.exists():
-            for line in path.read_text("ascii", errors="replace").splitlines():
-                try:
-                    ell, a = map(int, line.split())
-                except ValueError:
-                    continue
-                if a * a <= 4 * ell:
-                    table[ell] = a
-        self._mem[key] = table
-        return table
+        if key not in self._mem:
+            path = self._path(key)
+            self._mem[key] = self._read(path) if path is not None else {}
+        return self._mem[key]
 
     def _store(self, key: str) -> None:
         path = self._path(key)
         if path is None:
             return
         table = self._mem[key]
-        text = "".join(f"{ell} {table[ell]}\n" for ell in sorted(table))
+        table.update(self._read(path) | table)  # keep what other writers stored
+        body = "".join(f"{ell} {table[ell]}\n" for ell in sorted(table)).encode("ascii")
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="ascii") as fh:
-                fh.write(text)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(body + self._trailer(body))
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -85,12 +85,18 @@ class PrimeSieve:
 
 
 def _sieve_flat(bound: int) -> list[int]:
-    flags = bytearray([1]) * (bound + 1)
-    flags[0:2] = bytes(2)
-    for q in range(2, math.isqrt(bound) + 1):
-        if flags[q]:
-            flags[q * q : bound + 1 : q] = bytes(len(range(q * q, bound + 1, q)))
-    return list(itertools.compress(range(bound + 1), flags))
+    if bound < 2:
+        return []
+    # odd numbers only: flags[i] stands for 2i + 1, and q^2, q^2 + 2q, ...
+    # sit q apart from index q^2 // 2
+    size = (bound + 1) // 2
+    flags = bytearray([1]) * size
+    flags[0] = 0
+    for i in range(1, (math.isqrt(bound) + 1) // 2):
+        if flags[i]:
+            q = 2 * i + 1
+            flags[q * q // 2 :: q] = bytes(len(range(q * q // 2, size, q)))
+    return [2, *itertools.compress(range(1, bound + 1, 2), flags)]
 
 
 def _sieve_segmented(bound: int, segment: int) -> list[int]:

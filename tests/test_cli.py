@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import shutil
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -207,6 +208,21 @@ def test_density_grid_points_are_exact(capsys, point, shown):
     code = main(["density", "--curve", E99, "--p", "3", "--grid", f"1e2,1e3,1e4,{point}"])
     assert code == EXIT_FAILURE
     assert capsys.readouterr().err == f"error: grid max {shown} exceeds the budget 10000000\n"
+
+
+@pytest.mark.parametrize("sub", ["classify", "report"])
+@pytest.mark.parametrize("bound", ["10000001", "1000000000000"])
+def test_bound_above_budget_exits_one_at_once(capsys, tmp_path, sub, bound):
+    start = time.perf_counter()
+    code = main([sub, "--curve", E99, "--p", "3", "--bound", bound,
+                 "--cache-dir", str(tmp_path)])
+    assert time.perf_counter() - start < 5.0
+    assert code == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bound {bound} exceeds the budget 10000000\n"
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []  # nothing was counted
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1", "two"])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -480,6 +481,24 @@ def test_extension_counts_against_oracle():
 # ---------------------------------------------------------------------------
 
 
+def _cache_file_text(table):
+    """The cache file format: sorted "ell a_ell" lines, then "# <count> <sha256>"."""
+    body = "".join(f"{ell} {table[ell]}\n" for ell in sorted(table))
+    return body + f"# {len(table)} {hashlib.sha256(body.encode('ascii')).hexdigest()}\n"
+
+
+def _count_traces(monkeypatch):
+    """Wraps trace_of_frobenius; returns the list of ells it computes."""
+    counted = []
+
+    def wrapped(model, ell, **kwargs):
+        counted.append(ell)
+        return trace_of_frobenius(model, ell, **kwargs)
+
+    monkeypatch.setattr(counting, "trace_of_frobenius", wrapped)
+    return counted
+
+
 def test_trace_cache_roundtrip(tmp_path):
     cache = TraceCache(tmp_path)
     got = cache.traces(E99, [2, 5, 7, 13, 463])
@@ -487,7 +506,7 @@ def test_trace_cache_roundtrip(tmp_path):
     files = list(tmp_path.glob("*.traces"))
     assert len(files) == 1
     text = files[0].read_text()
-    assert text == "".join(f"{ell} {got[ell]}\n" for ell in sorted(got))
+    assert text == _cache_file_text(got)
 
     fresh = TraceCache(tmp_path)
     again = fresh.traces(E99, [2, 5, 7, 13, 463])
@@ -502,8 +521,94 @@ def test_trace_cache_recomputes_damaged_lines(tmp_path):
     # a truncated line, a garbage line and an a_ell outside the Hasse bound
     path.write_text(f"5 {good[5]}\n7\nxyz 1\n13 99\n463 {good[463]}\n")
     assert TraceCache(tmp_path).traces(E99, [5, 7, 13, 463]) == good
-    assert path.read_text() == "".join(f"{ell} {good[ell]}\n" for ell in sorted(good))
+    assert path.read_text() == _cache_file_text(good)
     assert list(tmp_path.iterdir()) == [path]  # no temporary file is left behind
+
+
+CACHE_ELLS = [5, 7, 13, 463, 1009]
+
+
+def _filled_cache_file(tmp_path):
+    TraceCache(tmp_path).traces(E99, CACHE_ELLS)
+    (path,) = tmp_path.glob("*.traces")
+    return path, path.read_bytes()
+
+
+def test_trace_cache_second_load_counts_nothing(tmp_path, monkeypatch):
+    good = TraceCache(None).traces(E99, CACHE_ELLS)
+    path, data = _filled_cache_file(tmp_path)
+    assert data.decode("ascii") == _cache_file_text(good)
+    counted = _count_traces(monkeypatch)
+    assert TraceCache(tmp_path).traces(E99, CACHE_ELLS) == good
+    assert counted == []
+    assert path.read_bytes() == data
+
+
+def test_trace_cache_truncation_is_whole_file_miss(tmp_path, monkeypatch):
+    good = TraceCache(None).traces(E99, CACHE_ELLS)
+    path, data = _filled_cache_file(tmp_path)
+    counted = _count_traces(monkeypatch)
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        counted.clear()
+        assert TraceCache(tmp_path).traces(E99, CACHE_ELLS) == good, cut
+        assert counted == CACHE_ELLS, cut
+        assert path.read_bytes() == data, cut
+
+
+def test_trace_cache_flipped_body_byte_is_whole_file_miss(tmp_path, monkeypatch):
+    good = TraceCache(None).traces(E99, CACHE_ELLS)
+    path, data = _filled_cache_file(tmp_path)
+    counted = _count_traces(monkeypatch)
+    for i in range(data.index(b"#")):
+        # flipping the low bit turns a digit into another digit, a value that
+        # still parses and passes the Hasse bound
+        path.write_bytes(data[:i] + bytes([data[i] ^ 1]) + data[i + 1:])
+        counted.clear()
+        assert TraceCache(tmp_path).traces(E99, CACHE_ELLS) == good, i
+        assert counted == CACHE_ELLS, i
+        assert path.read_bytes() == data, i
+
+
+@pytest.mark.parametrize("trailer", [False, True], ids=["cut", "stale-trailer"])
+def test_trace_cache_truncated_line_is_recomputed(tmp_path, monkeypatch, trailer):
+    good = TraceCache(None).traces(E99, CACHE_ELLS)
+    path, data = _filled_cache_file(tmp_path)
+    assert good[1009] == -10
+    # "1009 1" parses and passes a^2 <= 4 ell, so no line check can catch it
+    damaged = data.replace(b"1009 -10\n", b"1009 1\n")
+    path.write_bytes(damaged if trailer else damaged[: damaged.index(b"#")])
+    counted = _count_traces(monkeypatch)
+    assert TraceCache(tmp_path).traces(E99, CACHE_ELLS) == good
+    assert 1009 in counted
+    assert path.read_bytes() == data
+
+
+def test_trace_cache_old_file_without_trailer_is_rewritten(tmp_path, monkeypatch):
+    good = TraceCache(None).traces(E99, CACHE_ELLS)
+    path, data = _filled_cache_file(tmp_path)
+    path.write_text("".join(f"{ell} {good[ell]}\n" for ell in CACHE_ELLS))  # the old format
+    counted = _count_traces(monkeypatch)
+    assert TraceCache(tmp_path).traces(E99, CACHE_ELLS) == good
+    assert counted == CACHE_ELLS
+    assert path.read_bytes() == data
+    counted.clear()
+    assert TraceCache(tmp_path).traces(E99, CACHE_ELLS) == good
+    assert counted == []
+
+
+def test_trace_cache_merges_before_replace(tmp_path, monkeypatch):
+    good = TraceCache(None).traces(E99, CACHE_ELLS)
+    first, second = TraceCache(tmp_path), TraceCache(tmp_path)
+    first.traces(E99, [])
+    second.traces(E99, [])  # both have read the empty directory
+    first.traces(E99, [5, 7, 1009])
+    second.traces(E99, [13, 463])  # second never saw first's primes in memory
+    counted = _count_traces(monkeypatch)
+    assert TraceCache(tmp_path).traces(E99, CACHE_ELLS) == good
+    assert counted == []
+    (path,) = tmp_path.glob("*.traces")
+    assert path.read_text() == _cache_file_text(good)
 
 
 def test_trace_cache_isomorphic_models_share_key(tmp_path):

@@ -58,6 +58,15 @@ def test_segmented_matches_flat():
     assert flat.primes == seg.primes
 
 
+def test_flat_sieve_matches_is_prime_at_every_bound():
+    # the odd-only sieve at both parities of the bound, at squares of
+    # primes and just below them
+    primes = [n for n in range(2001) if is_prime(n)]
+    assert _sieve_flat(0) == _sieve_flat(1) == []
+    for bound in range(2, 2001):
+        assert _sieve_flat(bound) == [q for q in primes if q <= bound], bound
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 6000), st.integers(1, 700))
 def test_segmented_sieve_matches_flat_and_is_prime(bound, segment):
