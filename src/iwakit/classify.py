@@ -68,6 +68,27 @@ def _check_primes(p: int, ell: int) -> None:
         raise ValueError(f"ell = p = {p} is excluded from classification")
 
 
+def _good_traces(
+    model: WeierstrassModel, ells, cache: TraceCache | None, jobs: int
+) -> dict[int, int]:
+    """a_ell at the good primes among ells, ascending; a bad prime gets no entry."""
+    minimal, _ = minimal_model(model)
+    # the global minimal model has bad reduction exactly at the primes of its discriminant
+    disc = minimal.disc
+    good = [ell for ell in ells if disc % ell]
+    return (cache if cache is not None else TraceCache(None)).traces(minimal, good, jobs=jobs)
+
+
+def _prime_class(p: int, ell: int, a: int | None) -> PrimeClass:
+    """The verdict at ell from a_ell, or from None at a bad prime: Q2 when p
+    divides #E(F_ell) = ell + 1 - a_ell, else Q3, distinguished if ell = 1 mod p."""
+    if a is None:
+        return PrimeClass(ell=ell, category="Q1", a_ell=None, in_script_q=False)
+    category = "Q2" if (ell + 1 - a) % p == 0 else "Q3"
+    return PrimeClass(ell=ell, category=category, a_ell=a,
+                      in_script_q=category == "Q3" and ell % p == 1)
+
+
 def classify_prime(
     model: WeierstrassModel,
     p: int,
@@ -76,21 +97,7 @@ def classify_prime(
     cache: TraceCache | None = None,
 ) -> PrimeClass:
     _check_primes(p, ell)
-    minimal, _ = minimal_model(model)
-    # the global minimal model has bad reduction exactly at the primes of its discriminant
-    if minimal.disc % ell == 0:
-        return PrimeClass(ell=ell, category="Q1", a_ell=None, in_script_q=False)
-    if cache is not None:
-        a = cache.trace(minimal, ell)
-    else:
-        a = frobenius_data(minimal, ell).a_ell
-    category = "Q2" if (ell + 1 - a) % p == 0 else "Q3"
-    return PrimeClass(
-        ell=ell,
-        category=category,
-        a_ell=a,
-        in_script_q=category == "Q3" and ell % p == 1,
-    )
+    return _prime_class(p, ell, _good_traces(model, [ell], cache, 1).get(ell))
 
 
 def p2_membership(model: WeierstrassModel, p: int, ell: int, f: int) -> bool:
@@ -139,27 +146,9 @@ def bulk_classify(
     check_odd_prime(p)
     if bound < 2:
         return []
-    minimal, _ = minimal_model(model)
-    disc = minimal.disc
-    if cache is None:
-        cache = TraceCache(None)
-    out: list[PrimeClass] = []
-    good: list[int] = []
-    for ell in sieve_primes(bound).primes:
-        if ell == p:
-            continue
-        if disc % ell:
-            good.append(ell)
-        else:
-            out.append(PrimeClass(ell=ell, category="Q1", a_ell=None, in_script_q=False))
-    traces = cache.traces(minimal, good, jobs=jobs)
-    for ell in good:
-        a = traces[ell]
-        category = "Q2" if (ell + 1 - a) % p == 0 else "Q3"
-        out.append(PrimeClass(ell=ell, category=category, a_ell=a,
-                              in_script_q=category == "Q3" and ell % p == 1))
-    out.sort(key=lambda r: r.ell)
-    return out
+    ells = [ell for ell in sieve_primes(bound).primes if ell != p]
+    traces = _good_traces(model, ells, cache, jobs)
+    return [_prime_class(p, ell, traces.get(ell)) for ell in ells]
 
 
 def _distinguished_primes(
@@ -177,15 +166,11 @@ def _distinguished_primes(
     check_odd_prime(p)
     if bound < 2:
         return [], 0
-    minimal, _ = minimal_model(model)
-    disc = minimal.disc
     primes = sieve_primes(bound).primes
-    # ell = 1 mod p leaves out ell = p, and the point count there is 2 - a_ell mod p
-    candidates = [ell for ell in primes if ell % p == 1 and disc % ell]
-    if cache is None:
-        cache = TraceCache(None)
-    traces = cache.traces(minimal, candidates, jobs=jobs)
-    return [ell for ell in candidates if (2 - traces[ell]) % p], len(primes)
+    # ell = 1 mod p leaves out ell = p; one pass over the sieve feeds the good-prime filter
+    traces = _good_traces(model, (ell for ell in primes if ell % p == 1), cache, jobs)
+    # the Q3 test of _prime_class, where ell + 1 = 2 mod p
+    return [ell for ell, a in traces.items() if (2 - a) % p], len(primes)
 
 
 def classification_csv(records: list[PrimeClass]) -> str:

@@ -246,8 +246,8 @@ def count_points(model: WeierstrassModel, ell: int, *, crossover: int = CROSSOVE
     return count_points_bsgs(model, ell)
 
 
-def trace_of_frobenius(model: WeierstrassModel, ell: int, *, crossover: int = CROSSOVER) -> int:
-    return ell + 1 - count_points(model, ell, crossover=crossover)
+def trace_of_frobenius(model: WeierstrassModel, ell: int) -> int:
+    return ell + 1 - count_points(model, ell)
 
 
 # -- Frobenius data and extension fields -------------------------------------
@@ -267,8 +267,8 @@ class FrobeniusData:
         self.counts.setdefault(1, self.ell + 1 - self.a_ell)
 
 
-def frobenius_data(model: WeierstrassModel, ell: int, *, crossover: int = CROSSOVER) -> FrobeniusData:
-    n = count_points(model, ell, crossover=crossover)
+def frobenius_data(model: WeierstrassModel, ell: int) -> FrobeniusData:
+    n = count_points(model, ell)
     return FrobeniusData(ell=ell, a_ell=ell + 1 - n)
 
 
@@ -350,6 +350,11 @@ class TraceCache:
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(body + self._trailer(body))
+            # mkstemp makes the file 0600; give it the mode open(path, "w") would,
+            # reading the umask by setting it and setting it back
+            mask = os.umask(0o077)
+            os.umask(mask)
+            os.chmod(tmp, 0o666 & ~mask)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

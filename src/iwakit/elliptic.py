@@ -288,9 +288,15 @@ def is_minimal_at(model: WeierstrassModel, q: int) -> bool:
 
 
 def local_data(model: WeierstrassModel) -> list[LocalReductionData]:
-    """Tate's algorithm at each bad prime of the minimal model, in increasing order."""
+    """Tate's algorithm at each bad prime of the minimal model, in increasing order.
+
+    Kept on the minimal model, as minimal_model keeps its answer, so each
+    curve's discriminant is factored once.
+    """
     mm, _ = minimal_model(model)
-    return [reduction_type(mm, q) for q, _ in factorize(mm.disc)]
+    if "_local_data" not in mm.__dict__:
+        mm.__dict__["_local_data"] = tuple(reduction_type(mm, q) for q, _ in factorize(mm.disc))
+    return list(mm.__dict__["_local_data"])
 
 
 def conductor(model: WeierstrassModel) -> int:

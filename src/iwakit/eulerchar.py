@@ -110,23 +110,27 @@ def _twist_at_p(
 ) -> tuple[LocalReductionData, bool, int, WeierstrassModel | None]:
     """Reduction at p, potential good reduction at p, a twist d and the model
     good at p that it reaches: d = 1 and the curve when it is good at p, else
-    d = (-1)^((p-1)/2) p and its minimal twist, or None if that is not good."""
+    d = (-1)^((p-1)/2) p and its minimal twist, or None if that is not good.
+
+    Kept on the minimal model per p, as minimal_model keeps its answer, so
+    the audit and the Euler factors of one curve share one decision."""
+    kept = minimal.__dict__.setdefault("_twist_at_p", {})
+    if p in kept:
+        return kept[p]
     local = reduction_type(minimal, p)
     potentially_good = has_potential_good_reduction(minimal, p)
-    if local.is_good:
-        return local, potentially_good, 1, minimal
     # unit twists are unramified at p, and every d with v_p(d) = 1 is this d times a unit
-    d = p if p % 4 == 1 else -p
-    if not potentially_good:
-        return local, False, d, None
-    twisted = minimal_model(quadratic_twist(minimal, d))[0]
-    return local, True, d, twisted if reduction_type(twisted, p).is_good else None
+    d, good = (1, minimal) if local.is_good else (p if p % 4 == 1 else -p, None)
+    if good is None and potentially_good:
+        twisted = minimal_model(quadratic_twist(minimal, d))[0]
+        good = twisted if reduction_type(twisted, p).is_good else None
+    kept[p] = local, potentially_good, d, good
+    return kept[p]
 
 
-def _ordinary_twist(
-    p: int, local: LocalReductionData, potentially_good: bool, d: int, good: WeierstrassModel | None
-) -> OrdinaryTwist:
-    """The twist pipeline's reading of a twist decision: raise unless good ordinary."""
+def _ordinary_twist(minimal: WeierstrassModel, p: int) -> OrdinaryTwist:
+    """The twist pipeline's reading of the twist decision at p: raise unless good ordinary."""
+    local, potentially_good, d, good = _twist_at_p(minimal, p)
     if not local.is_additive:
         raise ValueError(
             f"reduction at {p} is {local.type}; the twist pipeline starts from additive reduction"
@@ -148,7 +152,7 @@ def good_ordinary_twist(model: WeierstrassModel, p: int) -> OrdinaryTwist:
     cyclotomic field; the result must be good ordinary at p."""
     check_odd_prime(p)
     minimal, _ = minimal_model(model)
-    return _ordinary_twist(p, *_twist_at_p(minimal, p))
+    return _ordinary_twist(minimal, p)
 
 
 # ---------------------------------------------------------------------------
@@ -338,21 +342,18 @@ def euler_char_factors(
     """
     check_odd_prime(p)
     minimal, _ = minimal_model(model)
-    return _euler_factors(
-        minimal, p, _twist_at_p(minimal, p), sha_order, analytic_rank_zero, use_reference
-    )
+    return _euler_factors(minimal, p, sha_order, analytic_rank_zero, use_reference)
 
 
 def _euler_factors(
     minimal: WeierstrassModel,
     p: int,
-    decision: tuple[LocalReductionData, bool, int, WeierstrassModel | None],
     sha_order: int | None = None,
     analytic_rank_zero: bool | None = None,
     use_reference: bool = True,
 ) -> EulerFactors:
-    """euler_char_factors on a minimal model, from its twist decision at p."""
-    twist = _ordinary_twist(p, *decision)
+    """euler_char_factors on a minimal model, past the checks of the public entry."""
+    twist = _ordinary_twist(minimal, p)
     if use_reference and (sha_order is None or analytic_rank_zero is None):
         rec = reference_record(minimal, p)
         if rec is not None:

@@ -176,8 +176,7 @@ def check_hypotheses(
     """Audit the transfer hypotheses; unresolved flags never raise here."""
     _check_extension(p, ext)
     minimal, _ = minimal_model(model)
-    decision = _twist_at_p(minimal, p)
-    local, potentially_good, d, good = decision
+    local, potentially_good, d, good = _twist_at_p(minimal, p)
     if local.is_good:
         defect: bool | None = True
         note = "good reduction at p; the transfer runs in the Hachimori-Matsuno setting"
@@ -194,7 +193,7 @@ def check_hypotheses(
     base = mu_lambda_zero_at_base
     if base is None:
         try:
-            base = _BASE_FLAG.get(mu_lambda_vanish(_euler_factors(minimal, p, decision)))
+            base = _BASE_FLAG.get(mu_lambda_vanish(_euler_factors(minimal, p)))
         except ValueError:
             pass  # the Euler-characteristic audit does not apply: base stays open
     return HypothesisReport(

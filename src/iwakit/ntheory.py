@@ -99,33 +99,11 @@ def _sieve_flat(bound: int) -> list[int]:
     return [2, *itertools.compress(range(1, bound + 1, 2), flags)]
 
 
-def _sieve_segmented(bound: int, segment: int) -> list[int]:
-    base = _sieve_flat(math.isqrt(bound))
-    primes = list(base)
-    lo = math.isqrt(bound) + 1
-    while lo <= bound:
-        hi = min(lo + segment - 1, bound)
-        flags = bytearray([1]) * (hi - lo + 1)
-        for q in base:
-            start = max(q * q, (lo + q - 1) // q * q)
-            if start > hi:
-                continue
-            flags[start - lo : hi - lo + 1 : q] = bytes(len(range(start, hi + 1, q)))
-        primes.extend(itertools.compress(range(lo, hi + 1), flags))
-        lo = hi + 1
-    return primes
-
-
-def sieve_primes(bound: int, *, segment_limit: int = 10**7) -> PrimeSieve:
-    """Primes <= bound.  Switches to a segmented sieve above segment_limit
-    so memory stays O(sqrt(bound) + segment)."""
+def sieve_primes(bound: int) -> PrimeSieve:
+    """Primes <= bound."""
     if bound < 2:
         raise ValueError(f"sieve bound must be >= 2, got {bound}")
-    if bound <= segment_limit:
-        primes = _sieve_flat(bound)
-    else:
-        primes = _sieve_segmented(bound, segment=10**6)
-    return PrimeSieve(bound=bound, primes=tuple(primes))
+    return PrimeSieve(bound=bound, primes=tuple(_sieve_flat(bound)))
 
 
 def legendre(a: int, ell: int) -> int:

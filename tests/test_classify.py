@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from iwakit import counting
 from iwakit.classify import (
     CyclotomicSplitting,
     PrimeClass,
@@ -21,6 +22,7 @@ from iwakit.counting import (
     count_points_naive,
     frobenius_data,
     order_over_extension,
+    trace_of_frobenius,
 )
 from iwakit.elliptic import SingularCurveError, WeierstrassModel, minimal_model, reduction_type
 from iwakit.ntheory import padic_valuation, sieve_primes
@@ -166,6 +168,24 @@ def test_bulk_classify_small_bound():
     assert by_ell[11].category == "Q1"
     for ell in (2, 5, 7, 13, 17, 19):
         assert by_ell[ell] == classify_prime(E99, 3, ell)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_classify_prime_matches_bulk_classify(monkeypatch, p):
+    records = bulk_classify(E99, p, 500)
+    cache = TraceCache(None)
+    calls = []
+
+    def counted(model, ell):
+        calls.append(ell)
+        return trace_of_frobenius(model, ell)
+
+    monkeypatch.setattr(counting, "trace_of_frobenius", counted)
+    for rec in records:
+        calls.clear()
+        assert classify_prime(E99, p, rec.ell) == rec
+        assert classify_prime(E99, p, rec.ell, cache=cache) == rec
+        assert calls == ([] if rec.category == "Q1" else [rec.ell, rec.ell])
 
 
 def test_bulk_classify_empty_and_deterministic():

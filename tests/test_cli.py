@@ -335,7 +335,7 @@ def _count_calls(monkeypatch, functions) -> Counter:
      {"quadratic_twist": 1, "minimal_model": 7, "reduction_type": 6,
       "check_hypotheses": 1, "lambda_transfer": 1}),
     (["report", "--curve", E99, "--p", "3", "--ramified", "31", "--jobs", "1"],
-     {"euler_char_factors": 1, "local_data": 2}),
+     {"euler_char_factors": 1, "local_data": 2, "quadratic_twist": 1, "reduction_type": 6}),
 ])
 def test_one_audit_per_call(capsys, monkeypatch, argv, bounds):
     # one twist decision and one Euler-characteristic audit per call
@@ -351,7 +351,7 @@ def test_one_audit_per_call(capsys, monkeypatch, argv, bounds):
 
 @pytest.mark.parametrize(("argv", "bound"), [
     (["kida", "--curve", E99, "--p", "3", "--ramified", "7"], 3),
-    (["report", "--curve", E99, "--p", "3", "--ramified", "31", "--jobs", "1"], 5),
+    (["report", "--curve", E99, "--p", "3", "--ramified", "31", "--jobs", "1"], 3),
     (["density", "--curve", E99, "--p", "3", "--grid", "1e2,1e3,2e3,4e3", "--jobs", "1"], 1),
 ])
 def test_each_curve_minimized_once(capsys, monkeypatch, argv, bound):

@@ -1,6 +1,8 @@
 import hashlib
 import math
+import os
 import random
+import stat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -609,6 +611,20 @@ def test_trace_cache_merges_before_replace(tmp_path, monkeypatch):
     assert counted == []
     (path,) = tmp_path.glob("*.traces")
     assert path.read_text() == _cache_file_text(good)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize(("umask", "mode"), [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_trace_cache_file_mode_follows_umask(tmp_path, umask, mode):
+    # the mode open(path, "w") gives, not mkstemp's 0600
+    old = os.umask(umask)
+    try:
+        TraceCache(tmp_path).traces(E99, [5, 7])
+    finally:
+        os.umask(old)
+    (path,) = tmp_path.glob("*.traces")
+    assert stat.S_IMODE(path.stat().st_mode) == mode
 
 
 def test_trace_cache_isomorphic_models_share_key(tmp_path):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from iwakit import elliptic
 from iwakit.elliptic import (
     InvalidTwistError,
     LocalReductionData,
@@ -167,6 +168,23 @@ def test_local_data_named_curves():
     for w in (E99, E11, E32, E27, E37, E389):
         assert local_data(w) == _tate_at_disc_factors(w)
         assert [local.ell for local in local_data(w)] == [q for q, _ in factorize(conductor(w))]
+
+
+@pytest.mark.parametrize("u", [1, 2])
+def test_local_data_is_kept_on_the_minimal_model(monkeypatch, u):
+    # a fresh model, so nothing is kept on it yet; u = 2 is not minimal
+    w = _rescale(WeierstrassModel(0, 0, 1, -3, -5), u)
+    first = local_data(w)
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(elliptic, "factorize", counted)
+    assert local_data(w) == first
+    assert calls == []
+    assert first == _tate_at_disc_factors(E99)
 
 
 def test_local_data_two_large_prime_factors():

@@ -6,12 +6,14 @@ import pytest
 
 from iwakit.counting import _ec_mul, count_points_naive
 from iwakit.elliptic import WeierstrassModel, minimal_model, quadratic_twist, reduction_type
+from iwakit import eulerchar
 from iwakit.eulerchar import (
     EulerFactors,
     HypothesisNotMetError,
     SupersingularTwistError,
     TwistNotGoodError,
     _division_poly_torsion,
+    _twist_at_p,
     division_polynomial,
     euler_char_factors,
     euler_factors_record,
@@ -114,6 +116,24 @@ def test_good_ordinary_twist_example():
     assert tw.a_p == -1
     assert tw.residue_count == 5
     assert count_points_naive(tw.model, 3) == 5
+
+
+def test_twist_decision_is_kept_per_p(monkeypatch):
+    minimal, _ = minimal_model(WeierstrassModel(0, 0, 1, -3, -5))  # fresh: nothing kept yet
+    first = _twist_at_p(minimal, 3)
+    assert first[2] == -3 and first[3] is not None
+    calls = []
+
+    def counted(model, d):
+        calls.append(d)
+        return quadratic_twist(model, d)
+
+    monkeypatch.setattr(eulerchar, "quadratic_twist", counted)
+    assert _twist_at_p(minimal, 3) == first
+    assert good_ordinary_twist(minimal, 3).model == first[3]
+    euler_char_factors(minimal, 3)
+    assert calls == []
+    assert _twist_at_p(minimal, 5)[2] == 1  # good at 5: another p, its own decision
 
 
 def test_good_ordinary_twist_sign_convention():

@@ -19,7 +19,7 @@ from iwakit.ntheory import (
     sieve_primes,
     sqrt_mod,
 )
-from iwakit.ntheory import _sieve_flat, _sieve_segmented
+from iwakit.ntheory import _sieve_flat
 
 
 def oracle_is_prime(n: int) -> bool:
@@ -52,12 +52,6 @@ def test_sieve_oracle_block():
         assert (n in s) == oracle_is_prime(n)
 
 
-def test_segmented_matches_flat():
-    flat = sieve_primes(50000)
-    seg = sieve_primes(50000, segment_limit=1000)
-    assert flat.primes == seg.primes
-
-
 def test_flat_sieve_matches_is_prime_at_every_bound():
     # the odd-only sieve at both parities of the bound, at squares of
     # primes and just below them
@@ -68,13 +62,9 @@ def test_flat_sieve_matches_is_prime_at_every_bound():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 6000), st.integers(1, 700))
-def test_segmented_sieve_matches_flat_and_is_prime(bound, segment):
-    # many short segments, so every segment boundary case occurs
-    expected = [n for n in range(bound + 1) if is_prime(n)]
-    assert _sieve_flat(bound) == expected
-    assert _sieve_segmented(bound, segment) == expected
-    assert sieve_primes(bound, segment_limit=segment).primes == tuple(expected)
+@given(st.integers(2, 6000))
+def test_segmented_sieve_matches_flat_and_is_prime(bound):
+    assert _sieve_flat(bound) == [n for n in range(bound + 1) if is_prime(n)]
 
 
 def test_sieve_bound_validation():
