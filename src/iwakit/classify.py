@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
 
 from .counting import TraceCache, frobenius_data, order_over_extension
 from .elliptic import WeierstrassModel, minimal_model
-from .ntheory import check_odd_prime, is_prime, mult_order, padic_valuation, sieve_primes
+from .ntheory import (
+    _odd_flags, check_odd_prime, is_prime, mult_order, padic_valuation, sieve_primes,
+)
 
 __all__ = [
     "PrimeClass",
@@ -166,11 +169,13 @@ def _distinguished_primes(
     check_odd_prime(p)
     if bound < 2:
         return [], 0
-    primes = sieve_primes(bound).primes
-    # ell = 1 mod p leaves out ell = p; one pass over the sieve feeds the good-prime filter
-    traces = _good_traces(model, (ell for ell in primes if ell % p == 1), cache, jobs)
-    # the Q3 test of _prime_class, where ell + 1 = 2 mod p
-    return [ell for ell, a in traces.items() if (2 - a) % p], len(primes)
+    flags = _odd_flags(bound)
+    # an odd ell = 1 mod p is 1 mod 2p, so its flag index (ell - 1) / 2 is 0 mod p;
+    # this leaves out ell = p, and no list of all primes is built
+    ells = itertools.compress(range(1, bound + 1, 2 * p), flags[::p])
+    traces = _good_traces(model, ells, cache, jobs)
+    # the Q3 test of _prime_class, where ell + 1 = 2 mod p; pi(bound) counts 2 too
+    return [ell for ell, a in traces.items() if (2 - a) % p], 1 + flags.count(1)
 
 
 def classification_csv(records: list[PrimeClass]) -> str:

@@ -322,7 +322,8 @@ class TraceCache:
 
     @classmethod
     def _read(cls, path: Path) -> dict[int, int]:
-        """The table in a cache file, or {} unless its trailer verifies."""
+        """The table in a cache file, or {} unless its trailer verifies and its
+        body parses."""
         try:
             data = path.read_bytes()
         except FileNotFoundError:
@@ -331,7 +332,10 @@ class TraceCache:
         if not mark or data[len(body):] != cls._trailer(body):
             return {}
         nums = map(int, body.split())
-        return {ell: a for ell, a in zip(nums, nums) if a * a <= 4 * ell}
+        try:
+            return {ell: a for ell, a in zip(nums, nums) if a * a <= 4 * ell}
+        except ValueError:  # a token that is no integer
+            return {}
 
     def _load(self, key: str) -> dict[int, int]:
         if key not in self._mem:

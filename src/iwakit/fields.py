@@ -9,6 +9,7 @@ polynomials are never constructed.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -224,15 +225,17 @@ def _product_weights_dfs(primes: list[int], p: int, bound: int) -> dict[int, int
     """Weight (p-1)^(k-1) at each product of k >= 1 distinct listed primes <= bound."""
     weights: dict[int, int] = {}
 
-    def rec(start: int, prod: int, picked: int) -> None:
-        for j in range(start, len(primes)):
+    def rec(start: int, prod: int, weight: int) -> None:
+        # primes[start:stop] are the listed primes q with prod * q <= bound
+        stop = bisect.bisect_right(primes, bound // prod, start)
+        for j in range(start, stop):
             nxt = prod * primes[j]
-            if nxt > bound:
-                break
-            weights[nxt] = weights.get(nxt, 0) + (p - 1) ** picked
-            rec(j + 1, nxt, picked + 1)
+            # distinct prime sets have distinct products, so no key repeats
+            weights[nxt] = weight
+            if j + 1 < stop and nxt * primes[j + 1] <= bound:
+                rec(j + 1, nxt, weight * (p - 1))
 
-    rec(0, 1, 0)
+    rec(0, 1, 1)
     return weights
 
 

@@ -84,11 +84,9 @@ class PrimeSieve:
         return i < len(self.primes) and self.primes[i] == n
 
 
-def _sieve_flat(bound: int) -> list[int]:
-    if bound < 2:
-        return []
-    # odd numbers only: flags[i] stands for 2i + 1, and q^2, q^2 + 2q, ...
-    # sit q apart from index q^2 // 2
+def _odd_flags(bound: int) -> bytearray:
+    """Flag i is 1 exactly when the odd number 2i + 1 <= bound is prime; bound >= 1."""
+    # q^2, q^2 + 2q, ... sit q apart from index q^2 // 2
     size = (bound + 1) // 2
     flags = bytearray([1]) * size
     flags[0] = 0
@@ -96,7 +94,13 @@ def _sieve_flat(bound: int) -> list[int]:
         if flags[i]:
             q = 2 * i + 1
             flags[q * q // 2 :: q] = bytes(len(range(q * q // 2, size, q)))
-    return [2, *itertools.compress(range(1, bound + 1, 2), flags)]
+    return flags
+
+
+def _sieve_flat(bound: int) -> list[int]:
+    if bound < 2:
+        return []
+    return [2, *itertools.compress(range(1, bound + 1, 2), _odd_flags(bound))]
 
 
 def sieve_primes(bound: int) -> PrimeSieve:

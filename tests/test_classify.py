@@ -286,3 +286,10 @@ def test_distinguished_primes_edges():
     assert _distinguished_primes(E99, 3, 7, None, 1) == ([7], 4)
     with pytest.raises(ValueError, match="odd prime"):
         _distinguished_primes(E99, 9, 100, None, 1)
+    # the prime count is 1 + the odd flags set, so bound 2 counts the even prime only
+    assert _distinguished_primes(E99, 3, 2, None, 1) == ([], 1)
+    assert _distinguished_primes(E99, 3, 3, None, 1) == ([], 2)
+    # p itself is no candidate; 2p + 1 is the first odd number = 1 mod p
+    for p in (3, 5, 7):
+        for bound in (2, 3, p, 2 * p + 1):
+            assert _distinguished_primes(E99, p, bound, None, 1) == _bulk_oracle(E99, p, bound)

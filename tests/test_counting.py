@@ -586,6 +586,19 @@ def test_trace_cache_truncated_line_is_recomputed(tmp_path, monkeypatch, trailer
     assert path.read_bytes() == data
 
 
+@pytest.mark.parametrize("body", [b"5 x\n7 -2\n", b"5 \xff\n"], ids=["word", "non-ascii"])
+def test_trace_cache_unparseable_body_is_whole_file_miss(tmp_path, monkeypatch, body):
+    good = TraceCache(None).traces(E99, [5, 7])
+    TraceCache(tmp_path).traces(E99, [5])
+    (path,) = tmp_path.glob("*.traces")
+    # the trailer verifies, so only the parse can reject the body
+    path.write_bytes(body + TraceCache._trailer(body))
+    counted = _count_traces(monkeypatch)
+    assert TraceCache(tmp_path).traces(E99, [5, 7]) == good
+    assert counted == [5, 7]
+    assert path.read_text() == _cache_file_text(good)
+
+
 def test_trace_cache_old_file_without_trailer_is_rewritten(tmp_path, monkeypatch):
     good = TraceCache(None).traces(E99, CACHE_ELLS)
     path, data = _filled_cache_file(tmp_path)

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from iwakit.classify import cyclotomic_split_count
 from iwakit.elliptic import WeierstrassModel
@@ -23,6 +24,8 @@ from iwakit.fields import (
     splitting,
     _product_sum_dfs,
     _product_sum_sieve,
+    _product_weights_dfs,
+    _product_weights_sieve,
 )
 from iwakit.ntheory import primitive_root, sieve_primes
 
@@ -245,6 +248,29 @@ def test_product_sum_helpers_agree_at_scale():
     primes = [ell for ell in sieve_primes(10**5).primes if ell % 3 == 1]
     for bound in (10**4, 10**5):
         assert _product_sum_dfs(primes, 3, bound) == _product_sum_sieve(primes, 3, bound)
+
+
+_ONE_MOD = {p: [ell for ell in sieve_primes(5000).primes if ell % p == 1] for p in (3, 5, 7)}
+
+
+@st.composite
+def _weight_inputs(draw):
+    p = draw(st.sampled_from(sorted(_ONE_MOD)))
+    primes = draw(st.lists(st.sampled_from(_ONE_MOD[p]), unique=True, max_size=12))
+    return sorted(primes), p, draw(st.integers(1, 5000))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_weight_inputs())
+@example(([], 3, 1000))  # no primes
+@example(([7, 13], 3, 6))  # a bound below the first prime
+@example(([7, 13, 19], 3, 7 * 13))  # a bound equal to a product
+@example(([7, 13, 19], 3, 7 * 13 * 19))  # ... of every listed prime
+@example(([11, 31, 41, 61], 5, 11 * 31 * 41 - 1))
+def test_product_weight_tables_agree(inputs):
+    # the whole tables, not only their sums: each key with its weight
+    primes, p, bound = inputs
+    assert _product_weights_dfs(primes, p, bound) == _product_weights_sieve(primes, p, bound)
 
 
 def test_unknown_method_rejected_before_any_work(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -19,7 +20,7 @@ from iwakit.ntheory import (
     sieve_primes,
     sqrt_mod,
 )
-from iwakit.ntheory import _sieve_flat
+from iwakit.ntheory import _odd_flags, _sieve_flat
 
 
 def oracle_is_prime(n: int) -> bool:
@@ -59,6 +60,17 @@ def test_flat_sieve_matches_is_prime_at_every_bound():
     assert _sieve_flat(0) == _sieve_flat(1) == []
     for bound in range(2, 2001):
         assert _sieve_flat(bound) == [q for q in primes if q <= bound], bound
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_odd_flags_give_the_primes_one_mod_p(p):
+    # an odd ell = 1 mod p is 1 mod 2p, so every p-th flag is a candidate
+    primes = sieve_primes(3000).primes
+    for bound in range(2, 3001):
+        flags = _odd_flags(bound)
+        got = list(itertools.compress(range(1, bound + 1, 2 * p), flags[::p]))
+        assert got == [ell for ell in primes if ell <= bound and ell % p == 1], bound
+        assert 1 + flags.count(1) == len(sieve_primes(bound)), bound
 
 
 @settings(max_examples=60, deadline=None)
