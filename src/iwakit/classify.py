@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 from dataclasses import dataclass
 
 from .counting import TraceCache, frobenius_data, order_over_extension
@@ -172,10 +171,10 @@ def _distinguished_primes(
     flags = _odd_flags(bound)
     # an odd ell = 1 mod p is 1 mod 2p, so its flag index (ell - 1) / 2 is 0 mod p;
     # this leaves out ell = p, and no list of all primes is built
-    ells = itertools.compress(range(1, bound + 1, 2 * p), flags[::p])
-    traces = _good_traces(model, ells, cache, jobs)
+    cache = cache if cache is not None else TraceCache(None)
+    ells, traces = cache._traces_1_mod_2p(model, p, flags, jobs)
     # the Q3 test of _prime_class, where ell + 1 = 2 mod p; pi(bound) counts 2 too
-    return [ell for ell, a in traces.items() if (2 - a) % p], 1 + flags.count(1)
+    return [ell for ell, a in zip(ells, traces) if (2 - a) % p], 1 + flags.count(1)
 
 
 def classification_csv(records: list[PrimeClass]) -> str:

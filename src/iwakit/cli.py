@@ -10,6 +10,7 @@ and cache state give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -508,9 +509,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parsing keeps no state in the parser, and every
+    # default is immutable
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BLOCKED_ERRORS as exc:

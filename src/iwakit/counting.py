@@ -16,12 +16,16 @@ Below 229 the search need not stop, and count_points counts naively.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 import os
+import sys
 import tempfile
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import compress
 from pathlib import Path
 
 from .elliptic import BadReductionError, WeierstrassModel, format_model, minimal_model
@@ -288,26 +292,44 @@ def order_over_extension(fd: FrobeniusData, n: int) -> int:
 
 # -- trace cache -------------------------------------------------------------
 
+# The largest ell a trace array holds, and the largest grid point of a density
+# report: its array is at most 10 MB.
+GRID_BUDGET = 10**7
+# A trace array has slot i for a_{2i+1} and slot 0 for a_2 (1 is never prime).
+# Every |a_ell| <= 2 sqrt(ell) fits in int16 for ell < 2.68e8, so -32768 is free
+# to mark a slot whose trace is not known.
+_UNKNOWN = -32768
+_DIGEST = hashlib.sha256().digest_size
+
+
+def _slot(ell: int) -> int | None:
+    """The slot of a_ell in a trace array, or None for an ell it does not hold."""
+    if ell == 2:
+        return 0
+    return ell >> 1 if ell & 1 and 3 <= ell <= GRID_BUDGET else None
+
 
 class TraceCache:
-    """a_ell values per curve, optionally persisted as "ell a_ell" lines.
+    """a_ell values per curve in one int16 trace array, optionally persisted.
 
     Files are keyed by a hash of the minimal model, so isomorphic models share
     an entry.  Stored values must be bit-identical to recomputation.  A file is
-    the sorted "ell a_ell" lines and a trailer "# <line count> <sha256 of the
-    lines>"; a file whose trailer is missing or does not match is a miss as a
-    whole, so truncation, a flipped byte or a file without a trailer is
-    recomputed and rewritten, never trusted line by line.  Files are replaced
-    whole, through a temporary file, after merging in what is on disk, so a
-    reader never sees a partial write and a writer keeps the entries another
-    process stored before it.
+    the array's slots as little-endian int16, then the 32-byte sha256 of those
+    bytes; a file whose digest does not match or whose body is an odd number of
+    bytes is a miss as a whole, so truncation, a flipped byte or a file in
+    another format is recomputed and rewritten, never trusted slot by slot.  A
+    slot is checked against the Hasse bound when it is read, and one that fails
+    is counted again.  Only ell <= GRID_BUDGET is stored; a larger ell is counted
+    on every call.  Files are replaced whole, through a temporary file, after
+    merging in what is on disk, so a reader never sees a partial write and a
+    writer keeps the entries another process stored before it.
     """
 
     def __init__(self, directory: str | Path | None = None):
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-        self._mem: dict[str, dict[int, int]] = {}
+        self._mem: dict[str, array] = {}
 
     @staticmethod
     def _key(minimal: WeierstrassModel) -> str:
@@ -317,43 +339,49 @@ class TraceCache:
         return None if self.directory is None else self.directory / f"{key}.traces"
 
     @staticmethod
-    def _trailer(body: bytes) -> bytes:
-        return b"# %d %s\n" % (body.count(b"\n"), hashlib.sha256(body).hexdigest().encode("ascii"))
-
-    @classmethod
-    def _read(cls, path: Path) -> dict[int, int]:
-        """The table in a cache file, or {} unless its trailer verifies and its
-        body parses."""
+    def _read(path: Path) -> array:
+        """The trace array in a cache file, or an empty one unless the file's
+        digest verifies and its body is whole int16 slots."""
+        arr = array("h")
         try:
             data = path.read_bytes()
         except FileNotFoundError:
-            return {}
-        body, mark, _ = data.rpartition(b"#")
-        if not mark or data[len(body):] != cls._trailer(body):
-            return {}
-        nums = map(int, body.split())
-        try:
-            return {ell: a for ell, a in zip(nums, nums) if a * a <= 4 * ell}
-        except ValueError:  # a token that is no integer
-            return {}
+            return arr
+        body = memoryview(data)[:-_DIGEST]
+        if len(body) % 2 or hashlib.sha256(body).digest() != data[-_DIGEST:]:
+            return arr
+        arr.frombytes(body)
+        if sys.byteorder == "big":
+            arr.byteswap()
+        return arr
 
-    def _load(self, key: str) -> dict[int, int]:
+    def _load(self, key: str) -> array:
         if key not in self._mem:
             path = self._path(key)
-            self._mem[key] = self._read(path) if path is not None else {}
+            self._mem[key] = self._read(path) if path is not None else array("h")
         return self._mem[key]
 
     def _store(self, key: str) -> None:
         path = self._path(key)
         if path is None:
             return
-        table = self._mem[key]
-        table.update(self._read(path) | table)  # keep what other writers stored
-        body = "".join(f"{ell} {table[ell]}\n" for ell in sorted(table)).encode("ascii")
+        arr = self._mem[key]
+        disk = self._read(path)
+        n = min(len(arr), len(disk))
+        if arr[:n] != disk[:n]:  # keep what other writers stored
+            for i in range(n):
+                if arr[i] == _UNKNOWN:
+                    arr[i] = disk[i]
+        arr.extend(disk[n:])
+        body = arr
+        if sys.byteorder == "big":
+            body = array("h", arr)
+            body.byteswap()
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(body + self._trailer(body))
+                fh.write(body)
+                fh.write(hashlib.sha256(body).digest())
             # mkstemp makes the file 0600; give it the mode open(path, "w") would,
             # reading the umask by setting it and setting it back
             mask = os.umask(0o077)
@@ -364,26 +392,75 @@ class TraceCache:
             os.unlink(tmp)
             raise
 
+    def _count(self, key: str, minimal: WeierstrassModel, ells: list[int], jobs: int) -> list[int]:
+        """a_ell at the good primes ells, counted; those the array holds are stored."""
+        if not ells:
+            return []
+        trace = partial(trace_of_frobenius, minimal)
+        jobs = min(jobs, os.cpu_count() or 1)
+        if jobs > 1:
+            from multiprocessing import Pool  # one-job runs skip this import
+
+            with Pool(jobs) as pool:
+                results = pool.map(trace, ells, chunksize=64)
+        else:
+            results = [trace(ell) for ell in ells]
+        arr = self._mem[key]
+        stored = False
+        for ell, a in zip(ells, results):
+            i = _slot(ell)
+            if i is not None:
+                if i >= len(arr):
+                    arr.extend(array("h", [_UNKNOWN]) * (i + 1 - len(arr)))
+                arr[i] = a
+                stored = True
+        if stored:
+            self._store(key)
+        return results
+
     def trace(self, model: WeierstrassModel, ell: int) -> int:
         return self.traces(model, [ell])[ell]
 
     def traces(self, model: WeierstrassModel, ells, *, jobs: int = 1) -> dict[int, int]:
-        """a_ell for each requested good prime, computing and caching misses."""
+        """a_ell for each requested good prime, ascending, computing and caching misses."""
         minimal, _ = minimal_model(model)
         key = self._key(minimal)
-        table = self._load(key)
-        wanted = sorted(set(ells))
-        missing = [ell for ell in wanted if ell not in table]
-        if missing:
-            trace = partial(trace_of_frobenius, minimal)
-            jobs = min(jobs, os.cpu_count() or 1)
-            if jobs > 1:
-                from multiprocessing import Pool  # one-job runs skip this import
+        arr = self._load(key)
+        out = {}
+        for ell in sorted(set(ells)):
+            i = _slot(ell)
+            out[ell] = arr[i] if i is not None and i < len(arr) else _UNKNOWN
+        missing = [ell for ell, a in out.items() if a == _UNKNOWN or a * a > 4 * ell]
+        out.update(zip(missing, self._count(key, minimal, missing, jobs)))
+        return out
 
-                with Pool(jobs) as pool:
-                    results = pool.map(trace, missing, chunksize=64)
-            else:
-                results = [trace(ell) for ell in missing]
-            table.update(zip(missing, results))
-            self._store(key)
-        return {ell: table[ell] for ell in wanted}
+    def _traces_1_mod_2p(
+        self, model: WeierstrassModel, p: int, flags: bytearray, jobs: int
+    ) -> tuple[list[int], list[int]]:
+        """The good primes ell = 1 mod 2p, ascending, and their a_ell, where
+        flag i of the odd sieve flags says whether 2i + 1 is prime.
+
+        An odd ell = 1 mod 2p has slot and flag (ell - 1) / 2, a multiple of p,
+        so both are read with stride p: no dict, no sort.
+        """
+        minimal, _ = minimal_model(model)
+        key = self._key(minimal)
+        arr = self._load(key)
+        size = len(flags)
+        primes = flags[::p]
+        ells = list(compress(range(1, 2 * size, 2 * p), primes))
+        traces = list(compress(arr[:size:p], primes))
+        traces += [_UNKNOWN] * (len(ells) - len(traces))  # past the end of the array
+        missing = [ell for ell, a in zip(ells, traces) if a == _UNKNOWN or a * a > 4 * ell]
+        if missing:
+            # the minimal model has bad reduction exactly at the primes of its
+            # discriminant, and a bad prime has no trace
+            disc = minimal.disc
+            good = [ell for ell in missing if disc % ell]
+            for ell, a in zip(good, self._count(key, minimal, good, jobs)):
+                traces[bisect.bisect_left(ells, ell)] = a
+            for ell in missing:
+                if not disc % ell:
+                    i = bisect.bisect_left(ells, ell)
+                    del ells[i], traces[i]
+        return ells, traces

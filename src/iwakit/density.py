@@ -10,17 +10,15 @@ appear only inside the least-squares fit.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .classify import _distinguished_primes
-from .counting import TraceCache
+from .counting import GRID_BUDGET, TraceCache
 from .elliptic import WeierstrassModel
-from .fields import _m_weights, _weight_builder
+from .fields import _m_totals, _method
 from .ntheory import check_odd_prime, iroot
 
 __all__ = [
@@ -37,7 +35,6 @@ __all__ = [
 ]
 
 BRUTE_FORCE_BOUND = 31
-GRID_BUDGET = 10**7
 
 
 class FitUnavailableError(ValueError):
@@ -97,14 +94,6 @@ def _script_q_primes_and_density(model, p, bound, cache, jobs) -> tuple[list[int
     """The distinguished primes <= bound and their share of all primes <= bound."""
     primes, prime_count = _distinguished_primes(model, p, bound, cache, jobs)
     return primes, Fraction(len(primes), prime_count)
-
-
-def _grid_totals(weights: dict[int, int], bounds: list[int]) -> list[int]:
-    """Total weight of the keys <= each bound; every key is <= bounds[-1]."""
-    per_point = [0] * len(bounds)
-    for key, w in weights.items():
-        per_point[bisect.bisect_left(bounds, key)] += w
-    return list(itertools.accumulate(per_point))
 
 
 def delange_exponents(p: int, alpha: Fraction) -> tuple[Fraction, Fraction]:
@@ -181,10 +170,11 @@ def asymptotic_report(
 ) -> DensityReport:
     """Exact g/M tables over the grid plus the fitted log exponent.
 
-    One sieve up to the grid maximum gives the empirical density and the g
-    weights; a_ell is looked up (and stored in the cache) only at the good
-    primes ell = 1 mod p.  Every grid value is then read off one g and one M
-    weight table built at that maximum.
+    One sieve up to the grid maximum gives the empirical density and the
+    distinguished primes; a_ell is looked up (and stored in the cache) only at
+    the good primes ell = 1 mod p.  g and M at every grid point are then
+    counted off the products of those primes and of all primes = 1 mod p,
+    with no table of conductors built.
 
     The final table doubles as a lower-bound curve: the count of fields with
     conductor <= X bounds the rank-growth count at discriminant X^(p-1) from
@@ -201,14 +191,11 @@ def asymptotic_report(
     if grid[-1] > GRID_BUDGET:
         raise ValueError(f"grid max {grid[-1]} exceeds the budget {GRID_BUDGET}")
 
-    build = _weight_builder(method)
+    _, totals = _method(method)
     alpha = alpha_closed_form(p)
     primes, density = _script_q_primes_and_density(model, p, grid[-1], cache, jobs)
-    g_weights = build(primes, p, grid[-1])
-    g_table = tuple(zip(grid, _grid_totals(g_weights, grid)))
-    m_weights = _m_weights(p, grid[-1], method)
-    m_bounds = [iroot(x, p - 1) for x in grid]
-    m_table = tuple(zip(grid, _grid_totals(m_weights, m_bounds)))
+    g_table = tuple(zip(grid, totals(primes, p, grid)))
+    m_table = tuple(zip(grid, _m_totals(p, [iroot(x, p - 1) for x in grid], totals)))
 
     usable = [(x, g) for x, g in g_table if g > 0]
     if len(usable) < 2:

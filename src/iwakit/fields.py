@@ -239,10 +239,34 @@ def _product_weights_dfs(primes: list[int], p: int, bound: int) -> dict[int, int
     return weights
 
 
-def _product_weights_sieve(primes: list[int], p: int, bound: int) -> dict[int, int]:
-    """Same weights via an additive convolution over [1, bound], scaled by p-1."""
-    if bound < 1:
-        return {}
+def _product_totals_dfs(primes: list[int], p: int, bounds: list[int]) -> list[int]:
+    """Total weight of the products <= each bound of an ascending list, by a
+    counting walk over the same tree as _product_weights_dfs.
+
+    Each node adds its leaves in bulk: weight * (number of listed primes q past
+    the node with prod * q <= bound), one bisection per bound.  The walk only
+    descends to nodes that have a leaf, so no weight table is built.
+    """
+    totals = [0] * len(bounds)
+    top = bounds[-1]
+
+    def rec(start: int, prod: int, weight: int) -> None:
+        for i, b in enumerate(bounds):
+            totals[i] += weight * (bisect.bisect_right(primes, b // prod, start) - start)
+        stop = bisect.bisect_right(primes, top // prod, start)
+        for j in range(start, stop - 1):
+            nxt = prod * primes[j]
+            if nxt * primes[j + 1] > top:  # and so for every later j
+                break
+            rec(j + 1, nxt, weight * (p - 1))
+
+    rec(0, 1, 1)
+    return totals
+
+
+def _sieve_counts(primes: list[int], p: int, bound: int) -> list[int]:
+    """(p-1) times the weight of each n in [2, bound] as entry n, by an additive
+    convolution; entry 1 is 1 for the empty product.  bound >= 1."""
     c = [0] * (bound + 1)
     c[1] = 1
     for q in primes:
@@ -252,6 +276,14 @@ def _product_weights_sieve(primes: list[int], p: int, bound: int) -> dict[int, i
         for n in range(bound // q, 0, -1):
             if c[n]:
                 c[n * q] += (p - 1) * c[n]
+    return c
+
+
+def _product_weights_sieve(primes: list[int], p: int, bound: int) -> dict[int, int]:
+    """Same weights as _product_weights_dfs, read off the sieve counts."""
+    if bound < 1:
+        return {}
+    c = _sieve_counts(primes, p, bound)
     weights = {}
     for n in range(2, bound + 1):
         if c[n]:
@@ -260,32 +292,42 @@ def _product_weights_sieve(primes: list[int], p: int, bound: int) -> dict[int, i
     return weights
 
 
-_WEIGHT_METHODS = {"dfs": _product_weights_dfs, "sieve": _product_weights_sieve}
+def _product_totals_sieve(primes: list[int], p: int, bounds: list[int]) -> list[int]:
+    """Same totals as _product_totals_dfs, summed off the sieve counts."""
+    if bounds[-1] < 2:
+        return [0] * len(bounds)
+    c = _sieve_counts(primes, p, bounds[-1])
+    c[1] = 0  # the empty product is no field
+    return [sum(itertools.islice(c, b + 1)) // (p - 1) for b in bounds]
 
 
-# the dual-algorithm tests compare these two sums
-def _product_sum_dfs(primes: list[int], p: int, bound: int) -> int:
-    return sum(_product_weights_dfs(primes, p, bound).values())
+# each method: (primes, p, bound) -> {product: weight} for the step tables, and
+# (primes, p, ascending bounds) -> [total weight <= bound] for the counts
+_METHODS = {
+    "dfs": (_product_weights_dfs, _product_totals_dfs),
+    "sieve": (_product_weights_sieve, _product_totals_sieve),
+}
 
 
-def _product_sum_sieve(primes: list[int], p: int, bound: int) -> int:
-    return sum(_product_weights_sieve(primes, p, bound).values())
-
-
-def _weight_builder(method: str):
-    """The (primes, p, bound) -> {conductor: weight} builder named by method."""
-    builder = _WEIGHT_METHODS.get(method)
-    if builder is None:
+def _method(method: str):
+    """The (weight builder, totals) pair named by method."""
+    pair = _METHODS.get(method)
+    if pair is None:
         raise ValueError(f"unknown method {method!r}")
-    return builder
+    return pair
 
 
 def _g_weights(model, p, bound, *, cache, jobs, method) -> dict[int, int]:
     """Weight of each squarefree conductor <= bound in g_of_X."""
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    build = _weight_builder(method)
+    build, _ = _method(method)
     return build(script_q_primes(model, p, bound, cache=cache, jobs=jobs), p, bound)
+
+
+def _tame_primes(p: int, bound: int) -> list[int]:
+    """The primes = 1 mod p up to bound: the tame places of degree-p fields."""
+    return [ell for ell in sieve_primes(bound).primes if ell % p == 1] if bound >= 2 else []
 
 
 def _m_weights(p: int, bound: int, method: str) -> dict[int, int]:
@@ -293,11 +335,11 @@ def _m_weights(p: int, bound: int, method: str) -> dict[int, int]:
     check_odd_prime(p)
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    build = _weight_builder(method)
+    build, _ = _method(method)
     max_conductor = iroot(bound, p - 1)
     if max_conductor < 2:
         return {}
-    primes = [ell for ell in sieve_primes(max_conductor).primes if ell % p == 1]
+    primes = _tame_primes(p, max_conductor)
     weights = build(primes, p, max_conductor)
     wild_bound = max_conductor // (p * p)
     if wild_bound >= 1:
@@ -307,6 +349,20 @@ def _m_weights(p: int, bound: int, method: str) -> dict[int, int]:
             # tame conductors are squarefree, so p^2 * n never collides
             weights[p * p * n] = (p - 1) * w
     return weights
+
+
+def _m_totals(p: int, bounds: list[int], totals) -> list[int]:
+    """Degree-p cyclic fields of conductor <= each bound of an ascending list.
+
+    With T(b) the tame fields of conductor <= b, the count is T(b) plus, once
+    b >= p^2, the wild field of conductor p^2 and the (p-1) T(b // p^2) fields
+    of conductor p^2 * n.
+    """
+    wild = [b // (p * p) for b in bounds]
+    points = sorted(set(bounds).union(wild))
+    tame = dict(zip(points, totals(_tame_primes(p, bounds[-1]), p, points)))
+    return [tame[b] + (1 + (p - 1) * tame[w] if b >= p * p else 0)
+            for b, w in zip(bounds, wild)]
 
 
 def _running_totals(weights: dict[int, int]):
@@ -324,12 +380,19 @@ def g_of_X(
     method: str = "dfs",
 ) -> int:
     """Count of distinguished-set-ramified fields with squarefree conductor <= bound."""
-    return sum(_g_weights(model, p, bound, cache=cache, jobs=jobs, method=method).values())
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
+    _, totals = _method(method)
+    return totals(script_q_primes(model, p, bound, cache=cache, jobs=jobs), p, [bound])[0]
 
 
 def M_of_X(p: int, bound: int, *, method: str = "dfs") -> int:
     """Count of all degree-p cyclic fields with discriminant <= bound."""
-    return sum(_m_weights(p, bound, method).values())
+    check_odd_prime(p)
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
+    _, totals = _method(method)
+    return _m_totals(p, [iroot(bound, p - 1)], totals)[0]
 
 
 def g_steps(

@@ -188,6 +188,36 @@ def test_classify_prime_matches_bulk_classify(monkeypatch, p):
         assert calls == ([] if rec.category == "Q1" else [rec.ell, rec.ell])
 
 
+@pytest.mark.parametrize(("ell", "expected"), [
+    # the first prime above the trace array's range of 1e7
+    (10000019, PrimeClass(ell=10000019, category="Q3", a_ell=-1690, in_script_q=False)),
+    # a_ell does not fit in int16 here
+    (1000000000471,
+     PrimeClass(ell=1000000000471, category="Q3", a_ell=-729128, in_script_q=True)),
+])
+def test_classify_prime_above_the_trace_array(tmp_path, monkeypatch, ell, expected):
+    assert classify_prime(E99, 3, ell, cache=TraceCache(None)) == expected
+    # nothing is stored: no file for a large ell alone, and a file of small
+    # ells keeps its bytes
+    assert classify_prime(E99, 3, ell, cache=TraceCache(tmp_path)) == expected
+    assert list(tmp_path.iterdir()) == []
+    TraceCache(tmp_path).traces(E99, [5, 7])
+    (path,) = tmp_path.glob("*.traces")
+    data = path.read_bytes()
+    cache = TraceCache(tmp_path)
+    calls = []
+
+    def counted(model, ell):
+        calls.append(ell)
+        return trace_of_frobenius(model, ell)
+
+    monkeypatch.setattr(counting, "trace_of_frobenius", counted)
+    assert classify_prime(E99, 3, ell, cache=cache) == expected
+    assert classify_prime(E99, 3, ell, cache=cache) == expected
+    assert calls == [ell, ell]  # counted on every call, never cached
+    assert path.read_bytes() == data
+
+
 def test_bulk_classify_empty_and_deterministic():
     assert bulk_classify(E99, 3, 1) == []
     a = bulk_classify(E99, 3, 60)

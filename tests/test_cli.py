@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from iwakit import elliptic, eulerchar, kida
-from iwakit.cli import EXIT_BLOCKED, EXIT_FAILURE, EXIT_OK, main
+from iwakit import cli, elliptic, eulerchar, kida
+from iwakit.cli import EXIT_BLOCKED, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, build_parser, main
 
 E99 = "0,0,1,-3,-5"
 # stdout, stderr and exit code of kida, report and euler-char on E99, its u = 2
@@ -313,6 +313,44 @@ def test_golden_output(capsys, monkeypatch, case):
     code = main(case["argv"])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])
+
+
+def test_interleaved_calls_share_one_parser(capsys, monkeypatch, tmp_path):
+    # main() reuses one parser per process: a rejected argv or another
+    # subcommand in between leaves no state behind in it
+    monkeypatch.delenv("IWAKIT_CACHE_DIR", raising=False)
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    first, blocked = GOLDEN[0], GOLDEN[10]
+    assert first["argv"][0] == blocked["argv"][0] == "kida" and blocked["code"] == EXIT_BLOCKED
+    density = ["density", "--curve", E99, "--p", "3", "--grid", "1e2,1e3,2e3,4e3", "--jobs", "1",
+               "--cache-dir", str(tmp_path)]
+
+    def golden(case):
+        code = main(case["argv"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])
+
+    golden(first)
+    with pytest.raises(SystemExit) as exc:
+        main(["kida", "--p", "3", "--ramified", "7"])  # no --curve
+    assert exc.value.code == EXIT_USAGE
+    assert "--curve" in capsys.readouterr().err
+    code, out = _run(capsys, density)
+    assert code == EXIT_OK
+    golden(first)
+    golden(blocked)
+    assert built == [1]
+    # the same density call on a parser built for it alone
+    cli._parser.cache_clear()
+    assert _run(capsys, density) == (EXIT_OK, out)
+    cli._parser.cache_clear()
 
 
 def _count_calls(monkeypatch, functions) -> Counter:

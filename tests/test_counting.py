@@ -3,11 +3,13 @@ import math
 import os
 import random
 import stat
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from iwakit import counting
+from iwakit.classify import _distinguished_primes, bulk_classify
 from iwakit.counting import (
     CROSSOVER,
     FrobeniusData,
@@ -28,6 +30,7 @@ from iwakit.elliptic import (
     model_from_c4c6,
     quadratic_twist,
 )
+from iwakit.density import asymptotic_report
 from iwakit.ntheory import legendre, sieve_primes, sqrt_mod
 
 E99 = WeierstrassModel(0, 0, 1, -3, -5)
@@ -483,10 +486,15 @@ def test_extension_counts_against_oracle():
 # ---------------------------------------------------------------------------
 
 
-def _cache_file_text(table):
-    """The cache file format: sorted "ell a_ell" lines, then "# <count> <sha256>"."""
-    body = "".join(f"{ell} {table[ell]}\n" for ell in sorted(table))
-    return body + f"# {len(table)} {hashlib.sha256(body.encode('ascii')).hexdigest()}\n"
+def _cache_file_bytes(table):
+    """The cache file layout: slot i holds a_{2i+1} and slot 0 holds a_2, as
+    little-endian int16 with -32768 where a_ell is unknown, then the sha256 of
+    those bytes."""
+    slots = [-32768] * (max(ell // 2 for ell in table) + 1) if table else []
+    for ell, a in table.items():
+        slots[0 if ell == 2 else ell // 2] = a
+    body = struct.pack(f"<{len(slots)}h", *slots)
+    return body + hashlib.sha256(body).digest()
 
 
 def _count_traces(monkeypatch):
@@ -507,23 +515,26 @@ def test_trace_cache_roundtrip(tmp_path):
     assert got[7] == -2
     files = list(tmp_path.glob("*.traces"))
     assert len(files) == 1
-    text = files[0].read_text()
-    assert text == _cache_file_text(got)
+    data = files[0].read_bytes()
+    assert data == _cache_file_bytes(got)
 
     fresh = TraceCache(tmp_path)
     again = fresh.traces(E99, [2, 5, 7, 13, 463])
     assert again == got
-    assert files[0].read_text() == text  # bit-identical after a pure hit
+    assert files[0].read_bytes() == data  # bit-identical after a pure hit
 
 
-def test_trace_cache_recomputes_damaged_lines(tmp_path):
+def test_trace_cache_recomputes_damaged_lines(tmp_path, monkeypatch):
     good = TraceCache(None).traces(E99, [5, 7, 13, 463])
     TraceCache(tmp_path).traces(E99, [5])
     (path,) = tmp_path.glob("*.traces")
-    # a truncated line, a garbage line and an a_ell outside the Hasse bound
-    path.write_text(f"5 {good[5]}\n7\nxyz 1\n13 99\n463 {good[463]}\n")
+    # the digest verifies, but a_7 is unknown and a_13 is outside the Hasse
+    # bound, so each slot is counted again when it is read
+    path.write_bytes(_cache_file_bytes({5: good[5], 13: 99, 463: good[463]}))
+    counted = _count_traces(monkeypatch)
     assert TraceCache(tmp_path).traces(E99, [5, 7, 13, 463]) == good
-    assert path.read_text() == _cache_file_text(good)
+    assert counted == [7, 13]
+    assert path.read_bytes() == _cache_file_bytes(good)
     assert list(tmp_path.iterdir()) == [path]  # no temporary file is left behind
 
 
@@ -536,10 +547,19 @@ def _filled_cache_file(tmp_path):
     return path, path.read_bytes()
 
 
+def _assert_whole_file_miss(tmp_path, path, data, counted, good, note):
+    """A fresh cache counts every ell again and rewrites the file as it was."""
+    counted.clear()
+    assert TraceCache(tmp_path).traces(E99, CACHE_ELLS) == good, note
+    assert counted == CACHE_ELLS, note
+    assert path.read_bytes() == data, note
+    assert list(tmp_path.iterdir()) == [path], note
+
+
 def test_trace_cache_second_load_counts_nothing(tmp_path, monkeypatch):
     good = TraceCache(None).traces(E99, CACHE_ELLS)
     path, data = _filled_cache_file(tmp_path)
-    assert data.decode("ascii") == _cache_file_text(good)
+    assert data == _cache_file_bytes(good)
     counted = _count_traces(monkeypatch)
     assert TraceCache(tmp_path).traces(E99, CACHE_ELLS) == good
     assert counted == []
@@ -552,24 +572,18 @@ def test_trace_cache_truncation_is_whole_file_miss(tmp_path, monkeypatch):
     counted = _count_traces(monkeypatch)
     for cut in range(len(data)):
         path.write_bytes(data[:cut])
-        counted.clear()
-        assert TraceCache(tmp_path).traces(E99, CACHE_ELLS) == good, cut
-        assert counted == CACHE_ELLS, cut
-        assert path.read_bytes() == data, cut
+        _assert_whole_file_miss(tmp_path, path, data, counted, good, cut)
 
 
 def test_trace_cache_flipped_body_byte_is_whole_file_miss(tmp_path, monkeypatch):
     good = TraceCache(None).traces(E99, CACHE_ELLS)
     path, data = _filled_cache_file(tmp_path)
     counted = _count_traces(monkeypatch)
-    for i in range(data.index(b"#")):
-        # flipping the low bit turns a digit into another digit, a value that
-        # still parses and passes the Hasse bound
+    for i in range(len(data)):
+        # flipping the low bit of a slot's low byte gives a value that often
+        # still passes the Hasse bound; the digest's own bytes are flipped too
         path.write_bytes(data[:i] + bytes([data[i] ^ 1]) + data[i + 1:])
-        counted.clear()
-        assert TraceCache(tmp_path).traces(E99, CACHE_ELLS) == good, i
-        assert counted == CACHE_ELLS, i
-        assert path.read_bytes() == data, i
+        _assert_whole_file_miss(tmp_path, path, data, counted, good, i)
 
 
 @pytest.mark.parametrize("trailer", [False, True], ids=["cut", "stale-trailer"])
@@ -577,36 +591,40 @@ def test_trace_cache_truncated_line_is_recomputed(tmp_path, monkeypatch, trailer
     good = TraceCache(None).traces(E99, CACHE_ELLS)
     path, data = _filled_cache_file(tmp_path)
     assert good[1009] == -10
-    # "1009 1" parses and passes a^2 <= 4 ell, so no line check can catch it
-    damaged = data.replace(b"1009 -10\n", b"1009 1\n")
-    path.write_bytes(damaged if trailer else damaged[: damaged.index(b"#")])
+    # a_1009 = 1 passes a^2 <= 4 ell, so no slot check can catch it: either
+    # the digest is cut off or it is the digest of the old body
+    slot = 2 * (1009 // 2)
+    body = data[:slot] + struct.pack("<h", 1) + data[slot + 2: -32]
+    path.write_bytes(body + data[-32:] if trailer else body)
     counted = _count_traces(monkeypatch)
-    assert TraceCache(tmp_path).traces(E99, CACHE_ELLS) == good
-    assert 1009 in counted
-    assert path.read_bytes() == data
+    _assert_whole_file_miss(tmp_path, path, data, counted, good, trailer)
 
 
-@pytest.mark.parametrize("body", [b"5 x\n7 -2\n", b"5 \xff\n"], ids=["word", "non-ascii"])
+@pytest.mark.parametrize("body", [b"5 x\n7 -2\n", b"5 \xff", None],
+                         ids=["word", "non-ascii", "odd-slot"])
 def test_trace_cache_unparseable_body_is_whole_file_miss(tmp_path, monkeypatch, body):
-    good = TraceCache(None).traces(E99, [5, 7])
-    TraceCache(tmp_path).traces(E99, [5])
-    (path,) = tmp_path.glob("*.traces")
-    # the trailer verifies, so only the parse can reject the body
-    path.write_bytes(body + TraceCache._trailer(body))
+    good = TraceCache(None).traces(E99, CACHE_ELLS)
+    path, data = _filled_cache_file(tmp_path)
+    # the digest verifies, but a body of odd length is no whole int16 slots:
+    # text, or a real body one byte short
+    body = data[:-33] if body is None else body
+    assert len(body) % 2
+    path.write_bytes(body + hashlib.sha256(body).digest())
     counted = _count_traces(monkeypatch)
-    assert TraceCache(tmp_path).traces(E99, [5, 7]) == good
-    assert counted == [5, 7]
-    assert path.read_text() == _cache_file_text(good)
+    _assert_whole_file_miss(tmp_path, path, data, counted, good, body)
 
 
 def test_trace_cache_old_file_without_trailer_is_rewritten(tmp_path, monkeypatch):
     good = TraceCache(None).traces(E99, CACHE_ELLS)
     path, data = _filled_cache_file(tmp_path)
-    path.write_text("".join(f"{ell} {good[ell]}\n" for ell in CACHE_ELLS))  # the old format
     counted = _count_traces(monkeypatch)
-    assert TraceCache(tmp_path).traces(E99, CACHE_ELLS) == good
-    assert counted == CACHE_ELLS
-    assert path.read_bytes() == data
+    # the text formats of earlier versions: "ell a_ell" lines, with no trailer
+    # and then with the trailer "# <line count> <sha256 hex of the lines>"
+    lines = "".join(f"{ell} {good[ell]}\n" for ell in CACHE_ELLS).encode("ascii")
+    trailer = b"# %d %s\n" % (len(CACHE_ELLS), hashlib.sha256(lines).hexdigest().encode())
+    for text in (lines, lines + trailer):
+        path.write_bytes(text)
+        _assert_whole_file_miss(tmp_path, path, data, counted, good, text)
     counted.clear()
     assert TraceCache(tmp_path).traces(E99, CACHE_ELLS) == good
     assert counted == []
@@ -623,7 +641,34 @@ def test_trace_cache_merges_before_replace(tmp_path, monkeypatch):
     assert TraceCache(tmp_path).traces(E99, CACHE_ELLS) == good
     assert counted == []
     (path,) = tmp_path.glob("*.traces")
-    assert path.read_text() == _cache_file_text(good)
+    assert path.read_bytes() == _cache_file_bytes(good)
+
+
+def test_distinguished_primes_recount_a_damaged_slot(tmp_path, monkeypatch):
+    # the density path reads slots with stride p off the array; a slot that
+    # fails the Hasse bound in a file whose digest verifies is counted again
+    expected = _distinguished_primes(E99, 3, 2000, None, 1)
+    assert _distinguished_primes(E99, 3, 2000, TraceCache(tmp_path), 1) == expected
+    (path,) = tmp_path.glob("*.traces")
+    data = path.read_bytes()
+    body = data[:2 * (7 // 2)] + struct.pack("<h", 99) + data[2 * (7 // 2) + 2: -32]
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    counted = _count_traces(monkeypatch)
+    assert _distinguished_primes(E99, 3, 2000, TraceCache(tmp_path), 1) == expected
+    assert counted == [7]
+    assert path.read_bytes() == data
+
+
+def test_trace_cache_file_holds_the_union_of_density_and_classify(tmp_path):
+    # density at p = 3, classify, then density at p = 5 on one directory
+    asymptotic_report(E99, 3, [100, 1000, 2000, 6000], cache=TraceCache(tmp_path))
+    bulk_classify(E99, 3, 3000, cache=TraceCache(tmp_path))
+    asymptotic_report(E99, 5, [100, 1000, 2000, 8000], cache=TraceCache(tmp_path))
+    bad = {3, 11}  # the conductor is 99
+    ells = {ell for ell in sieve_primes(8000).primes if ell not in bad and (
+        ell <= 3000 or (ell % 3 == 1 and ell <= 6000) or ell % 5 == 1)}
+    (path,) = tmp_path.glob("*.traces")
+    assert path.read_bytes() == _cache_file_bytes(TraceCache(None).traces(E99, ells))
 
 
 @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")

@@ -1,6 +1,8 @@
 """Cyclic extension enumeration, splitting data, and the counting functions."""
 
+import bisect
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,8 +24,10 @@ from iwakit.fields import (
     ramified_splitting,
     script_q_primes,
     splitting,
-    _product_sum_dfs,
-    _product_sum_sieve,
+    _m_totals,
+    _m_weights,
+    _product_totals_dfs,
+    _product_totals_sieve,
     _product_weights_dfs,
     _product_weights_sieve,
 )
@@ -238,6 +242,15 @@ def test_g_of_x_monotone():
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
+# the dual-algorithm tests compare these two sums
+def _product_sum_dfs(primes, p, bound):
+    return sum(_product_weights_dfs(primes, p, bound).values())
+
+
+def _product_sum_sieve(primes, p, bound):
+    return sum(_product_weights_sieve(primes, p, bound).values())
+
+
 def test_product_sum_helpers_agree_everywhere():
     primes = [ell for ell in sieve_primes(3000).primes if ell % 3 == 1]
     for bound in range(1, 3000, 7):
@@ -271,6 +284,66 @@ def test_product_weight_tables_agree(inputs):
     # the whole tables, not only their sums: each key with its weight
     primes, p, bound = inputs
     assert _product_weights_dfs(primes, p, bound) == _product_weights_sieve(primes, p, bound)
+
+
+def _grid_totals(weights, bounds):
+    """Total weight of the keys <= each bound of an ascending list; every key is
+    <= bounds[-1].  The oracle for the counting walks."""
+    per_point = [0] * len(bounds)
+    for key, w in weights.items():
+        per_point[bisect.bisect_left(bounds, key)] += w
+    return list(itertools.accumulate(per_point))
+
+
+@st.composite
+def _walk_inputs(draw):
+    p = draw(st.sampled_from(sorted(_ONE_MOD)))
+    primes = sorted(draw(st.lists(st.sampled_from(_ONE_MOD[p]), unique=True, max_size=12)))
+    products = [prod for k in (1, 2, 3) for combo in itertools.combinations(primes[:6], k)
+                if (prod := math.prod(combo)) <= 20000]
+    point = st.one_of(st.integers(1, 5000), st.integers(1, p * p - 1),
+                      *([st.sampled_from(products)] if products else []))
+    return primes, p, sorted(draw(st.lists(point, min_size=1, max_size=6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_walk_inputs())
+@example(([], 3, [1000]))  # no primes
+@example(([7, 13], 3, [6]))  # one point below the first prime
+@example(([7, 13, 19], 3, [7, 13, 91, 1729]))  # every point a product
+@example(([7, 13, 19], 3, [8, 8, 90, 91]))  # a repeated point and one just below a product
+@example(([11, 31, 41, 61], 5, [24, 11 * 31 * 41 - 1]))
+@example(([29, 43, 71], 7, [48, 29 * 43 * 71]))
+def test_walk_totals_match_weight_tables(inputs):
+    primes, p, bounds = inputs
+    walk = _product_totals_dfs(primes, p, bounds)
+    for build in (_product_weights_dfs, _product_weights_sieve):
+        assert walk == _grid_totals(build(primes, p, bounds[-1]), bounds)
+    assert _product_totals_sieve(primes, p, bounds) == walk
+
+
+@st.composite
+def _conductor_bounds(draw):
+    p = draw(st.sampled_from(sorted(_ONE_MOD)))
+    wild = [p * p - 1, p * p, *(p * p * q for q in _ONE_MOD[p][:4])]
+    point = st.one_of(st.integers(1, 3000), st.sampled_from(wild))
+    return p, sorted(draw(st.lists(point, min_size=1, max_size=5)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_conductor_bounds())
+@example((3, [8]))  # below p^2: no wild field yet
+@example((3, [9]))  # the wild field alone
+@example((3, [1, 8, 9, 63]))  # conductor 9 * 7 brings the wild place into a product
+@example((5, [24, 25, 275]))
+@example((7, [48, 49, 49 * 29 * 43]))
+def test_m_totals_match_weight_tables(inputs):
+    # conductor bounds; the weight tables take the discriminant bound
+    p, bounds = inputs
+    disc_bound = bounds[-1] ** (p - 1)
+    for method, totals in (("dfs", _product_totals_dfs), ("sieve", _product_totals_sieve)):
+        assert _m_totals(p, bounds, totals) == _grid_totals(
+            _m_weights(p, disc_bound, method), bounds), method
 
 
 def test_unknown_method_rejected_before_any_work(monkeypatch):
