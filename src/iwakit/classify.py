@@ -148,7 +148,7 @@ def bulk_classify(
     check_odd_prime(p)
     if bound < 2:
         return []
-    ells = [ell for ell in sieve_primes(bound).primes if ell != p]
+    ells = [ell for ell in sieve_primes(bound) if ell != p]
     traces = _good_traces(model, ells, cache, jobs)
     return [_prime_class(p, ell, traces.get(ell)) for ell in ells]
 
@@ -169,8 +169,7 @@ def _distinguished_primes(
     if bound < 2:
         return [], 0
     flags = _odd_flags(bound)
-    # an odd ell = 1 mod p is 1 mod 2p, so its flag index (ell - 1) / 2 is 0 mod p;
-    # this leaves out ell = p, and no list of all primes is built
+    # only the flags of the odd ell = 1 mod 2p are read: no list of all primes is built
     cache = cache if cache is not None else TraceCache(None)
     ells, traces = cache._traces_1_mod_2p(model, p, flags, jobs)
     # the Q3 test of _prime_class, where ell + 1 = 2 mod p; pi(bound) counts 2 too

@@ -29,7 +29,7 @@ from itertools import compress
 from pathlib import Path
 
 from .elliptic import BadReductionError, WeierstrassModel, format_model, minimal_model
-from .ntheory import _sqrt_residue, is_prime
+from .ntheory import _sqrt_residue, _stride_1_mod_2p, is_prime
 
 __all__ = [
     "CROSSOVER",
@@ -440,16 +440,15 @@ class TraceCache:
         """The good primes ell = 1 mod 2p, ascending, and their a_ell, where
         flag i of the odd sieve flags says whether 2i + 1 is prime.
 
-        An odd ell = 1 mod 2p has slot and flag (ell - 1) / 2, a multiple of p,
-        so both are read with stride p: no dict, no sort.
+        Slot and flag of an odd ell are both (ell - 1) / 2, so the slots are
+        read with the stride of the flags: no dict, no sort.
         """
         minimal, _ = minimal_model(model)
         key = self._key(minimal)
         arr = self._load(key)
-        size = len(flags)
-        primes = flags[::p]
-        ells = list(compress(range(1, 2 * size, 2 * p), primes))
-        traces = list(compress(arr[:size:p], primes))
+        odd, primes = _stride_1_mod_2p(flags, p)
+        ells = list(compress(odd, primes))
+        traces = list(compress(arr[: len(flags) : p], primes))
         traces += [_UNKNOWN] * (len(ells) - len(traces))  # past the end of the array
         missing = [ell for ell, a in zip(ells, traces) if a == _UNKNOWN or a * a > 4 * ell]
         if missing:

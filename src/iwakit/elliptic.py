@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
+from ._poly import _gcd, _sub, _x_pow_mod
 from .ntheory import (
     inv_mod,
     is_prime,
@@ -333,61 +334,8 @@ def quadratic_twist(model: WeierstrassModel, d: int) -> WeierstrassModel:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over F_q (dense, low degree)
+# Tate's algorithm
 # ---------------------------------------------------------------------------
-
-
-def _ptrim(p: list[int], q: int) -> list[int]:
-    p = [c % q for c in p]
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _pmod(a: list[int], b: list[int], q: int) -> list[int]:
-    a = list(a)
-    lead = inv_mod(b[-1], q)
-    while len(a) >= len(b):
-        if a[-1] % q == 0:
-            a.pop()
-            continue
-        f = a[-1] * lead % q
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - f * c) % q
-        a.pop()
-    return _ptrim(a, q)
-
-
-def _pmulmod(a: list[int], b: list[int], mod: list[int], q: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % q
-    return _pmod(out, mod, q)
-
-
-def _pgcd(a: list[int], b: list[int], q: int) -> list[int]:
-    a, b = _ptrim(a, q), _ptrim(b, q)
-    while b:
-        a, b = b, _pmod(a, b, q)
-    if a:
-        lead = inv_mod(a[-1], q)
-        a = [c * lead % q for c in a]
-    return a
-
-
-def _frobenius_power(mod: list[int], q: int) -> list[int]:
-    """X^q mod the given polynomial, by square-and-multiply."""
-    result = [1]
-    base = [0, 1]
-    e = q
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, mod, q)
-        base = _pmulmod(base, base, mod, q)
-        e >>= 1
-    return result
 
 
 _ENUM_CUTOFF = 1000
@@ -429,11 +377,10 @@ def _cubic_structure(c2: int, c1: int, c0: int, q: int) -> tuple[int, int | None
     # q beyond enumeration is coprime to 6, so gcd with the derivative works
     poly = [c0 % q, c1 % q, c2 % q, 1]
     deriv = [c1 % q, 2 * c2 % q, 3]
-    rep = _pgcd(poly, deriv, q)
+    rep = _gcd(poly, deriv, q)
     if len(rep) == 1:
-        frob = _frobenius_power(poly, q)
-        frob = _ptrim([frob[0], (frob[1] if len(frob) > 1 else 0) - 1] + frob[2:], q)
-        g = _pgcd(poly, frob, q) if frob else poly
+        # one linear factor of gcd(poly, x^q - x) per root in F_q
+        g = _gcd(poly, _sub(_x_pow_mod(q, poly, q), [0, 1]), q)
         return (len(g) - 1, None, 1)
     if len(rep) == 2:
         return (2, (-rep[0]) % q, 2)
@@ -454,11 +401,6 @@ def _quad_split(a: int, b: int, c: int, q: int) -> tuple[str, int | None]:
     if disc == 0:
         return ("double", (-b) * inv_mod(2 * a, q) % q)
     return ("split", None) if legendre(disc, q) == 1 else ("nonsplit", None)
-
-
-# ---------------------------------------------------------------------------
-# Tate's algorithm
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -522,7 +464,7 @@ def _singular_point(model: WeierstrassModel, q: int) -> tuple[int, int]:
     # g(x) = 4x^3 + b2 x^2 + 2 b4 x + b6
     g = [model.b6 % q, 2 * model.b4 % q, model.b2 % q, 4 % q]
     dg = [2 * model.b4 % q, 2 * model.b2 % q, 12 % q]
-    rep = _pgcd(g, dg, q)
+    rep = _gcd(g, dg, q)
     if len(rep) == 2:
         x0 = (-rep[0]) % q
     elif len(rep) == 3:

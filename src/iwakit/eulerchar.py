@@ -13,6 +13,7 @@ import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
+from ._poly import _mul, _sub, _value
 from .counting import trace_of_frobenius
 from .elliptic import (
     LocalReductionData,
@@ -160,32 +161,6 @@ def good_ordinary_twist(model: WeierstrassModel, p: int) -> OrdinaryTwist:
 # ---------------------------------------------------------------------------
 
 
-def _pol_add(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _pol_neg(a: list[int]) -> list[int]:
-    return [-x for x in a]
-
-
-def _pol_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def division_polynomial(model: WeierstrassModel, n: int) -> list[int]:
     """Coefficients (low to high) of the n-th division polynomial in x, n odd.
 
@@ -198,10 +173,10 @@ def division_polynomial(model: WeierstrassModel, n: int) -> list[int]:
     quartic = [b6, 2 * b4, b2, 4]  # the square of the two-variable factor
 
     def _sq(t: tuple[int, ...]) -> list[int]:
-        return _pol_mul(list(t), list(t))
+        return _mul(list(t), list(t))
 
     def _cube(t: tuple[int, ...]) -> list[int]:
-        return _pol_mul(_pol_mul(list(t), list(t)), list(t))
+        return _mul(_mul(list(t), list(t)), list(t))
 
     # psi_n = f(n) for odd n, psi_n = psi_2 * g(n) for even n
     @lru_cache(maxsize=None)
@@ -215,12 +190,12 @@ def division_polynomial(model: WeierstrassModel, n: int) -> list[int]:
         assert k >= 5 and k % 2 == 1
         m = (k - 1) // 2
         if m % 2 == 0:
-            lead = _pol_mul(_pol_mul(quartic, quartic), _pol_mul(list(g(m + 2)), _cube(g(m))))
-            tail = _pol_mul(list(f(m - 1)), _cube(f(m + 1)))
+            lead = _mul(_mul(quartic, quartic), _mul(list(g(m + 2)), _cube(g(m))))
+            tail = _mul(list(f(m - 1)), _cube(f(m + 1)))
         else:
-            lead = _pol_mul(list(f(m + 2)), _cube(f(m)))
-            tail = _pol_mul(_pol_mul(quartic, quartic), _pol_mul(list(g(m - 1)), _cube(g(m + 1))))
-        return tuple(_pol_add(lead, _pol_neg(tail)))
+            lead = _mul(list(f(m + 2)), _cube(f(m)))
+            tail = _mul(_mul(quartic, quartic), _mul(list(g(m - 1)), _cube(g(m + 1))))
+        return tuple(_sub(lead, tail))
 
     @lru_cache(maxsize=None)
     def g(k: int) -> tuple[int, ...]:
@@ -241,24 +216,22 @@ def division_polynomial(model: WeierstrassModel, n: int) -> list[int]:
         assert k >= 6 and k % 2 == 0
         m = k // 2
         if m % 2 == 0:
-            inner = _pol_add(
-                _pol_mul(list(g(m + 2)), _sq(f(m - 1))),
-                _pol_neg(_pol_mul(list(g(m - 2)), _sq(f(m + 1)))),
+            inner = _sub(
+                _mul(list(g(m + 2)), _sq(f(m - 1))),
+                _mul(list(g(m - 2)), _sq(f(m + 1))),
             )
-            return tuple(_pol_mul(list(g(m)), inner))
-        inner = _pol_add(
-            _pol_mul(list(f(m + 2)), _sq(g(m - 1))),
-            _pol_neg(_pol_mul(list(f(m - 2)), _sq(g(m + 1)))),
+            return tuple(_mul(list(g(m)), inner))
+        inner = _sub(
+            _mul(list(f(m + 2)), _sq(g(m - 1))),
+            _mul(list(f(m - 2)), _sq(g(m + 1))),
         )
-        return tuple(_pol_mul(list(f(m)), inner))
+        return tuple(_mul(list(f(m)), inner))
 
     return list(f(n))
 
 
 def _integer_roots(coeffs: list[int]) -> list[int]:
-    """All integer roots of a nonzero integer polynomial."""
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
+    """All integer roots of a nonzero integer polynomial with a nonzero leading coefficient."""
     roots = []
     shift = 0
     while coeffs[0] == 0:
@@ -274,16 +247,9 @@ def _integer_roots(coeffs: list[int]) -> list[int]:
         divisors = {d * q**k for d in divisors for k in range(e + 1)}
     for d in sorted(divisors):
         for cand in (d, -d):
-            if _pol_eval(coeffs, cand) == 0:
+            if _value(coeffs, cand) == 0:
                 roots.append(cand)
     return sorted(roots)
-
-
-def _pol_eval(coeffs: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def has_rational_p_torsion(model: WeierstrassModel, p: int) -> bool:
@@ -297,7 +263,7 @@ def has_rational_p_torsion(model: WeierstrassModel, p: int) -> bool:
     check_odd_prime(p)
     minimal, _ = minimal_model(model)
     disc = minimal.disc
-    for ell in sieve_primes(1000).primes:
+    for ell in sieve_primes(1000):
         if ell == p or disc % ell == 0:
             continue
         if (ell + 1 - trace_of_frobenius(minimal, ell)) % p != 0:
@@ -342,7 +308,26 @@ def euler_char_factors(
     """
     check_odd_prime(p)
     minimal, _ = minimal_model(model)
+    if sha_order is None and analytic_rank_zero is None and use_reference:
+        return _default_euler_factors(minimal, p)
     return _euler_factors(minimal, p, sha_order, analytic_rank_zero, use_reference)
+
+
+def _default_euler_factors(minimal: WeierstrassModel, p: int) -> EulerFactors:
+    """_euler_factors on the reference data alone.
+
+    Its outcome, the factors or the ValueError that stopped the audit, is kept
+    on the minimal model per p, as _twist_at_p keeps its decision, so a report
+    and its hypothesis audit share one run."""
+    kept = minimal.__dict__.setdefault("_euler_factors", {})
+    if p not in kept:
+        try:
+            kept[p] = _euler_factors(minimal, p)
+        except ValueError as exc:
+            kept[p] = exc
+    if isinstance(kept[p], ValueError):
+        raise kept[p].with_traceback(None)  # a re-raise would extend the kept traceback
+    return kept[p]
 
 
 def _euler_factors(

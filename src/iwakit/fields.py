@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .classify import _distinguished_primes, cyclotomic_split_count
 from .counting import TraceCache
 from .elliptic import WeierstrassModel
-from .ntheory import check_odd_prime, iroot, is_prime, primitive_root, sieve_primes
+from .ntheory import _odd_flags, _stride_1_mod_2p, check_odd_prime, iroot, is_prime, primitive_root
 
 __all__ = [
     "CyclicExtension",
@@ -327,7 +327,7 @@ def _g_weights(model, p, bound, *, cache, jobs, method) -> dict[int, int]:
 
 def _tame_primes(p: int, bound: int) -> list[int]:
     """The primes = 1 mod p up to bound: the tame places of degree-p fields."""
-    return [ell for ell in sieve_primes(bound).primes if ell % p == 1] if bound >= 2 else []
+    return list(itertools.compress(*_stride_1_mod_2p(_odd_flags(bound), p))) if bound >= 2 else []
 
 
 def _m_weights(p: int, bound: int, method: str) -> dict[int, int]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from ._poly import _mul
 from .ntheory import check_odd_prime, padic_valuation
 
 __all__ = [
@@ -139,16 +140,8 @@ def from_elementary(
         if mult < 1:
             raise ValueError(f"multiplicity must be >= 1, got {mult}")
         for _ in range(mult):
-            coeffs = _poly_mul(coeffs, poly)
+            coeffs = _mul(coeffs, poly)
     return CharSeries(p=p, coeffs=tuple(coeffs), exact=True)
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def multiply(f: CharSeries, g: CharSeries) -> CharSeries:
@@ -156,7 +149,7 @@ def multiply(f: CharSeries, g: CharSeries) -> CharSeries:
         raise ValueError("cannot multiply series over different primes")
     return CharSeries(
         p=f.p,
-        coeffs=tuple(_poly_mul(list(f.coeffs), list(g.coeffs))),
+        coeffs=tuple(_mul(list(f.coeffs), list(g.coeffs))),
         precision=min(f.precision, g.precision),
         exact=f.exact and g.exact,
     )

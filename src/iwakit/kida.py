@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from .classify import classify_prime, p2_membership
 from .counting import TraceCache, trace_of_frobenius
 from .elliptic import WeierstrassModel, format_model, minimal_model, reduction_type
-from .eulerchar import _euler_factors, _twist_at_p, mu_lambda_vanish
+from .eulerchar import _default_euler_factors, _twist_at_p, mu_lambda_vanish
 from .fields import CyclicExtension, ramified_splitting
 from .ntheory import check_odd_prime
 
@@ -193,7 +193,7 @@ def check_hypotheses(
     base = mu_lambda_zero_at_base
     if base is None:
         try:
-            base = _BASE_FLAG.get(mu_lambda_vanish(_euler_factors(minimal, p)))
+            base = _BASE_FLAG.get(mu_lambda_vanish(_default_euler_factors(minimal, p)))
         except ValueError:
             pass  # the Euler-characteristic audit does not apply: base stays open
     return HypothesisReport(

@@ -5,14 +5,10 @@ Everything here is exact bigint arithmetic; no floating point.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "PrimeSieve",
-    "Residue",
     "sieve_primes",
     "is_prime",
     "check_odd_prime",
@@ -60,30 +56,6 @@ def check_odd_prime(p: int) -> None:
         raise ValueError(f"p must be an odd prime, got {p}")
 
 
-@dataclass(frozen=True)
-class PrimeSieve:
-    """All primes up to and including ``bound``, ascending."""
-
-    bound: int
-    primes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.bound < 2:
-            raise ValueError(f"sieve bound must be >= 2, got {self.bound}")
-
-    def __len__(self) -> int:
-        return len(self.primes)
-
-    def __iter__(self):
-        return iter(self.primes)
-
-    def __contains__(self, n: int) -> bool:
-        if n > self.bound:
-            raise ValueError(f"{n} exceeds sieve bound {self.bound}")
-        i = bisect.bisect_left(self.primes, n)
-        return i < len(self.primes) and self.primes[i] == n
-
-
 def _odd_flags(bound: int) -> bytearray:
     """Flag i is 1 exactly when the odd number 2i + 1 <= bound is prime; bound >= 1."""
     # q^2, q^2 + 2q, ... sit q apart from index q^2 // 2
@@ -97,17 +69,18 @@ def _odd_flags(bound: int) -> bytearray:
     return flags
 
 
-def _sieve_flat(bound: int) -> list[int]:
-    if bound < 2:
-        return []
-    return [2, *itertools.compress(range(1, bound + 1, 2), _odd_flags(bound))]
+def _stride_1_mod_2p(flags: bytearray, p: int) -> tuple[range, bytearray]:
+    """The odd numbers = 1 mod 2p below 2 len(flags) and their flags, which
+    compress to the primes = 1 mod p: an odd ell = 1 mod p is 1 mod 2p, so
+    its flag index (ell - 1) / 2 is 0 mod p."""
+    return range(1, 2 * len(flags), 2 * p), flags[::p]
 
 
-def sieve_primes(bound: int) -> PrimeSieve:
-    """Primes <= bound."""
+def sieve_primes(bound: int) -> tuple[int, ...]:
+    """Primes <= bound, ascending."""
     if bound < 2:
         raise ValueError(f"sieve bound must be >= 2, got {bound}")
-    return PrimeSieve(bound=bound, primes=tuple(_sieve_flat(bound)))
+    return (2, *itertools.compress(range(1, bound + 1, 2), _odd_flags(bound)))
 
 
 def legendre(a: int, ell: int) -> int:
@@ -324,37 +297,3 @@ def iroot(n: int, k: int) -> int:
         if y >= x:
             return x
         x = y
-
-
-@dataclass(frozen=True)
-class Residue:
-    """A canonical residue class value mod modulus."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _coerce(self, other: "Residue | int") -> int:
-        if isinstance(other, Residue):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli")
-            return other.value
-        return other % self.modulus
-
-    def __add__(self, other: "Residue | int") -> "Residue":
-        return Residue(self.value + self._coerce(other), self.modulus)
-
-    def __mul__(self, other: "Residue | int") -> "Residue":
-        return Residue(self.value * self._coerce(other), self.modulus)
-
-    def __pow__(self, e: int) -> "Residue":
-        return Residue(pow(self.value, e, self.modulus), self.modulus)
-
-    def inverse(self) -> "Residue":
-        if math.gcd(self.value, self.modulus) != 1:
-            raise ValueError(f"{self.value} is not a unit modulo {self.modulus}")
-        return Residue(pow(self.value, -1, self.modulus), self.modulus)

@@ -149,7 +149,7 @@ def test_acceptance_06_dual_algorithm_counting(shared_cache):
 def test_acceptance_07_point_counting_oracles():
     rng = random.Random(20260822)
     curves = _random_curves(rng, 20)
-    primes = [q for q in sieve_primes(2000).primes if q > 457]
+    primes = [q for q in sieve_primes(2000) if q > 457]
     for w in curves:
         for q in primes:
             if w.disc % q == 0:
@@ -171,7 +171,7 @@ def test_acceptance_08_p2_reduction_property():
     rng = random.Random(8)
     curves = _random_curves(rng, 110)
     assert len(curves) >= 100
-    primes = sieve_primes(199).primes
+    primes = sieve_primes(199)
     for w in curves:
         minimal, _ = minimal_model(w)
         for ell in primes:

@@ -105,7 +105,7 @@ def test_p2_membership_stable_under_p_extension():
         )
         if m.disc != 0:
             curves.append(m)
-    ells = [ell for ell in sieve_primes(199).primes]
+    ells = [ell for ell in sieve_primes(199)]
     checked = 0
     for m in curves:
         minimal, _ = minimal_model(m)
@@ -125,7 +125,7 @@ def test_p2_membership_stabilizes_along_tower():
     for m in (E99, E11, WeierstrassModel(0, 0, 0, -1, 0)):
         minimal, _ = minimal_model(m)
         for p in (3, 5):
-            for ell in sieve_primes(47).primes:
+            for ell in sieve_primes(47):
                 if ell == p or not reduction_type(minimal, ell).is_good:
                     continue
                 fd = frobenius_data(minimal, ell)
@@ -144,7 +144,7 @@ def test_cyclotomic_split_count_examples():
 
 def test_cyclotomic_split_count_vs_layer_oracle():
     for p in (3, 5):
-        for ell in sieve_primes(499).primes:
+        for ell in sieve_primes(499):
             if ell == p:
                 continue
             m = cyclotomic_split_count(ell, p).m
@@ -275,7 +275,7 @@ def test_bulk_classify_non_minimal_model():
     assert records == bulk_classify(E99, 3, 2000)
     q1 = {r.ell for r in records if r.category == "Q1"}
     oracle = {
-        ell for ell in sieve_primes(2000).primes
+        ell for ell in sieve_primes(2000)
         if reduction_type(minimal, ell).v_disc > 0
     }
     assert q1 == oracle - {3}

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from iwakit import cli, elliptic, eulerchar, kida
+from iwakit import cli, elliptic, eulerchar, kida, refdata
 from iwakit.cli import EXIT_BLOCKED, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, build_parser, main
 
 E99 = "0,0,1,-3,-5"
@@ -374,12 +374,17 @@ def _count_calls(monkeypatch, functions) -> Counter:
       "check_hypotheses": 1, "lambda_transfer": 1}),
     (["report", "--curve", E99, "--p", "3", "--ramified", "31", "--jobs", "1"],
      {"euler_char_factors": 1, "local_data": 2, "quadratic_twist": 1, "reduction_type": 6}),
+    # additive at 3 with a good ordinary twist but no reference record: the
+    # Euler audit fails, and the hypothesis audit reads that failure again
+    (["report", "--curve", "0,0,1,-93,625", "--p", "3", "--ramified", "31", "--jobs", "1",
+      "--bound", "50"],
+     {"euler_char_factors": 1, "reference_record": 1}),
 ])
 def test_one_audit_per_call(capsys, monkeypatch, argv, bounds):
     # one twist decision and one Euler-characteristic audit per call
     counts = _count_calls(monkeypatch, [
         elliptic.minimal_model, elliptic.reduction_type, elliptic.quadratic_twist,
-        elliptic.local_data, eulerchar.euler_char_factors,
+        elliptic.local_data, eulerchar.euler_char_factors, refdata.reference_record,
         kida.check_hypotheses, kida.lambda_transfer,
     ])
     assert _run(capsys, argv)[0] == EXIT_OK

@@ -328,7 +328,7 @@ def test_hasse_bound(w, ell):
 def _primes_in(lo, hi):
     from iwakit.ntheory import sieve_primes
 
-    return [q for q in sieve_primes(hi).primes if q > lo]
+    return [q for q in sieve_primes(hi) if q > lo]
 
 
 def test_bsgs_matches_naive():
@@ -418,7 +418,7 @@ def test_bsgs_annihilators_complete(seed):
     # Mestre's early stop returns a lone annihilator in the Hasse window as
     # the group order, which is right only if no annihilator is ever missed
     rng = random.Random(seed)
-    primes = [q for q in sieve_primes(5000).primes if q > 229]
+    primes = [q for q in sieve_primes(5000) if q > 229]
     for ell in rng.sample(primes, 4):
         t = math.isqrt(4 * ell)
         lo, hi = ell + 1 - t, ell + 1 + t
@@ -665,7 +665,7 @@ def test_trace_cache_file_holds_the_union_of_density_and_classify(tmp_path):
     bulk_classify(E99, 3, 3000, cache=TraceCache(tmp_path))
     asymptotic_report(E99, 5, [100, 1000, 2000, 8000], cache=TraceCache(tmp_path))
     bad = {3, 11}  # the conductor is 99
-    ells = {ell for ell in sieve_primes(8000).primes if ell not in bad and (
+    ells = {ell for ell in sieve_primes(8000) if ell not in bad and (
         ell <= 3000 or (ell % 3 == 1 and ell <= 6000) or ell % 5 == 1)}
     (path,) = tmp_path.glob("*.traces")
     assert path.read_bytes() == _cache_file_bytes(TraceCache(None).traces(E99, ells))

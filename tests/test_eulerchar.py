@@ -82,7 +82,6 @@ def test_division_polynomial_vs_point_orders():
 def test_division_polynomial_known_torsion():
     # 5-torsion x-coordinates 5 and 16 on the conductor-11 curve
     psi5 = division_polynomial(E11, 5)
-    assert _pol_eval_mod(psi5, 5, 10**9) % 10**9 == 0 or True
     acc5 = sum(c * 5**i for i, c in enumerate(psi5))
     acc16 = sum(c * 16**i for i, c in enumerate(psi5))
     assert acc5 == 0 and acc16 == 0

@@ -131,7 +131,7 @@ def test_splitting_against_power_residue_oracle():
     for p, ell1 in ((3, 7), (3, 13), (5, 11), (7, 29)):
         ext = _ext(p, [ell1], [1])
         powers = {pow(x, p, ell1) for x in range(1, ell1)}
-        for ell in sieve_primes(60).primes:
+        for ell in sieve_primes(60):
             if ell in (p, ell1):
                 continue
             rec = splitting(ext, ell)
@@ -166,7 +166,7 @@ def test_splitting_structure_sweep():
     ]
     for ext in exts:
         p = ext.p
-        for ell in sieve_primes(40).primes:
+        for ell in sieve_primes(40):
             if ell == p or ell in ext.tame_ramified:
                 continue
             rec = splitting(ext, ell)
@@ -252,18 +252,18 @@ def _product_sum_sieve(primes, p, bound):
 
 
 def test_product_sum_helpers_agree_everywhere():
-    primes = [ell for ell in sieve_primes(3000).primes if ell % 3 == 1]
+    primes = [ell for ell in sieve_primes(3000) if ell % 3 == 1]
     for bound in range(1, 3000, 7):
         assert _product_sum_dfs(primes, 3, bound) == _product_sum_sieve(primes, 3, bound)
 
 
 def test_product_sum_helpers_agree_at_scale():
-    primes = [ell for ell in sieve_primes(10**5).primes if ell % 3 == 1]
+    primes = [ell for ell in sieve_primes(10**5) if ell % 3 == 1]
     for bound in (10**4, 10**5):
         assert _product_sum_dfs(primes, 3, bound) == _product_sum_sieve(primes, 3, bound)
 
 
-_ONE_MOD = {p: [ell for ell in sieve_primes(5000).primes if ell % p == 1] for p in (3, 5, 7)}
+_ONE_MOD = {p: [ell for ell in sieve_primes(5000) if ell % p == 1] for p in (3, 5, 7)}
 
 
 @st.composite
@@ -350,7 +350,7 @@ def test_unknown_method_rejected_before_any_work(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("work started before checking the method")
 
-    monkeypatch.setattr("iwakit.fields.sieve_primes", fail)
+    monkeypatch.setattr("iwakit.fields._odd_flags", fail)
     monkeypatch.setattr("iwakit.fields._distinguished_primes", fail)
     calls = [
         lambda: g_of_X(E99, 3, 600, method="bogus"),
@@ -385,7 +385,7 @@ def test_m_of_x_vs_direct_enumeration():
         max_f = 1
         while (max_f + 1) ** (p - 1) <= bound:
             max_f += 1
-        pool = [ell for ell in sieve_primes(max_f).primes if ell % p == 1]
+        pool = [ell for ell in sieve_primes(max_f) if ell % p == 1]
         total = 0
         for k in range(0, 4):
             for combo in itertools.combinations(pool, k):

@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iwakit.ntheory import (
-    PrimeSieve,
-    Residue,
     factorize,
     inv_mod,
     iroot,
@@ -20,7 +18,7 @@ from iwakit.ntheory import (
     sieve_primes,
     sqrt_mod,
 )
-from iwakit.ntheory import _odd_flags, _sieve_flat
+from iwakit.ntheory import _odd_flags, _stride_1_mod_2p
 
 
 def oracle_is_prime(n: int) -> bool:
@@ -36,8 +34,7 @@ def oracle_is_prime(n: int) -> bool:
 
 
 def test_sieve_small_exact():
-    s = sieve_primes(100)
-    assert s.primes == tuple(n for n in range(101) if oracle_is_prime(n))
+    assert sieve_primes(100) == tuple(n for n in range(101) if oracle_is_prime(n))
 
 
 def test_sieve_counts():
@@ -48,7 +45,7 @@ def test_sieve_counts():
 
 
 def test_sieve_oracle_block():
-    s = set(sieve_primes(3000).primes)
+    s = set(sieve_primes(3000))
     for n in range(3001):
         assert (n in s) == oracle_is_prime(n)
 
@@ -57,18 +54,17 @@ def test_flat_sieve_matches_is_prime_at_every_bound():
     # the odd-only sieve at both parities of the bound, at squares of
     # primes and just below them
     primes = [n for n in range(2001) if is_prime(n)]
-    assert _sieve_flat(0) == _sieve_flat(1) == []
     for bound in range(2, 2001):
-        assert _sieve_flat(bound) == [q for q in primes if q <= bound], bound
+        assert sieve_primes(bound) == tuple(q for q in primes if q <= bound), bound
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_odd_flags_give_the_primes_one_mod_p(p):
     # an odd ell = 1 mod p is 1 mod 2p, so every p-th flag is a candidate
-    primes = sieve_primes(3000).primes
+    primes = sieve_primes(3000)
     for bound in range(2, 3001):
         flags = _odd_flags(bound)
-        got = list(itertools.compress(range(1, bound + 1, 2 * p), flags[::p]))
+        got = list(itertools.compress(*_stride_1_mod_2p(flags, p)))
         assert got == [ell for ell in primes if ell <= bound and ell % p == 1], bound
         assert 1 + flags.count(1) == len(sieve_primes(bound)), bound
 
@@ -76,22 +72,13 @@ def test_odd_flags_give_the_primes_one_mod_p(p):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 6000))
 def test_segmented_sieve_matches_flat_and_is_prime(bound):
-    assert _sieve_flat(bound) == [n for n in range(bound + 1) if is_prime(n)]
+    assert sieve_primes(bound) == tuple(n for n in range(bound + 1) if is_prime(n))
 
 
 def test_sieve_bound_validation():
-    with pytest.raises(ValueError):
-        sieve_primes(1)
-    with pytest.raises(ValueError):
-        PrimeSieve(bound=0, primes=())
-
-
-def test_sieve_contains():
-    s = sieve_primes(100)
-    assert 97 in s
-    assert 91 not in s
-    with pytest.raises(ValueError):
-        101 in s
+    for bound in (-1, 0, 1):
+        with pytest.raises(ValueError):
+            sieve_primes(bound)
 
 
 def test_is_prime_against_oracle():
@@ -270,18 +257,3 @@ def test_primitive_root():
         primitive_root(8)
     with pytest.raises(ValueError):
         primitive_root(15)
-
-
-def test_residue_arithmetic():
-    a = Residue(10, 7)
-    assert a.value == 3
-    assert (a + 5).value == 1
-    assert (a * a).value == 2
-    assert (a**3).value == 6
-    assert (a.inverse() * a).value == 1
-    with pytest.raises(ValueError):
-        Residue(2, 6).inverse()
-    with pytest.raises(ValueError):
-        Residue(1, 1)
-    with pytest.raises(ValueError):
-        Residue(1, 5) + Residue(1, 7)

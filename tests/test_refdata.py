@@ -120,7 +120,8 @@ def test_malformed_inputs(tmp_path):
 
 def test_unknown_sha_reference_leaves_vanishing_unresolved(monkeypatch):
     monkeypatch.setattr(refdata, "load_reference", lambda: (_record(sha_p_order="unknown"),))
-    ef = euler_char_factors(E99, 3)
+    # a fresh model: the outcome of a default audit is kept on its minimal model
+    ef = euler_char_factors(WeierstrassModel(0, 0, 1, -3, -5), 3)
     assert ef.sha_p_order is None
     assert ef.analytic_rank_zero is True
     assert mu_lambda_vanish(ef) == "unresolved"
