@@ -2,11 +2,11 @@
 per-curve trace cache.
 
 Counts always refer to the good reduction of the curve, i.e. the reduction of
-a model minimal at ell.  Naive enumeration is O(ell).  Above a configurable
-crossover, and always above 229, the Shanks-Mestre baby-step/giant-step
-search takes over (Cohen, A Course in Computational Algebraic Number Theory,
-7.4.3).  Three facts make it correct: an exact (x, y) match between a giant
-and a baby step proves n*P = O, so no match is re-checked; the annihilators
+a model minimal at ell.  Naive enumeration, O(ell), counts through ell = 229;
+above it the Shanks-Mestre baby-step/giant-step search takes over (Cohen, A
+Course in Computational Algebraic Number Theory, 7.4.3).  Three facts make
+it correct: an exact (x, y) match between a giant and a baby step proves
+n*P = O, so no match is re-checked; the annihilators
 of a point in the Hasse interval are found completely, so the order N is one
 of them and N' = 2(ell + 1) - N one of each twist point's; and for
 ell > 229 (Mestre; Schoof 1995, Thm 3.2) the curve or its quadratic twist has
@@ -43,10 +43,11 @@ __all__ = [
     "TraceCache",
 ]
 
-CROSSOVER = 457
 # Mestre (Schoof 1995, Thm 3.2): for ell > 229, E or its quadratic twist has a
 # point whose order has exactly one multiple in the Hasse interval
 _MESTRE_BOUND = 229
+# BSGS is faster than naive counting wherever it is correct
+CROSSOVER = _MESTRE_BOUND
 
 
 def _good_model_at(model: WeierstrassModel, ell: int) -> WeierstrassModel:
@@ -71,19 +72,14 @@ def count_points_naive(model: WeierstrassModel, ell: int) -> int:
                 if (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % 2 == 0:
                     total += 1
         return total
-    # odd ell: y-solutions of the completed square eta^2 = 4x^3+b2x^2+2b4x+b6
-    b2, b4, b6 = w.b2 % ell, w.b4 % ell, w.b6 % ell
-    is_sq = bytearray(ell)
-    for t in range((ell + 1) // 2):
-        is_sq[t * t % ell] = 1
-    total = 1
-    for x in range(ell):
-        g = (((4 * x + b2) * x + 2 * b4) * x + b6) % ell
-        if g == 0:
-            total += 1
-        elif is_sq[g]:
-            total += 2
-    return total
+    # odd ell: y-solutions of the completed square eta^2 = 4x^3+b2x^2+2b4x+b6,
+    # where sq[v] is the number of y with y^2 = v
+    b2, c1, b6 = w.b2 % ell, 2 * w.b4 % ell, w.b6 % ell
+    sq = bytearray(ell)
+    for t in range(1, (ell + 1) // 2):
+        sq[t * t % ell] = 2
+    sq[0] = 1
+    return 1 + sum([sq[(((4 * x + b2) * x + c1) * x + b6) % ell] for x in range(ell)])
 
 
 # -- baby-step/giant-step ----------------------------------------------------
@@ -243,8 +239,11 @@ def count_points_bsgs(model: WeierstrassModel, ell: int) -> int:
 
 
 def count_points(model: WeierstrassModel, ell: int, *, crossover: int = CROSSOVER) -> int:
-    """Dispatch between naive and BSGS counting: BSGS only above both the
-    crossover and Mestre's bound."""
+    """#E(F_ell): naive counting through ell = 229, BSGS above.
+
+    crossover can only raise the switch: BSGS runs above both it and
+    Mestre's bound, 229, below which the search need not stop.
+    """
     if ell <= max(crossover, _MESTRE_BOUND):
         return count_points_naive(model, ell)
     return count_points_bsgs(model, ell)

@@ -338,7 +338,9 @@ def quadratic_twist(model: WeierstrassModel, d: int) -> WeierstrassModel:
 # ---------------------------------------------------------------------------
 
 
-_ENUM_CUTOFF = 1000
+# _cubic_structure enumerates F_q up to here and takes polynomial gcds above:
+# on random monic cubics the two cost the same near q = 400
+_ENUM_CUTOFF = 400
 
 
 def _cubic_structure(c2: int, c1: int, c0: int, q: int) -> tuple[int, int | None, int]:

@@ -27,13 +27,16 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin to the prime bases 2..37: proven for n < 3.18e23
+    """Trial division by the primes 2..37, which proves n < 41^2 = 1681; above
+    that, Miller-Rabin to the same bases: proven for n < 3.18e23
     (Sorenson-Webster 2015), a strong probable-prime test above that."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
+    if n < 1681:  # 41^2: a composite below it has a prime factor up to 37
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -6,7 +6,7 @@ import stat
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from iwakit import counting
 from iwakit.classify import _distinguished_primes, bulk_classify
@@ -25,6 +25,7 @@ from iwakit.counting import (
 )
 from iwakit.elliptic import (
     BadReductionError,
+    SingularCurveError,
     WeierstrassModel,
     minimal_model,
     model_from_c4c6,
@@ -401,6 +402,32 @@ def _short_order(a, b, ell):
         g = (x * x * x + a * x + b) % ell
         total += 1 if g == 0 else 2 * is_sq[g]
     return total
+
+
+def _assert_counts_above_mestre_bound(model):
+    # count_points switches to BSGS above 229; the short model y^2 = x^3 -
+    # 27 c4 x - 54 c6 of the minimal model is isomorphic to it at ell > 3
+    mm, _ = minimal_model(model)
+    for ell in _primes_in(229, 1000):
+        if mm.disc % ell:
+            want = _short_order(-27 * mm.c4 % ell, -54 * mm.c6 % ell, ell)
+            assert count_points(model, ell) == want, (model, ell)
+
+
+@pytest.mark.parametrize("model", [E11, E32, E99], ids=["E11", "E32", "E99"])
+def test_dispatch_above_mestre_bound_against_short_model(model):
+    _assert_counts_above_mestre_bound(model)
+
+
+@given(st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1),
+       st.integers(-300, 300), st.integers(-300, 300))
+@settings(deadline=None, max_examples=3)
+def test_dispatch_above_mestre_bound_random_curves(a1, a2, a3, a4, a6):
+    try:
+        model = WeierstrassModel(a1, a2, a3, a4, a6)
+    except SingularCurveError:
+        assume(False)
+    _assert_counts_above_mestre_bound(model)
 
 
 def _some_points(a, b, ell, rng, k):

@@ -1,4 +1,5 @@
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -368,7 +369,7 @@ def test_tate_against_valuation_table(q):
 
 
 def test_tate_large_prime_paths():
-    # q > 1000 exercises the polynomial-gcd branches
+    # q above _ENUM_CUTOFF exercises the polynomial-gcd branches
     q = 1009
     for alpha, beta, a, b in [(1, 1, 1, 1), (2, 2, 1, 1), (2, 3, 1, 1), (2, 3, 2, 2),
                               (3, 4, 1, 1), (3, 5, 1, 2), (4, 5, 1, 1), (1, 2, 0, 1)]:
@@ -379,6 +380,25 @@ def test_tate_large_prime_paths():
             continue
         rd = reduction_type(w, q)
         assert rd.kodaira == kodaira_from_valuations(rd.v_disc, rd.v_c4)
+
+
+@pytest.mark.parametrize("q", [397, 401])
+def test_cubic_structure_branches_agree(monkeypatch, q):
+    # primes either side of the cutoff; each branch is forced in turn
+    assert 397 <= elliptic._ENUM_CUTOFF < 401
+    rng = random.Random(q)
+    cubics = [(rng.randrange(q), rng.randrange(q), rng.randrange(q)) for _ in range(200)]
+    for _ in range(20):
+        r, s = rng.randrange(q), rng.randrange(q)
+        cubics.append(((-2 * r - s) % q, (r * r + 2 * r * s) % q, -r * r * s % q))  # (T-r)^2 (T-s)
+        cubics.append((-3 * r % q, 3 * r * r % q, -(r**3) % q))  # (T-r)^3
+    by_branch = []
+    for cutoff in (q, q - 1):  # enumeration, then gcd
+        monkeypatch.setattr(elliptic, "_ENUM_CUTOFF", cutoff)
+        by_branch.append([elliptic._cubic_structure(*c, q) for c in cubics])
+    assert by_branch[0] == by_branch[1]
+    assert {mult for _, _, mult in by_branch[0]} == {1, 2, 3}
+    assert {n for n, _, mult in by_branch[0] if mult == 1} == {0, 1, 3}
 
 
 # ---------------------------------------------------------------------------
