@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Time point counting by ell band and factoring of small discriminants.
+
+Prints one JSON line:
+- "count_us": microseconds per prime of count_points in each band (ell <= 229
+  is naive counting, the rest BSGS), over --curves seeded random curves and
+  --primes seeded good primes per band and curve;
+- "factorize_us": microseconds per factorize call on the minimal
+  discriminants of --discs seeded random curves with |a4|, |a6| <= 3000.
+Each figure is the best of --repeats passes over the same inputs.
+
+    PYTHONPATH=src python scripts/count_bands.py --curves 30 --primes 200
+"""
+
+import argparse
+import json
+import random
+import time
+
+from iwakit.counting import count_points
+from iwakit.elliptic import SingularCurveError, WeierstrassModel, minimal_model
+from iwakit.ntheory import factorize, sieve_primes
+
+BANDS = ((2, 229), (229, 10**3), (10**3, 10**4), (10**4, 10**5))
+HEIGHT = 3000  # as the curve_pipeline benchmark workload draws its curves
+
+
+def random_minimal_curves(rng: random.Random, n: int) -> list[WeierstrassModel]:
+    out = []
+    while len(out) < n:
+        coeffs = (rng.randint(0, 1), rng.randint(-1, 1), rng.randint(0, 1),
+                  rng.randint(-HEIGHT, HEIGHT), rng.randint(-HEIGHT, HEIGHT))
+        try:
+            out.append(minimal_model(WeierstrassModel(*coeffs))[0])
+        except SingularCurveError:
+            pass
+    return out
+
+
+def best_us(fn, calls: int, repeats: int) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return round(1e6 * best / calls, 2)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--curves", type=int, default=30)
+    parser.add_argument("--primes", type=int, default=200, help="primes per band and curve")
+    parser.add_argument("--discs", type=int, default=200)
+    parser.add_argument("--repeats", type=int, default=3)
+    args = parser.parse_args()
+
+    rng = random.Random(0)
+    curves = random_minimal_curves(rng, args.curves)
+    primes = sieve_primes(BANDS[-1][1])
+    count_us = {}
+    for lo, hi in BANDS:
+        band = [q for q in primes if lo < q <= hi]
+        work = [(w, ell) for w in curves
+                for ell in rng.sample(band, min(args.primes, len(band))) if w.disc % ell]
+        count_us[f"{lo}-{hi}"] = best_us(lambda: [count_points(w, ell) for w, ell in work],
+                                         len(work), args.repeats)
+    discs = [w.disc for w in random_minimal_curves(rng, args.discs)]
+    factorize_us = best_us(lambda: [factorize(d) for d in discs], len(discs), args.repeats)
+    print(json.dumps({"curves": args.curves, "primes": args.primes, "discs": args.discs,
+                      "count_us": count_us, "factorize_us": factorize_us}))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -11,7 +11,8 @@ of a point in the Hasse interval are found completely, so the order N is one
 of them and N' = 2(ell + 1) - N one of each twist point's; and for
 ell > 229 (Mestre; Schoof 1995, Thm 3.2) the curve or its quadratic twist has
 a point with a single annihilator there, so the candidates come down to one.
-Below 229 the search need not stop, and count_points counts naively.
+Below 229 the search need not stop, and count_points counts naively.  No
+square root is taken: each draw is a point (xg, g^2) on the twist by g.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from itertools import compress
 from pathlib import Path
 
 from .elliptic import BadReductionError, WeierstrassModel, format_model, minimal_model
-from .ntheory import _sqrt_residue, _stride_1_mod_2p, is_prime
+from .ntheory import _stride_1_mod_2p, is_prime
 
 __all__ = [
     "CROSSOVER",
@@ -190,48 +191,37 @@ def _bsgs_annihilators(p, a, ell, lo, hi):
     return out
 
 
-def _points(a, b, ell, z):
-    """Affine points of y^2 = x^3 + ax + b, one per x, by increasing x
-    (Cohen, Algorithm 7.4.12); z is a non-residue mod ell."""
-    half = (ell - 1) // 2
-    for x in range(ell):
-        g = (x * x * x + a * x + b) % ell
-        if g == 0:
-            yield (x, 0)
-        elif pow(g, half, ell) == 1:  # Euler's criterion
-            yield (x, _sqrt_residue(g, ell, z))
-
-
 def count_points_bsgs(model: WeierstrassModel, ell: int) -> int:
     """#E(F_ell) by Shanks-Mestre baby-step/giant-step; ell must be a prime > 229.
 
-    Points are drawn on E and on its quadratic twist E' in turn.  The order N
-    of E(F_ell) lies in every point's annihilator set in the Hasse interval,
-    and 2(ell + 1) - N in every twist point's; their intersection shrinks
-    until one candidate is left.  Mestre's theorem (Schoof 1995, Thm 3.2)
-    makes this terminate: above 229, E or E' has a point whose order has
-    exactly one multiple in the interval.
+    E is y^2 = x^3 + Ax + B, (A, B) = WeierstrassModel.short.  At x = 0, 1, ...
+    with g = x^3 + Ax + B != 0, (xg, g^2) lies on y^2 = X^3 + Ag^2 X + Bg^3,
+    the twist by g: E when g is a square, its quadratic twist E' when not, so
+    one Euler test and no square root make a draw; a root x of g gives (x, 0)
+    on E.  The order N of E(F_ell) lies in every E point's annihilator set in
+    the Hasse interval, and 2(ell + 1) - N in every E' point's; their
+    intersection shrinks until one candidate is left, whatever the draw
+    order.  Mestre's theorem (Schoof 1995, Thm 3.2) makes this terminate:
+    above 229, E or E' has a point whose order has exactly one multiple in
+    the interval.
     """
     if ell <= _MESTRE_BOUND or not is_prime(ell):
         raise ValueError(f"count_points_bsgs needs a prime ell > {_MESTRE_BOUND}, got {ell}")
-    w = _good_model_at(model, ell)
-    a = (-27 * w.c4) % ell
-    b = (-54 * w.c6) % ell
+    A, B = _good_model_at(model, ell).short
+    a, b = A % ell, B % ell
     t = math.isqrt(4 * ell)
     lo, hi = ell + 1 - t, ell + 1 + t
-    z = 2
-    while pow(z, (ell - 1) // 2, ell) != ell - 1:
-        z += 1
-    at = a * z * z % ell
-    curves = ((_points(a, b, ell, z), a, 0),
-              (_points(at, b * z**3 % ell, ell, z), at, 2 * (ell + 1)))
+    half, mirror = (ell - 1) // 2, 2 * (ell + 1)
     cands = None
-    # each curve has over 100 x with a point, so neither generator runs out
-    for attempt in range(128):
-        points, ca, mirror = curves[attempt % 2]
-        anns = _bsgs_annihilators(next(points), ca, ell, lo, hi)
-        if mirror:
-            anns = [mirror - n for n in anns]
+    for x in range(128):  # distinct x, as ell > 229
+        g = ((x * x + a) * x + b) % ell
+        if g == 0:
+            anns = _bsgs_annihilators((x, 0), a, ell, lo, hi)
+        else:
+            g2 = g * g % ell
+            anns = _bsgs_annihilators((x * g % ell, g2), a * g2 % ell, ell, lo, hi)
+            if pow(g, half, ell) != 1:  # Euler's criterion: the draw is on E'
+                anns = [mirror - n for n in anns]
         cands = set(anns) if cands is None else cands.intersection(anns)
         if len(cands) == 1:
             return cands.pop()

@@ -104,6 +104,12 @@ class WeierstrassModel:
         return -self.b2**3 + 36 * self.b2 * self.b4 - 216 * self.b6
 
     @cached_property
+    def short(self) -> tuple[int, int]:
+        """(A, B) = (-27 c4, -54 c6): y^2 = x^3 + Ax + B is isomorphic to this
+        model wherever 6 is a unit.  Computed once per model, like disc."""
+        return -27 * self.c4, -54 * self.c6
+
+    @cached_property
     def disc(self) -> int:
         # computed once per model, by the singularity check in __post_init__
         b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8

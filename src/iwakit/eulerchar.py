@@ -273,7 +273,7 @@ def has_rational_p_torsion(model: WeierstrassModel, p: int) -> bool:
 
 def _division_poly_torsion(model: WeierstrassModel, p: int) -> bool:
     """Exact decision by integer-root search on the short model."""
-    short = WeierstrassModel(0, 0, 0, -27 * model.c4, -54 * model.c6)
+    short = WeierstrassModel(0, 0, 0, *model.short)
     psi = division_polynomial(short, p)
     for x in _integer_roots(psi):
         rhs = (x * x + short.a4) * x + short.a6

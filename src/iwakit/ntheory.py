@@ -169,7 +169,7 @@ def _sqrt_residue(a: int, p: int, z: int) -> int:
 
 
 # trial division stops here; a cofactor below its square is then 1 or prime
-_TRIAL_BOUND = 1 << 16
+_TRIAL_BOUND = 1 << 10
 # steps one rho call may take: enough for a second-largest prime factor up to
 # about 1e11, while a harder n fails in bounded time
 _RHO_STEPS = 1 << 20
@@ -178,10 +178,12 @@ _RHO_STEPS = 1 << 20
 def factorize(n: int) -> list[tuple[int, int]]:
     """Factorization of |n| as [(prime, exponent), ...] in increasing order.
 
-    Trial division runs up to _TRIAL_BOUND, so every n below its square takes
-    that path alone.  A composite cofactor left after it is split by Pollard
-    rho with Brent's cycle search (Brent 1980), whose running time grows with
-    the square root of the second-largest prime factor.  A cofactor that rho
+    Trial division runs up to _TRIAL_BOUND = 2^10: rho finds a prime q above
+    it in about sqrt(q) steps against q/3 for the wheel, and bounds of 2^8 to
+    2^10 were fastest on small curves' discriminants (scripts/count_bands.py).
+    A composite cofactor left over is split by Pollard rho with Brent's
+    cycle search (Brent 1980), whose running time grows with the square root
+    of the second-largest prime factor.  A cofactor that rho
     cannot split within _RHO_STEPS steps raises ValueError ("cannot factor").
     Factors above the proven range of is_prime are strong probable primes.
     """

@@ -430,6 +430,73 @@ def test_dispatch_above_mestre_bound_random_curves(a1, a2, a3, a4, a6):
     _assert_counts_above_mestre_bound(model)
 
 
+def _assert_counts_match_naive(model):
+    disc = minimal_model(model)[0].disc
+    for ell in _primes_in(229, 1500):
+        if disc % ell:
+            assert count_points(model, ell) == count_points_naive(model, ell), (model, ell)
+
+
+@given(st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1),
+       st.integers(-300, 300), st.integers(-300, 300))
+@settings(deadline=None, max_examples=3)
+def test_bsgs_draws_match_naive_random_curves(a1, a2, a3, a4, a6):
+    try:
+        model = WeierstrassModel(a1, a2, a3, a4, a6)
+    except SingularCurveError:
+        assume(False)
+    _assert_counts_match_naive(model)
+
+
+@pytest.mark.parametrize("u", [2, 3])
+def test_bsgs_draws_match_naive_rescaled(u):
+    # a u-rescaled model is not minimal at u, so the count goes through the
+    # minimal model there and through the rescaled short model elsewhere
+    blown = WeierstrassModel(*(c * u**k for c, k in zip(E11.coefficients(), (1, 2, 3, 4, 6))))
+    assert minimal_model(blown)[1] == u
+    _assert_counts_match_naive(blown)
+
+
+def test_bsgs_draws_match_naive_with_two_torsion():
+    # y^2 = x^3 - x: the short model has B = 0, so the draw at x = 0 is the
+    # 2-torsion point (0, 0)
+    assert E32.short[1] == 0
+    _assert_counts_match_naive(E32)
+
+
+@pytest.mark.parametrize("model", [E11, E32, E99], ids=["E11", "E32", "E99"])
+def test_bsgs_draws_reach_both_twists(monkeypatch, model):
+    # the k-th draw is at x = k: (x g, g^2) on the twist by g = x^3 + Ax + B,
+    # which is E or E' as g is a square or not, or (x, 0) when g = 0
+    calls = []
+
+    def wrapped(p, a, ell, lo, hi):
+        calls.append((p, a))
+        return _bsgs_annihilators(p, a, ell, lo, hi)
+
+    monkeypatch.setattr(counting, "_bsgs_annihilators", wrapped)
+    A, B = model.short
+    sides = set()
+    for ell in _primes_in(229, 1500):
+        if model.disc % ell == 0:
+            continue
+        calls.clear()
+        count_points_bsgs(model, ell)
+        for x, (p, a) in enumerate(calls):
+            g = (x**3 + A * x + B) % ell
+            if g == 0:
+                assert (p, a) == ((x, 0), A % ell)
+                sides.add("2-torsion")
+                continue
+            assert (p, a) == ((x * g % ell, g * g % ell), A * g * g % ell)
+            X, Y = p
+            assert (Y * Y - X**3 - a * X - B * g**3) % ell == 0  # on the twist by g
+            sides.add("E" if legendre(g, ell) == 1 else "E'")
+    assert {"E", "E'"} <= sides
+    if model is E32:
+        assert "2-torsion" in sides
+
+
 def _some_points(a, b, ell, rng, k):
     out = []
     while len(out) < k:

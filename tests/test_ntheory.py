@@ -18,7 +18,7 @@ from iwakit.ntheory import (
     sieve_primes,
     sqrt_mod,
 )
-from iwakit.ntheory import _odd_flags, _stride_1_mod_2p
+from iwakit.ntheory import _TRIAL_BOUND, _odd_flags, _stride_1_mod_2p
 
 
 def oracle_is_prime(n: int) -> bool:
@@ -198,8 +198,27 @@ def _next_prime(n: int) -> int:
 )
 @settings(deadline=None, max_examples=40)
 def test_factorize_two_large_primes_matches_trial_division(smooth, p, q):
-    # both primes lie above the trial bound, so the cofactor p*q reaches rho
+    # both primes lie above 2^16, so the cofactor p*q reaches rho under any
+    # trial bound up to 2^16; primes between the trial bound and 2^16 reach
+    # rho too (test_factorize_primes_past_the_trial_bound)
     n = smooth * p * q
+    assert factorize(n) == _trial_division(n)
+
+
+_BAND_PRIME = st.integers(min_value=_TRIAL_BOUND + 1, max_value=2**16).map(_next_prime)
+
+
+@given(
+    st.sampled_from(["q^2", "q^3", "q1^2 q2", "smooth q"]),
+    _BAND_PRIME,
+    _BAND_PRIME,
+    st.integers(min_value=1, max_value=10**4),
+)
+@settings(deadline=None, max_examples=60)
+def test_factorize_primes_past_the_trial_bound(shape, q1, q2, smooth):
+    # prime factors between the trial bound and 2^16 are split off by rho,
+    # including repeated ones; _next_prime can step just past 2^16
+    n = {"q^2": q1**2, "q^3": q1**3, "q1^2 q2": q1**2 * q2, "smooth q": smooth * q1}[shape]
     assert factorize(n) == _trial_division(n)
 
 
