@@ -7,7 +7,10 @@ Prints one JSON line:
   --primes seeded good primes per band and curve;
 - "factorize_us": microseconds per factorize call on the minimal
   discriminants of --discs seeded random curves with |a4|, |a6| <= 3000.
-Each figure is the best of --repeats passes over the same inputs.
+Each figure is the best of --repeats passes over the same inputs.  Every
+count pass works on new copies of the curves, which keep nothing from an
+earlier pass, so the ell <= 229 figure includes each model's one evaluation
+of the cubic's integer values, and the BSGS bands each model's short model.
 
     PYTHONPATH=src python scripts/count_bands.py --curves 30 --primes 200
 """
@@ -37,9 +40,11 @@ def random_minimal_curves(rng: random.Random, n: int) -> list[WeierstrassModel]:
     return out
 
 
-def best_us(fn, calls: int, repeats: int) -> float:
+def best_us(make, calls: int, repeats: int) -> float:
+    """Best time per call of make()(), with make() run untimed before each pass."""
     best = float("inf")
     for _ in range(repeats):
+        fn = make()
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
@@ -61,12 +66,17 @@ def main() -> int:
     count_us = {}
     for lo, hi in BANDS:
         band = [q for q in primes if lo < q <= hi]
-        work = [(w, ell) for w in curves
+        work = [(i, ell) for i, w in enumerate(curves)
                 for ell in rng.sample(band, min(args.primes, len(band))) if w.disc % ell]
-        count_us[f"{lo}-{hi}"] = best_us(lambda: [count_points(w, ell) for w, ell in work],
-                                         len(work), args.repeats)
+
+        def fresh_pass():
+            models = [WeierstrassModel(*w.coefficients()) for w in curves]
+            return lambda: [count_points(models[i], ell) for i, ell in work]
+
+        count_us[f"{lo}-{hi}"] = best_us(fresh_pass, len(work), args.repeats)
     discs = [w.disc for w in random_minimal_curves(rng, args.discs)]
-    factorize_us = best_us(lambda: [factorize(d) for d in discs], len(discs), args.repeats)
+    factorize_us = best_us(lambda: lambda: [factorize(d) for d in discs], len(discs),
+                           args.repeats)
     print(json.dumps({"curves": args.curves, "primes": args.primes, "discs": args.discs,
                       "count_us": count_us, "factorize_us": factorize_us}))
     return 0

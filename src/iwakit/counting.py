@@ -2,9 +2,11 @@
 per-curve trace cache.
 
 Counts always refer to the good reduction of the curve, i.e. the reduction of
-a model minimal at ell.  Naive enumeration, O(ell), counts through ell = 229;
-above it the Shanks-Mestre baby-step/giant-step search takes over (Cohen, A
-Course in Computational Algebraic Number Theory, 7.4.3).  Three facts make
+a model minimal at ell.  Naive enumeration, O(ell), counts through ell = 229,
+reading the integer values of the cubic, which each model computes once, and
+a square-root table per ell, built once; above it the Shanks-Mestre
+baby-step/giant-step search takes over (Cohen, A Course in Computational
+Algebraic Number Theory, 7.4.3).  Three facts make
 it correct: an exact (x, y) match between a giant and a baby step proves
 n*P = O, so no match is re-checked; the annihilators
 of a point in the Hasse interval are found completely, so the order N is one
@@ -30,7 +32,7 @@ from itertools import compress
 from pathlib import Path
 
 from .elliptic import BadReductionError, WeierstrassModel, format_model, minimal_model
-from .ntheory import _stride_1_mod_2p, is_prime
+from .ntheory import _stride_1_mod_2p, is_prime, sieve_primes
 
 __all__ = [
     "CROSSOVER",
@@ -60,63 +62,97 @@ def _good_model_at(model: WeierstrassModel, ell: int) -> WeierstrassModel:
     raise BadReductionError(f"bad reduction at {ell}")
 
 
+def _eta(w: WeierstrassModel, m: int, start: int, stop: int) -> list[int]:
+    """eta(x) = 4x^3 + b2 x^2 + 2b4 x + b6 at start <= x < stop.  A coefficient
+    larger than m is reduced mod m first, which keeps eta(x) mod every ell
+    dividing m."""
+    b2, c1, b6 = (c % m if abs(c) > m else c for c in (w.b2, 2 * w.b4, w.b6))
+    return [((4 * x + b2) * x + c1) * x + b6 for x in range(start, stop)]
+
+
+def _sqrt_counts(ell: int) -> bytes:
+    """Slot v holds the number of y in F_ell with y^2 = v."""
+    sq = bytearray(ell)
+    for t in range(1, (ell + 1) // 2):
+        sq[t * t % ell] = 2
+    sq[0] = 1
+    return bytes(sq)
+
+
+# A model keeps eta(x) for x = 0, 1, ..., which holds a residue system mod each
+# ell <= 229 it has counted, with coefficients reduced mod the product of the
+# odd ell <= 229: at most 229 values, and a model counted at one small ell
+# evaluates few.  One square-root table is kept per odd ell <= 229.  Larger
+# ell build both per call.
+_ETA_MOD = math.prod(sieve_primes(_MESTRE_BOUND)[1:])
+_SQRT_COUNTS: dict[int, bytes] = {}
+
+
 def count_points_naive(model: WeierstrassModel, ell: int) -> int:
-    """#E(F_ell) by direct enumeration, including the point at infinity."""
+    """#E(F_ell) by direct enumeration, including the point at infinity.
+
+    At odd ell it counts the y-solutions of the completed square eta^2 =
+    4x^3 + b2 x^2 + 2b4 x + b6 over 0 <= x < ell, one lookup in a table of
+    square-root counts per x.  For ell <= 229 the good model keeps the
+    integer values of eta, each computed once, and the table is built once
+    per ell; above 229 both are built for the call only.
+    """
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
     w = _good_model_at(model, ell)
-    a1, a2, a3, a4, a6 = w.coefficients()
     if ell == 2:
+        a1, a2, a3, a4, a6 = w.coefficients()
         total = 1
         for x in (0, 1):
             for y in (0, 1):
                 if (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % 2 == 0:
                     total += 1
         return total
-    # odd ell: y-solutions of the completed square eta^2 = 4x^3+b2x^2+2b4x+b6,
-    # where sq[v] is the number of y with y^2 = v
-    b2, c1, b6 = w.b2 % ell, 2 * w.b4 % ell, w.b6 % ell
-    sq = bytearray(ell)
-    for t in range(1, (ell + 1) // 2):
-        sq[t * t % ell] = 2
-    sq[0] = 1
-    return 1 + sum([sq[(((4 * x + b2) * x + c1) * x + b6) % ell] for x in range(ell)])
+    if ell <= _MESTRE_BOUND:
+        sq = _SQRT_COUNTS.get(ell)
+        if sq is None:
+            sq = _SQRT_COUNTS[ell] = _sqrt_counts(ell)
+        eta = w.__dict__.setdefault("_eta", [])
+        if len(eta) < ell:  # grow by doubling: an ascending walk extends it 8 times
+            eta += _eta(w, _ETA_MOD, len(eta), min(max(ell, 2 * len(eta)), _MESTRE_BOUND))
+        values = eta[:ell]
+    else:
+        sq, values = _sqrt_counts(ell), _eta(w, ell, 0, ell)
+    return 1 + sum([sq[v % ell] for v in values])
 
 
 # -- baby-step/giant-step ----------------------------------------------------
 
 
-def _ec_neg(p, ell):
-    return None if p is None else (p[0], (-p[1]) % ell)
-
-
-def _ec_add(p, q, a, ell):
-    if p is None:
-        return q
-    if q is None:
-        return p
-    x1, y1 = p
-    x2, y2 = q
-    if x1 == x2:
-        if (y1 + y2) % ell == 0:
-            return None
-        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, ell) % ell
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, ell) % ell
-    x3 = (lam * lam - x1 - x2) % ell
-    return (x3, (lam * (x1 - x3) - y1) % ell)
-
-
 def _ec_mul(n, p, a, ell):
+    """n*P on y^2 = x^3 + ax + b over F_ell (None is O), by one right-to-left
+    double-and-add loop: (x, y) runs through 2^i P and (u, v) holds the sum."""
+    if p is None or n == 0:
+        return None
+    x, y = p
     if n < 0:
-        return _ec_mul(-n, _ec_neg(p, ell), a, ell)
-    acc = None
-    while n:
+        n, y = -n, -y % ell
+    u = v = None
+    while True:
         if n & 1:
-            acc = _ec_add(acc, p, a, ell)
-        p = _ec_add(p, p, a, ell)
+            if u is None:
+                u, v = x, y
+            elif u != x:
+                lam = (y - v) * pow(x - u, -1, ell) % ell
+                w = (lam * lam - u - x) % ell
+                u, v = w, (lam * (u - w) - v) % ell
+            elif (v + y) % ell:  # the same point: double it
+                lam = (3 * u * u + a) * pow(2 * v, -1, ell) % ell
+                w = (lam * lam - 2 * u) % ell
+                u, v = w, (lam * (u - w) - v) % ell
+            else:  # opposite points
+                u = None
         n >>= 1
-    return acc
+        if not n or y == 0:  # every further 2^i P is O
+            return None if u is None else (u, v)
+        lam = (3 * x * x + a) * pow(2 * y, -1, ell) % ell
+        w = (lam * lam - 2 * x) % ell
+        x, y = w, (lam * (x - w) - y) % ell
 
 
 def _multiples(d, lo, hi):
@@ -173,21 +209,28 @@ def _bsgs_annihilators(p, a, ell, lo, hi):
     k = -((m - 1 - lo) // s)
     out = []
     g = _ec_mul(k, stride, a, ell)
+    gx, gy = (-1, 0) if g is None else g  # gx = -1 stands for O
     for base in range(k * s, hi + m, s):
-        if g is None:
-            n = base
-        else:
-            gx, gy = g
-            j = baby.get(gx)
-            n = None if j is None else base - j if gy == ys[j] else base + j
-        if n is not None and lo <= n <= hi:
-            out.append(n)
-        if g is None or gx == sx:
-            g = _ec_add(g, stride, a, ell)
-        else:
+        j = baby.get(gx)
+        if j is not None:
+            n = base - j if gy == ys[j] else base + j
+            if lo <= n <= hi:
+                out.append(n)
+        elif gx < 0 and lo <= base <= hi:
+            out.append(base)
+        # g += stride
+        if gx != sx and gx >= 0:
             lam = (sy - gy) * pow(sx - gx, -1, ell) % ell
             x = (lam * lam - gx - sx) % ell
-            g = (x, (lam * (gx - x) - gy) % ell)
+            gx, gy = x, (lam * (gx - x) - gy) % ell
+        elif gx < 0:
+            gx, gy = sx, sy
+        elif (gy + sy) % ell:  # g = stride: double it
+            lam = (3 * sx * sx + a) * pow(2 * sy, -1, ell) % ell
+            x = (lam * lam - 2 * sx) % ell
+            gx, gy = x, (lam * (sx - x) - sy) % ell
+        else:  # g = -stride
+            gx = -1
     return out
 
 

@@ -252,6 +252,10 @@ def _integer_roots(coeffs: list[int]) -> list[int]:
     return sorted(roots)
 
 
+# the primes ell <= 1000 whose counts can certify that E(Q) has no p-torsion
+_TORSION_PRIMES = sieve_primes(1000)
+
+
 def has_rational_p_torsion(model: WeierstrassModel, p: int) -> bool:
     """Whether E(Q) contains a point of order p.
 
@@ -263,7 +267,7 @@ def has_rational_p_torsion(model: WeierstrassModel, p: int) -> bool:
     check_odd_prime(p)
     minimal, _ = minimal_model(model)
     disc = minimal.disc
-    for ell in sieve_primes(1000):
+    for ell in _TORSION_PRIMES:
         if ell == p or disc % ell == 0:
             continue
         if (ell + 1 - trace_of_frobenius(minimal, ell)) % p != 0:

@@ -283,22 +283,105 @@ def test_naive_ell2():
     assert count_points_naive(WeierstrassModel(0, 0, 1, 0, 0), 2) == 3
 
 
-def test_naive_matches_double_loop():
-    def brute(w, ell):
-        a1, a2, a3, a4, a6 = w.coefficients()
-        total = 1
-        for x in range(ell):
-            for y in range(ell):
-                if (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % ell == 0:
-                    total += 1
-        return total
+def brute(w, ell):
+    """#E(F_ell) for the model w, by a double loop over the affine plane."""
+    a1, a2, a3, a4, a6 = (c % ell for c in w.coefficients())
+    total = 1
+    for x in range(ell):
+        for y in range(ell):
+            if (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % ell == 0:
+                total += 1
+    return total
 
+
+def test_naive_matches_double_loop():
     curves = [E99, E32, WeierstrassModel(1, 1, 0, -2, 3), WeierstrassModel(1, 0, 1, -5, 2)]
     for w in curves:
         for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23):
             if w.disc % ell == 0:
                 continue
             assert count_points_naive(w, ell) == brute(w, ell), (w, ell)
+
+
+def _assert_naive_matches_brute(model, ells):
+    """count_points_naive against the double loop on the model good at each ell."""
+    mm, _ = minimal_model(model)
+    for ell in ells:
+        w = model if model.disc % ell else mm
+        if w.disc % ell:
+            assert count_points_naive(model, ell) == brute(w, ell), (model, ell)
+
+
+SMALL_PRIMES = sieve_primes(229)
+
+
+@given(st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1),
+       st.integers(-3000, 3000), st.integers(-3000, 3000))
+@settings(deadline=None, max_examples=3)
+def test_naive_eta_read_matches_double_loop(a1, a2, a3, a4, a6):
+    # the integer values of eta are kept on the model and sliced per ell
+    try:
+        model = WeierstrassModel(a1, a2, a3, a4, a6)
+    except SingularCurveError:
+        assume(False)
+    _assert_naive_matches_brute(model, SMALL_PRIMES)
+
+
+@pytest.mark.parametrize("u", [2, 3])
+def test_naive_eta_read_rescaled(u):
+    # at ell | u the count reads the minimal model, which keeps its own values
+    blown = WeierstrassModel(*(c * u**k for c, k in zip(E11.coefficients(), (1, 2, 3, 4, 6))))
+    mm, scale = minimal_model(blown)
+    assert scale == u and "_eta" not in mm.__dict__
+    assert count_points_naive(blown, u) == brute(mm, u)
+    # ell = 2 enumerates the plane; ell = 3 reads the minimal model's values
+    assert ("_eta" in mm.__dict__) == (u == 3) and "_eta" not in blown.__dict__
+    _assert_naive_matches_brute(blown, SMALL_PRIMES)
+    assert len(blown.__dict__["_eta"]) == 229
+
+
+def test_naive_eta_read_at_3():
+    for w in (E11, E32, WeierstrassModel(0, 0, 1, -1, 0), WeierstrassModel(1, -1, 1, 2, -1),
+              WeierstrassModel(1, 0, 0, 1, 1)):
+        assert w.disc % 3
+        assert count_points_naive(w, 3) == brute(w, 3), w
+
+
+def test_naive_kept_values_then_large_ell():
+    # a model that keeps its values at ell <= 229 counts a larger ell from a
+    # list built for that call, and keeps the 229 values it had
+    w = WeierstrassModel(1, 0, 1, -5, 2)
+    assert count_points_naive(w, 229) == brute(w, 229)
+    kept = w.__dict__["_eta"]
+    for ell in (233, 239, 241, 409):
+        assert count_points_naive(w, ell) == brute(w, ell), ell
+    assert w.__dict__["_eta"] is kept and len(kept) == 229
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_naive_eta_read_huge_coefficients(sign):
+    # coefficients far above the product of the odd primes <= 229 are reduced
+    # mod that product before eta is evaluated
+    big = sign * (10**300 + 7)
+    w = WeierstrassModel(1, -1, 1, big, 3 * big + 5)
+    assert abs(w.b6) > counting._ETA_MOD
+    ells = [ell for ell in SMALL_PRIMES + (233, 251) if w.disc % ell]
+    assert len(ells) > 40
+    _assert_naive_matches_brute(w, ells)
+    assert all(abs(v) < counting._ETA_MOD * 4 * 229**3 for v in w.__dict__["_eta"])
+
+
+def test_naive_caches_stay_bounded():
+    # a count at one small ell evaluates eta at few x; an ascending walk to
+    # 1500 keeps 229 values and no square-root table above 229
+    w = WeierstrassModel(0, 1, 1, -7, 11)
+    assert count_points_naive(w, 5) == brute(w, 5)
+    assert len(w.__dict__["_eta"]) == 5
+    for ell in sieve_primes(1500):
+        if w.disc % ell:
+            count_points_naive(w, ell)
+    assert max(counting._SQRT_COUNTS) <= 229
+    assert len(w.__dict__["_eta"]) == 229
 
 
 def test_naive_bad_reduction():
@@ -536,6 +619,82 @@ def test_bsgs_annihilators_complete(seed):
                 for p in base + small:
                     want = [n for n in range(lo, hi + 1) if _ec_mul(n, p, ca, ell) is None]
                     assert _bsgs_annihilators(p, ca, ell, lo, hi) == want, (ell, ca, cb, p)
+
+
+def _ec_add(p, q, a, ell):
+    """P + Q on y^2 = x^3 + ax + b over F_ell, None for O: the chord-tangent law."""
+    if p is None:
+        return q
+    if q is None:
+        return p
+    x1, y1 = p
+    x2, y2 = q
+    if x1 == x2:
+        if (y1 + y2) % ell == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, ell) % ell
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, ell) % ell
+    x3 = (lam * lam - x1 - x2) % ell
+    return (x3, (lam * (x1 - x3) - y1) % ell)
+
+
+def _multiples(p, a, ell):
+    """[O, P, 2P, ..., (d-1)P] by repeated addition, d the order of P."""
+    out = [None, p]
+    while True:
+        q = _ec_add(out[-1], p, a, ell)
+        if q is None:
+            return out
+        out.append(q)
+
+
+def _assert_ec_mul_matches_repeated_addition(p, a, ell):
+    table = _multiples(p, a, ell)
+    d = len(table)
+    for n in range(-50, 5001):
+        assert _ec_mul(n, p, a, ell) == table[n % d], (n, p, a, ell)
+    # O in the middle of the ladder: 0 * P, multiples of the order, and n
+    # whose low bits already make a multiple of it (the running sum is O)
+    top = 1 << d.bit_length()
+    for n in (0, d, 2 * d, 7 * d, d + top, d + 5 * top, 3 * d + top, 10**6 * d + 1, -d - 1):
+        assert _ec_mul(n, p, a, ell) == table[n % d], (n, p, a, ell)
+    return d
+
+
+def test_ec_mul_random_points():
+    rng = random.Random(5)
+    primes = [q for q in sieve_primes(2000) if q > 232]
+    orders = set()
+    for ell in rng.sample(primes, 4):
+        while True:
+            a, b = rng.randrange(ell), rng.randrange(ell)
+            if (4 * a**3 + 27 * b * b) % ell:
+                break
+        for p in _some_points(a, b, ell, rng, 2):
+            orders.add(_assert_ec_mul_matches_repeated_addition(p, a, ell))
+    assert len(orders) >= 6
+
+
+def test_ec_mul_two_power_orders():
+    # points with y = 0 (order 2), and points of order 4 or 8, whose ladder
+    # doubles down to a point with y = 0 and then to O
+    rng = random.Random(6)
+    seen = set()
+    while not {2, 4, 8} <= seen:
+        ell = rng.choice([q for q in sieve_primes(2000) if q > 232])
+        a, r = rng.randrange(ell), rng.randrange(ell)
+        b = (-r * r * r - a * r) % ell
+        if (4 * a**3 + 27 * b * b) % ell == 0:
+            continue
+        assert _ec_mul(1, (r, 0), a, ell) == (r, 0) and _ec_mul(2, (r, 0), a, ell) is None
+        for q in [(r, 0)] + _some_points(a, b, ell, rng, 3):
+            table = _multiples(q, a, ell)
+            d = len(table)
+            k = (d & -d).bit_length() - 1  # d = 2^k m with m odd
+            if k and 1 << k <= 8:
+                seen.add(1 << k)
+                assert _assert_ec_mul_matches_repeated_addition(table[d >> k], a, ell) == 1 << k
 
 
 # ---------------------------------------------------------------------------
