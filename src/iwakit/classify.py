@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 from .counting import TraceCache, frobenius_data, order_over_extension
 from .elliptic import WeierstrassModel, minimal_model
-from .ntheory import (
-    _odd_flags, check_odd_prime, is_prime, mult_order, padic_valuation, sieve_primes,
-)
+from .ntheory import _odd_flags, check_odd_prime, is_prime, padic_valuation, sieve_primes
 
 __all__ = [
     "PrimeClass",
@@ -120,20 +118,6 @@ def cyclotomic_split_count(ell: int, p: int) -> CyclotomicSplitting:
     _check_primes(p, ell)
     m = padic_valuation(ell ** (p - 1) - 1, p) - 1
     return CyclotomicSplitting(ell=ell, p=p, m=m)
-
-
-def layer_split_count(ell: int, p: int, n: int) -> int:
-    """Number of primes above ell in the degree-p^n layer of the p-tower.
-
-    Computed from the order of ell in (Z/p^{n+1})*: the layer is cut out of
-    the p^{n+1}-th cyclotomic field, where Frobenius at ell is ell itself.
-    """
-    _check_primes(p, ell)
-    if n < 0:
-        raise ValueError("layer index must be >= 0")
-    order = mult_order(ell, p ** (n + 1))
-    order_p_part = p ** padic_valuation(order, p) if order % p == 0 else 1
-    return p**n // order_p_part
 
 
 def bulk_classify(

@@ -35,7 +35,6 @@ from .elliptic import BadReductionError, WeierstrassModel, format_model, minimal
 from .ntheory import _stride_1_mod_2p, is_prime, sieve_primes
 
 __all__ = [
-    "CROSSOVER",
     "FrobeniusData",
     "count_points",
     "count_points_naive",
@@ -49,8 +48,6 @@ __all__ = [
 # Mestre (Schoof 1995, Thm 3.2): for ell > 229, E or its quadratic twist has a
 # point whose order has exactly one multiple in the Hasse interval
 _MESTRE_BOUND = 229
-# BSGS is faster than naive counting wherever it is correct
-CROSSOVER = _MESTRE_BOUND
 
 
 def _good_model_at(model: WeierstrassModel, ell: int) -> WeierstrassModel:
@@ -271,13 +268,10 @@ def count_points_bsgs(model: WeierstrassModel, ell: int) -> int:
     raise AssertionError(f"group order at {ell} not pinned down")
 
 
-def count_points(model: WeierstrassModel, ell: int, *, crossover: int = CROSSOVER) -> int:
-    """#E(F_ell): naive counting through ell = 229, BSGS above.
-
-    crossover can only raise the switch: BSGS runs above both it and
-    Mestre's bound, 229, below which the search need not stop.
-    """
-    if ell <= max(crossover, _MESTRE_BOUND):
+def count_points(model: WeierstrassModel, ell: int) -> int:
+    """#E(F_ell): naive counting through Mestre's bound, ell = 229, below
+    which the BSGS search need not stop; BSGS above, where it is faster."""
+    if ell <= _MESTRE_BOUND:
         return count_points_naive(model, ell)
     return count_points_bsgs(model, ell)
 

@@ -87,13 +87,8 @@ def empirical_density(
     check_odd_prime(p)
     if bound < 2:
         return Fraction(0)
-    return _script_q_primes_and_density(model, p, bound, cache, jobs)[1]
-
-
-def _script_q_primes_and_density(model, p, bound, cache, jobs) -> tuple[list[int], Fraction]:
-    """The distinguished primes <= bound and their share of all primes <= bound."""
     primes, prime_count = _distinguished_primes(model, p, bound, cache, jobs)
-    return primes, Fraction(len(primes), prime_count)
+    return Fraction(len(primes), prime_count)
 
 
 def delange_exponents(p: int, alpha: Fraction) -> tuple[Fraction, Fraction]:
@@ -193,7 +188,8 @@ def asymptotic_report(
 
     _, totals = _method(method)
     alpha = alpha_closed_form(p)
-    primes, density = _script_q_primes_and_density(model, p, grid[-1], cache, jobs)
+    primes, prime_count = _distinguished_primes(model, p, grid[-1], cache, jobs)
+    density = Fraction(len(primes), prime_count)
     g_table = tuple(zip(grid, totals(primes, p, grid)))
     m_table = tuple(zip(grid, _m_totals(p, [iroot(x, p - 1) for x in grid], totals)))
 

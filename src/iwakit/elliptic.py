@@ -259,31 +259,23 @@ def _minimality_exponent(c4: int, c6: int, disc: int, q: int) -> int:
 def minimal_model(model: WeierstrassModel) -> tuple[WeierstrassModel, int]:
     """Global minimal model and the scaling u with c4 = u^4 c4', c6 = u^6 c6'.
 
-    A prime q can be scaled away only when q^4 divides g = gcd(c4, c6), so
-    the candidates come from trial division of g, stopping once q^4 exceeds
-    what is left of g.  The loop runs to about the fourth root of g with its
-    small primes removed: fast for small prime content, while a large prime
-    content of g still needs a subexponential factorizer such as Pollard rho.
+    A prime q can be scaled away only when q^4 divides g = gcd(c4, c6)
+    (Laska-Kraus-Connell), so the candidates are the primes that factorize
+    finds in g with exponent >= 4; a g that it cannot factor raises its
+    ValueError ("cannot factor").
 
-    The answer is kept on the model, and the minimal model keeps (itself, 1),
-    so each curve is minimized once.  Like disc it sits in the instance
+    The answer is kept on the model, so each curve is minimized once; the
+    minimal model keeps () for (itself, 1), which leaves no reference cycle
+    to hold it and what is kept on it.  Like disc it sits in the instance
     __dict__, outside the fields that == and hash read.
     """
     if "_minimal" in model.__dict__:
-        return model.__dict__["_minimal"]
+        return model.__dict__["_minimal"] or (model, 1)
     c4, c6, disc = model.c4, model.c6, model.disc
-    u = 1
-    g = math.gcd(c4, c6)
-    q = 2
-    while q**4 <= g:
-        if g % q == 0:
-            # every smaller prime is stripped from g, so q is prime here
-            while g % q == 0:
-                g //= q
-            u *= q ** _minimality_exponent(c4, c6, disc, q)
-        q += 1
+    u = math.prod(q ** _minimality_exponent(c4, c6, disc, q)
+                  for q, e in factorize(math.gcd(c4, c6)) if e >= 4)
     minimal = model_from_c4c6(c4 // u**4, c6 // u**6)
-    minimal.__dict__["_minimal"] = (minimal, 1)
+    minimal.__dict__["_minimal"] = ()
     model.__dict__["_minimal"] = (minimal, u)
     return minimal, u
 

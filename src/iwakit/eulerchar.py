@@ -24,7 +24,7 @@ from .elliptic import (
     quadratic_twist,
     reduction_type,
 )
-from .ntheory import check_odd_prime, factorize, sieve_primes
+from .ntheory import _is_p_power, check_odd_prime, factorize, sieve_primes
 from .refdata import reference_record
 
 __all__ = [
@@ -96,14 +96,6 @@ class EulerFactors:
             raise ValueError("Tamagawa product is a positive integer")
         if self.sha_p_order is not None and not _is_p_power(self.sha_p_order, p):
             raise ValueError(f"sha order must be a power of {p}, got {self.sha_p_order}")
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    if n < 1:
-        return False
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def _twist_at_p(

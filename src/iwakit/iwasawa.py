@@ -9,7 +9,6 @@ precision raises PrecisionError instead of being misreported.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from ._poly import _mul
@@ -82,23 +81,6 @@ class CharSeries:
             return None
         c = self.coeffs[i] if self.exact else self.coeffs[i] % self.modulus
         return padic_valuation(c, self.p)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"p": self.p, "precision": self.precision, "coeffs": list(self.coeffs),
-             "exact": self.exact},
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "CharSeries":
-        data = json.loads(text)
-        return CharSeries(
-            p=int(data["p"]),
-            coeffs=tuple(int(c) for c in data["coeffs"]),
-            precision=int(data.get("precision", DEFAULT_PRECISION)),
-            exact=bool(data.get("exact", True)),
-        )
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ __all__ = [
     "padic_valuation",
     "mult_order",
     "inv_mod",
-    "sqrt_mod",
     "is_squarefree",
     "factorize",
     "iroot",
@@ -113,6 +112,15 @@ def padic_valuation(n: int, p: int) -> int:
     return v
 
 
+def _is_p_power(n: int, p: int) -> bool:
+    """Whether n is p^k for some k >= 0; p >= 2."""
+    if n < 1:
+        return False
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
 def mult_order(a: int, m: int) -> int:
     """Multiplicative order of a modulo m; requires gcd(a, m) = 1."""
     if m < 2:
@@ -129,43 +137,6 @@ def mult_order(a: int, m: int) -> int:
 
 def inv_mod(a: int, m: int) -> int:
     return pow(a, -1, m)
-
-
-def sqrt_mod(a: int, p: int) -> int:
-    """A square root of a modulo an odd prime p (Tonelli-Shanks).
-
-    Raises if a is a non-residue.
-    """
-    a %= p
-    if a == 0:
-        return 0
-    if legendre(a, p) != 1:
-        raise ValueError(f"{a} is not a square modulo {p}")
-    z = 2
-    while p % 4 == 1 and legendre(z, p) != -1:
-        z += 1
-    return _sqrt_residue(a, p, z)
-
-
-def _sqrt_residue(a: int, p: int, z: int) -> int:
-    """A square root of the nonzero square a modulo the odd prime p, given a
-    non-residue z (read only when p = 1 mod 4).  Nothing is checked."""
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t * t % p, 1
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
 
 
 # trial division stops here; a cofactor below its square is then 1 or prime

@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from .elliptic import WeierstrassModel, format_model, minimal_model, parse_model
-from .ntheory import is_prime
+from .ntheory import _is_p_power, is_prime
 
 __all__ = ["ingest_reference", "load_reference", "reference_record"]
 
@@ -46,10 +46,7 @@ def _validate_record(rec: dict) -> None:
     if sha != "unknown":
         if not isinstance(sha, int) or sha < 1:
             raise ValueError(f"field 'sha_p_order' must be 'unknown' or a positive integer")
-        n = sha
-        while n % p == 0:
-            n //= p
-        if n != 1:
+        if not _is_p_power(sha, p):
             raise ValueError(f"field 'sha_p_order' must be a power of {p}, got {sha}")
     if not isinstance(rec["source_note"], str) or not rec["source_note"]:
         raise ValueError("field 'source_note' must be a nonempty string")

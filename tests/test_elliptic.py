@@ -1,5 +1,8 @@
+import gc
 import pickle
 import random
+import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -136,6 +139,35 @@ def test_minimal_model_big_discriminant():
     w = WeierstrassModel(0, 0, 0, 10**200, 10**300)
     assert len(str(abs(w.disc))) == 603
     assert minimal_model(w) == (WeierstrassModel(0, 0, 0, 1, 1), 10**50)
+
+
+def test_minimal_model_large_prime_content_ends():
+    # gcd(c4, c6) = 48 P with P = 10^40 + 121 prime: a walk of every q with
+    # q^4 <= gcd would take about 10^10 steps
+    big = 10**40 + 121
+    w = WeierstrassModel(0, 0, 0, big, big)
+    start = time.perf_counter()
+    assert minimal_model(w) == (w, 1)
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("u", [1031, 1031 * 1033, 65537 * 65539])
+def test_minimal_model_scales_away_primes_above_trial_bound(u):
+    # 1031, 1033, 65537 and 65539 are primes above factorize's trial bound 2^10
+    assert minimal_model(_rescale(E99, u)) == (E99, u)
+
+
+def test_minimal_model_is_freed_without_the_cyclic_collector():
+    w = _rescale(WeierstrassModel(0, 0, 1, -3, -5), 2)
+    gc.disable()
+    try:
+        mm, _ = minimal_model(w)
+        local_data(w)
+        kept = weakref.ref(mm)
+        del w, mm
+        assert kept() is None
+    finally:
+        gc.enable()
 
 
 @given(

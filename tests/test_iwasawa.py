@@ -1,7 +1,5 @@
 """Invariants of characteristic series, checked against hand expansions."""
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,19 +127,6 @@ def test_series_validation():
     # exact high-degree zeros are trimmed
     f = CharSeries(p=5, coeffs=(5, 1, 0, 0))
     assert f.coeffs == (5, 1)
-
-
-def test_json_round_trip():
-    f = from_elementary(5, [1], [([5, 0, 1], 2)])
-    text = f.to_json()
-    data = json.loads(text)
-    assert data["p"] == 5
-    assert data["precision"] == f.precision
-    g = CharSeries.from_json(text)
-    assert g == f
-    # inexact flag survives
-    h = CharSeries(p=7, coeffs=(49, 3), precision=6, exact=False)
-    assert CharSeries.from_json(h.to_json()) == h
 
 
 small_coeffs = st.lists(st.integers(min_value=-200, max_value=200), min_size=1, max_size=5)

@@ -16,7 +16,6 @@ from iwakit.ntheory import (
     padic_valuation,
     primitive_root,
     sieve_primes,
-    sqrt_mod,
 )
 from iwakit.ntheory import _TRIAL_BOUND, _odd_flags, _stride_1_mod_2p
 
@@ -137,18 +136,6 @@ def test_mult_order_divides_group_order(m, a):
     for d in range(1, k):
         if k % d == 0:
             assert pow(a, d, m) != 1 or d == k
-
-
-@given(st.integers(min_value=0, max_value=10**9))
-@settings(deadline=None)
-def test_sqrt_mod_roundtrip(a):
-    for p in (3, 5, 13, 17, 97, 10007):
-        if legendre(a, p) == -1:
-            with pytest.raises(ValueError):
-                sqrt_mod(a, p)
-        else:
-            r = sqrt_mod(a, p)
-            assert r * r % p == a % p
 
 
 def test_factorize():
