@@ -8,8 +8,7 @@ growth along the cyclotomic tower is decided at the finite residue level.
 
 from __future__ import annotations
 
-import csv
-import io
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .counting import TraceCache, frobenius_data, order_over_extension
@@ -23,6 +22,7 @@ __all__ = [
     "p2_membership",
     "cyclotomic_split_count",
     "bulk_classify",
+    "classification_rows",
     "classification_csv",
 ]
 
@@ -160,15 +160,14 @@ def _distinguished_primes(
     return [ell for ell, a in zip(ells, traces) if (2 - a) % p], 1 + flags.count(1)
 
 
-def classification_csv(records: list[PrimeClass]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["ell", "class", "a_ell", "in_script_Q"])
+def classification_rows(records: list[PrimeClass]) -> Iterator[str]:
+    """The lines of ``classification_csv``, header first, each ending in a newline."""
+    # no field holds a comma, quote or newline, so csv.writer would quote none
+    yield "ell,class,a_ell,in_script_Q\n"
     for r in records:
-        writer.writerow([
-            r.ell,
-            r.category,
-            "" if r.a_ell is None else r.a_ell,
-            "true" if r.in_script_q else "false",
-        ])
-    return buf.getvalue()
+        a_ell = "" if r.a_ell is None else r.a_ell
+        yield f"{r.ell},{r.category},{a_ell},{'true' if r.in_script_q else 'false'}\n"
+
+
+def classification_csv(records: list[PrimeClass]) -> str:
+    return "".join(classification_rows(records))

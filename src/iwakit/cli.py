@@ -16,12 +16,13 @@ import math
 import os
 import re
 import sys
+from collections.abc import Iterator
 from contextlib import nullcontext
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
-from .classify import PrimeClass, bulk_classify, classification_csv
+from .classify import PrimeClass, bulk_classify, classification_rows
 from .counting import TraceCache
 from .density import (
     GRID_BUDGET,
@@ -65,14 +66,9 @@ EXIT_USAGE = 2  # argparse exits with this on its own
 EXIT_BLOCKED = 3
 
 
-def _prime_record(obj: object) -> dict:
-    if not isinstance(obj, PrimeClass):
-        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-    return {"ell": obj.ell, "class": obj.category, "a_ell": obj.a_ell,
-            "in_script_Q": obj.in_script_q}
-
-
-_JSON = json.JSONEncoder(sort_keys=True, indent=2, default=_prime_record)
+_JSON = json.JSONEncoder(sort_keys=True, indent=2)
+# classify records (JSON or CSV) written per slice
+_RECORD_SLICE = 256
 
 BLOCKED_ERRORS = (
     HypothesisBlockedError,
@@ -182,15 +178,19 @@ def _extension_from(args: argparse.Namespace) -> CyclicExtension:
     )
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    # written in slices of the encoder's output: json.dumps would hold every
-    # small string of a 10^4-prime payload in one list before joining them
-    chunks = _JSON.iterencode({"schema": 1, **payload})
+def _write_slices(pieces: Iterator[str], size: int, out: str | None) -> None:
+    # joined and written size pieces at a time, so no whole-output string is built
     opened = open(out, "w", encoding="utf-8") if out is not None else nullcontext(sys.stdout)
     with opened as fh:
-        while piece := "".join(islice(chunks, 4096)):
+        while piece := "".join(islice(pieces, size)):
             fh.write(piece)
-        fh.write("\n")
+
+
+def _emit(payload: dict, out: str | None) -> None:
+    # the text of json.dumps(payload, sort_keys=True, indent=2) plus a newline,
+    # 4096 encoder pieces at a time; with indent the encoder runs in pure
+    # Python, so classify writes its records by a template instead
+    _write_slices(chain(_JSON.iterencode({"schema": 1, **payload}), ("\n",)), 4096, out)
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -228,23 +228,43 @@ def _check_bound(bound: int) -> None:
         raise ValueError(f"bound {bound} exceeds the budget {GRID_BUDGET}")
 
 
+def _primes_json(records: list[PrimeClass]) -> Iterator[str]:
+    # the "primes" list as _JSON writes it at depth 1, one piece per record:
+    # keys sorted, each record's dict at depth 2, None and bools spelled as JSON
+    if not records:
+        yield "[]"
+        return
+    sep = "["
+    for r in records:
+        a_ell = "null" if r.a_ell is None else r.a_ell
+        flag = "true" if r.in_script_q else "false"
+        yield (f'{sep}\n    {{\n      "a_ell": {a_ell},\n      "class": "{r.category}",'
+               f'\n      "ell": {r.ell},\n      "in_script_Q": {flag}\n    }}')
+        sep = ","
+    yield "\n  ]"
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
     _check_bound(args.bound)
     # the trace cache is not kept, so its table is freed before the output
     records = bulk_classify(args.curve, args.p, args.bound, cache=_cache_from(args),
                             jobs=args.jobs)
     if args.format == "csv":
-        _write_text(classification_csv(records), args.out)
+        _write_slices(classification_rows(records), _RECORD_SLICE, args.out)
         return EXIT_OK
     payload = {
+        "schema": 1,
         "subcommand": "classify",
         **_curve_keys(args.curve, minimal_model(args.curve)[0]),
         "p": args.p,
         "bound": args.bound,
         "counts": _class_counts(records),
-        "primes": records,  # each becomes a dict only while it is written
+        "primes": [],
     }
-    _emit(payload, args.out)
+    # the records go in at the one "primes": [] slot of the rest of the payload
+    head, _, tail = _JSON.encode(payload).partition('"primes": []')
+    pieces = chain((head, '"primes": '), _primes_json(records), (tail, "\n"))
+    _write_slices(pieces, _RECORD_SLICE, args.out)
     return EXIT_OK
 
 

@@ -1,6 +1,8 @@
 """Exit codes, JSON payloads, determinism, and cache coherence of the CLI."""
 
+import csv
 import functools
+import io
 import json
 import multiprocessing
 import shutil
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from iwakit import cli, elliptic, eulerchar, kida, refdata
+from iwakit.classify import PrimeClass, bulk_classify
 from iwakit.cli import EXIT_BLOCKED, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, build_parser, main
 
 E99 = "0,0,1,-3,-5"
@@ -96,13 +99,67 @@ def test_classify_json_counts(capsys):
 
 
 def test_classify_json_is_one_shot_text(capsys):
-    # the JSON is written in slices of the encoder's output (over 4096 chunks
-    # here) and each record becomes a dict only while it is written
+    # the records are written by a fixed template in slices of 256 (two slices
+    # here), spliced into the encoder's text of the rest of the payload
     code, out = _run(capsys, ["classify", "--curve", E99, "--p", "3", "--bound", "3000"])
     assert code == EXIT_OK
     payload = json.loads(out)
     assert len(payload["primes"]) == 429
     assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _record(obj: object) -> dict:
+    if not isinstance(obj, PrimeClass):
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    return {"ell": obj.ell, "class": obj.category, "a_ell": obj.a_ell,
+            "in_script_Q": obj.in_script_q}
+
+
+# the encoder that wrote classify's JSON before its records had a template
+_ORACLE_JSON = json.JSONEncoder(sort_keys=True, indent=2, default=_record)
+# bad at 2, 3, 5 and 7: Q1 records with a null a_ell at either p
+MANY_BAD = "1,0,0,-1070,7812"
+
+
+def _classify_oracle(curve: str, p: int, bound: int) -> tuple[str, str]:
+    """classify's JSON and CSV text, from the records and the stdlib writers alone."""
+    model = elliptic.parse_model(curve)
+    records = bulk_classify(model, p, bound)
+    counts = Counter(rec.category for rec in records)
+    payload = {
+        "schema": 1,
+        "subcommand": "classify",
+        "curve": elliptic.format_model(model),
+        "minimal_model": elliptic.format_model(elliptic.minimal_model(model)[0]),
+        "p": p,
+        "bound": bound,
+        "counts": {"Q1": counts["Q1"], "Q2": counts["Q2"], "Q3": counts["Q3"],
+                   "script_Q": sum(rec.in_script_q for rec in records)},
+        "primes": records,
+    }
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["ell", "class", "a_ell", "in_script_Q"])
+    for rec in records:
+        writer.writerow([rec.ell, rec.category, "" if rec.a_ell is None else rec.a_ell,
+                         "true" if rec.in_script_q else "false"])
+    return _ORACLE_JSON.encode(payload) + "\n", buf.getvalue()
+
+
+@pytest.mark.parametrize("curve", [E99, MANY_BAD])
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("bound", [1, 2, 3, 60, 3000])
+def test_classify_output_matches_stdlib_writers(capsys, tmp_path, curve, p, bound):
+    # bound 1 has no record and 2 has one; 3000 spans two slices of records
+    expected = dict(zip(("json", "csv"), _classify_oracle(curve, p, bound)))
+    if bound >= 60:
+        assert '"a_ell": null' in expected["json"] and ",Q1,," in expected["csv"]
+    argv = ["classify", f"--curve={curve}", "--p", str(p), "--bound", str(bound)]
+    for fmt, text in expected.items():
+        assert _run(capsys, [*argv, "--format", fmt]) == (EXIT_OK, text)
+        out = tmp_path / f"classify.{fmt}"
+        assert _run(capsys, [*argv, "--format", fmt, "--out", str(out)]) == (EXIT_OK, "")
+        assert out.read_bytes() == text.encode("utf-8")
 
 
 def test_classify_csv_rows(capsys):
