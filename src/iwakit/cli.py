@@ -193,13 +193,6 @@ def _emit(payload: dict, out: str | None) -> None:
     _write_slices(chain(_JSON.iterencode({"schema": 1, **payload}), ("\n",)), 4096, out)
 
 
-def _write_text(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
-
-
 def _curve_keys(model: WeierstrassModel, minimal: WeierstrassModel) -> dict:
     return {"curve": format_model(model), "minimal_model": format_model(minimal)}
 
@@ -378,9 +371,9 @@ def _cmd_density(args: argparse.Namespace) -> int:
         args.curve, args.p, args.grid, cache=cache, jobs=args.jobs, method=args.method
     )
     if args.g_csv:
-        _write_text(table_csv(report.g_table, "g"), args.g_csv)
+        Path(args.g_csv).write_text(table_csv(report.g_table, "g"), encoding="utf-8")
     if args.m_csv:
-        _write_text(table_csv(report.M_table, "M"), args.m_csv)
+        Path(args.m_csv).write_text(table_csv(report.M_table, "M"), encoding="utf-8")
     payload = {
         "subcommand": "density",
         **_curve_keys(args.curve, minimal_model(args.curve)[0]),

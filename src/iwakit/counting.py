@@ -26,7 +26,7 @@ import os
 import sys
 import tempfile
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import compress
 from pathlib import Path
@@ -285,16 +285,14 @@ def trace_of_frobenius(model: WeierstrassModel, ell: int) -> int:
 
 @dataclass(frozen=True)
 class FrobeniusData:
-    """Trace of Frobenius at a good prime, with memoized extension counts."""
+    """Trace of Frobenius at a good prime."""
 
     ell: int
     a_ell: int
-    counts: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.a_ell * self.a_ell > 4 * self.ell:
             raise ValueError(f"Hasse bound violated: a={self.a_ell} at ell={self.ell}")
-        self.counts.setdefault(1, self.ell + 1 - self.a_ell)
 
 
 def frobenius_data(model: WeierstrassModel, ell: int) -> FrobeniusData:
@@ -306,14 +304,10 @@ def order_over_extension(fd: FrobeniusData, n: int) -> int:
     """#E(F_{ell^n}) via the Frobenius trace recurrence."""
     if n < 1:
         raise ValueError(f"extension degree must be >= 1, got {n}")
-    if n in fd.counts:
-        return fd.counts[n]
     s_prev, s_cur = 2, fd.a_ell
     for _ in range(n - 1):
         s_prev, s_cur = s_cur, fd.a_ell * s_cur - fd.ell * s_prev
-    value = fd.ell**n + 1 - s_cur
-    fd.counts[n] = value
-    return value
+    return fd.ell**n + 1 - s_cur
 
 
 # -- trace cache -------------------------------------------------------------

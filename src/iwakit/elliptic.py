@@ -115,27 +115,14 @@ class WeierstrassModel:
         b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
         return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
-    def transform(self, r: int = 0, s: int = 0, t: int = 0, u: int = 1) -> "WeierstrassModel":
-        """Change of coordinates x = u^2 x' + r, y = u^3 y' + u^2 s x' + t.
-
-        u > 1 requires the resulting coefficients to stay integral.
-        """
-        if u < 1:
-            raise ValueError(f"scaling factor must be a positive integer, got {u}")
+    def transform(self, r: int = 0, s: int = 0, t: int = 0) -> "WeierstrassModel":
+        """Change of coordinates x = x' + r, y = y' + s x' + t."""
         a1, a2, a3, a4, a6 = self.coefficients()
         n1 = a1 + 2 * s
         n2 = a2 - s * a1 + 3 * r - s * s
         n3 = a3 + r * a1 + 2 * t
         n4 = a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t
         n6 = a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1
-        if u != 1:
-            coeffs = []
-            for k, v in ((1, n1), (2, n2), (3, n3), (4, n4), (6, n6)):
-                q, rem = divmod(v, u**k)
-                if rem:
-                    raise ValueError(f"scaling by u={u} does not keep the model integral")
-                coeffs.append(q)
-            n1, n2, n3, n4, n6 = coeffs
         return WeierstrassModel(n1, n2, n3, n4, n6)
 
 
@@ -449,7 +436,7 @@ class LocalReductionData:
 
 
 def _singular_point(model: WeierstrassModel, q: int) -> tuple[int, int]:
-    """The singular point of the reduction mod q, as residues."""
+    """The singular point of the reduction mod q, as residues; additive if q >= 5."""
     a1, a2, a3, a4, a6 = model.coefficients()
     if q <= 3:
         for x in range(q):
@@ -460,17 +447,9 @@ def _singular_point(model: WeierstrassModel, q: int) -> tuple[int, int]:
                 if on == 0 and fx == 0 and fy == 0:
                     return (x, y)
         raise AssertionError("bad reduction with no singular point")
-    # q >= 5: complete the square; the singular x is the repeated root of
-    # g(x) = 4x^3 + b2 x^2 + 2 b4 x + b6
-    g = [model.b6 % q, 2 * model.b4 % q, model.b2 % q, 4 % q]
-    dg = [2 * model.b4 % q, 2 * model.b2 % q, 12 % q]
-    rep = _gcd(g, dg, q)
-    if len(rep) == 2:
-        x0 = (-rep[0]) % q
-    elif len(rep) == 3:
-        x0 = (-rep[1]) * inv_mod(2, q) % q
-    else:
-        raise AssertionError("no repeated root at a bad prime")
+    # q >= 5, additive: q | c4 and q | disc, so q | c6 and
+    # g(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 = 4(x + b2/12)^3 mod q
+    x0 = -model.b2 * inv_mod(12, q) % q
     y0 = -(a1 * x0 + a3) * inv_mod(2, q) % q
     return (x0, y0)
 
@@ -509,10 +488,10 @@ def reduction_type(model: WeierstrassModel, ell: int) -> LocalReductionData:
     """Tate's algorithm at ell.  The model must be minimal at ell."""
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
-    if not is_minimal_at(model, ell):
-        raise NonMinimalModelError(f"model is not minimal at {ell}")
     q = ell
     c4, c6, disc = model.c4, model.c6, model.disc
+    if _minimality_exponent(c4, c6, disc, q):
+        raise NonMinimalModelError(f"model is not minimal at {q}")
     v_disc = padic_valuation(disc, q) if disc % q == 0 else 0
     v_c4 = None if c4 == 0 else padic_valuation(c4, q) if c4 % q == 0 else 0
 

@@ -173,8 +173,6 @@ def division_polynomial(model: WeierstrassModel, n: int) -> list[int]:
     # psi_n = f(n) for odd n, psi_n = psi_2 * g(n) for even n
     @lru_cache(maxsize=None)
     def f(k: int) -> tuple[int, ...]:
-        if k == -1:
-            return (-1,)
         if k == 1:
             return (1,)
         if k == 3:
@@ -191,8 +189,6 @@ def division_polynomial(model: WeierstrassModel, n: int) -> list[int]:
 
     @lru_cache(maxsize=None)
     def g(k: int) -> tuple[int, ...]:
-        if k == 0:
-            return (0,)
         if k == 2:
             return (1,)
         if k == 4:
@@ -312,17 +308,19 @@ def euler_char_factors(
 def _default_euler_factors(minimal: WeierstrassModel, p: int) -> EulerFactors:
     """_euler_factors on the reference data alone.
 
-    Its outcome, the factors or the ValueError that stopped the audit, is kept
-    on the minimal model per p, as _twist_at_p keeps its decision, so a report
+    Its outcome, the factors or the type and arguments of the ValueError that
+    stopped the audit (the error's traceback would hold the model), is kept on
+    the minimal model per p, as _twist_at_p keeps its decision, so a report
     and its hypothesis audit share one run."""
     kept = minimal.__dict__.setdefault("_euler_factors", {})
     if p not in kept:
         try:
             kept[p] = _euler_factors(minimal, p)
         except ValueError as exc:
-            kept[p] = exc
-    if isinstance(kept[p], ValueError):
-        raise kept[p].with_traceback(None)  # a re-raise would extend the kept traceback
+            kept[p] = (type(exc), exc.args)
+    if isinstance(kept[p], tuple):
+        kind, args = kept[p]
+        raise kind(*args)
     return kept[p]
 
 

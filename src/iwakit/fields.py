@@ -280,9 +280,7 @@ def _sieve_counts(primes: list[int], p: int, bound: int) -> list[int]:
 
 
 def _product_weights_sieve(primes: list[int], p: int, bound: int) -> dict[int, int]:
-    """Same weights as _product_weights_dfs, read off the sieve counts."""
-    if bound < 1:
-        return {}
+    """Same weights as _product_weights_dfs, read off the sieve counts.  bound >= 1."""
     c = _sieve_counts(primes, p, bound)
     weights = {}
     for n in range(2, bound + 1):
@@ -377,22 +375,20 @@ def g_of_X(
     *,
     cache: TraceCache | None = None,
     jobs: int = 1,
-    method: str = "dfs",
 ) -> int:
     """Count of distinguished-set-ramified fields with squarefree conductor <= bound."""
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    _, totals = _method(method)
-    return totals(script_q_primes(model, p, bound, cache=cache, jobs=jobs), p, [bound])[0]
+    primes = script_q_primes(model, p, bound, cache=cache, jobs=jobs)
+    return _product_totals_dfs(primes, p, [bound])[0]
 
 
-def M_of_X(p: int, bound: int, *, method: str = "dfs") -> int:
+def M_of_X(p: int, bound: int) -> int:
     """Count of all degree-p cyclic fields with discriminant <= bound."""
     check_odd_prime(p)
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    _, totals = _method(method)
-    return _m_totals(p, [iroot(bound, p - 1)], totals)[0]
+    return _m_totals(p, [iroot(bound, p - 1)], _product_totals_dfs)[0]
 
 
 def g_steps(

@@ -471,6 +471,40 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(("argv", "code", "err"), [
+    (["euler-char", "--curve", E99, "--p", "3", "--sha", "2"], EXIT_FAILURE,
+     "error: sha order must be a power of 3, got 2\n"),
+    (["kida", "--curve", E99, "--p", "3", "--ramified", "7,13", "--exponents", "1"],
+     EXIT_FAILURE, "error: 2 ramified primes but 1 exponents\n"),
+    (["kida", "--curve", E99, "--p", "3", "--ramified", "7", "--exponents", "3"],
+     EXIT_FAILURE, "error: an exponent divisible by 3 cuts out no degree-3 character\n"),
+    (["kida", "--curve", E99, "--p", "3", "--ramified", "7,x"], EXIT_USAGE,
+     "iwakit kida: error: argument --ramified: expected comma-separated integers, got '7,x'\n"),
+    (["kida", "--curve", E99, "--p", "3", "--ramified", "7", "--mu-lambda-zero", "maybe"],
+     EXIT_USAGE,
+     "iwakit kida: error: argument --mu-lambda-zero: expected true or false, got 'maybe'\n"),
+])
+def test_rejected_arguments(capsys, argv, code, err):
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code
+    assert captured.out == "" and captured.err.endswith(err)
+
+
+def test_explicit_sha_and_default_wild_exponent(capsys):
+    code, payload = _run_json(capsys, ["euler-char", "--curve", E99, "--p", "3", "--sha", "1"])
+    assert code == EXIT_OK
+    assert payload["factors"]["sha_p_order"] == payload["external"]["sha_p_order"] == 1
+    code, payload = _run_json(capsys, ["kida", "--curve", E99, "--p", "3", "--ramified", "7",
+                                       "--wild"])
+    assert code == EXIT_OK
+    assert payload["extension"]["wild_at_p"] is True
+    assert payload["extension"]["exponents"] == [1, 1]  # the wild exponent defaults to 1
+
+
 def test_singular_curve_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--curve", "0,0,0,0,0", "--p", "3", "--bound", "10"])

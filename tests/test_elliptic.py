@@ -27,7 +27,8 @@ from iwakit.elliptic import (
     quadratic_twist,
     reduction_type,
 )
-from iwakit.ntheory import factorize, padic_valuation
+from iwakit.eulerchar import HypothesisNotMetError, euler_char_factors
+from iwakit.ntheory import factorize, is_prime, padic_valuation
 
 E99 = WeierstrassModel(0, 0, 1, -3, -5)  # y^2 + y = x^3 - 3x - 5, conductor 99
 E11 = WeierstrassModel(0, -1, 1, -10, -20)  # conductor 11, Tamagawa 5 at 11
@@ -67,7 +68,7 @@ def test_transform_roundtrip():
 
 
 def _undo(w: WeierstrassModel, r: int, s: int, t: int) -> WeierstrassModel:
-    # inverse of (r, s, t, u=1) is (-r, -s, rs - t)
+    # inverse of (r, s, t) is (-r, -s, rs - t)
     return w.transform(r=-r, s=-s, t=r * s - t)
 
 
@@ -83,10 +84,8 @@ def test_transform_inverse_property(r, s, t):
 
 
 def test_transform_scaling_integrality():
-    with pytest.raises(ValueError):
-        E99.transform(u=2)
     scaled = model_from_c4c6(2**4 * 48, 0)  # u=2 blowup of y^2 = x^3 - x
-    assert scaled.transform(u=2) == E32
+    assert minimal_model(scaled) == (E32, 2)
 
 
 def test_minimal_model_twist_example():
@@ -165,6 +164,31 @@ def test_minimal_model_is_freed_without_the_cyclic_collector():
         local_data(w)
         kept = weakref.ref(mm)
         del w, mm
+        assert kept() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(("coeffs", "fails"), [
+    ((0, 0, 1, -3, -5), False),
+    # additive at 3 with a good ordinary twist but no reference record
+    ((0, 0, 1, -93, 625), True),
+])
+def test_euler_audit_outcome_is_freed_without_the_cyclic_collector(coeffs, fails):
+    # the audit's outcome is kept on the minimal model; a kept error would
+    # hold, through its traceback, the frames that hold the model
+    mm, _ = minimal_model(WeierstrassModel(*coeffs))
+    gc.disable()
+    try:
+        for _ in range(2):  # the audit, then its kept outcome
+            try:
+                euler_char_factors(mm, 3)
+            except HypothesisNotMetError:
+                assert fails
+            else:
+                assert not fails
+        kept = weakref.ref(mm)
+        del mm
         assert kept() is None
     finally:
         gc.enable()
@@ -309,12 +333,22 @@ def test_conductors():
 
 def test_nonminimal_rejected():
     blown = model_from_c4c6(6**4 * 144, 6**6 * 4104)
-    with pytest.raises(NonMinimalModelError):
+    with pytest.raises(NonMinimalModelError, match="^model is not minimal at 2$"):
         reduction_type(blown, 2)
-    with pytest.raises(NonMinimalModelError):
+    with pytest.raises(NonMinimalModelError, match="^model is not minimal at 3$"):
         reduction_type(blown, 3)
     # still fine at a prime where it is minimal
     assert reduction_type(blown, 11).type == "nonsplit_multiplicative"
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        reduction_type(blown, 4)
+
+
+def test_reduction_type_checks_primality_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(elliptic, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    for ell in (3, 11, 13):
+        reduction_type(E99, ell)
+    assert calls == [3, 11, 13]
 
 
 def test_potential_good_reduction():

@@ -40,7 +40,7 @@ def test_division_polynomial_base_cases():
 
 def test_division_polynomial_degree_and_lead():
     m = WeierstrassModel(0, 0, 0, -2, 3)
-    for p in (3, 5, 7, 9, 11):
+    for p in (3, 5, 7, 9, 11, 13, 15):
         psi = division_polynomial(m, p)
         assert len(psi) - 1 == (p * p - 1) // 2
         assert psi[-1] == p
@@ -77,6 +77,29 @@ def test_division_polynomial_vs_point_orders():
                     for n, psi in polys.items():
                         killed = _ec_mul(n, (x, y), a % q, q) is None
                         assert (_pol_eval_mod(psi, x, q) == 0) == killed, (a, b, q, x, y, n)
+
+
+def _torsion_xs(a, b, n, q):
+    """x of the nonzero points P with nP = O on y^2 = x^3 + ax + b over F_q."""
+    return {x for x in range(q) for y in range(q)
+            if (y * y - x**3 - a * x - b) % q == 0 and _ec_mul(n, (x, y), a, q) is None}
+
+
+@pytest.mark.parametrize("n", [9, 11, 13, 15])
+def test_division_polynomial_roots_are_torsion_of_curve_and_twist(n):
+    # over F_q the roots of psi_n are the x of the nonzero n-torsion of E and
+    # of its quadratic twist; n = 13 and 15 reach g(8), the even-m branch of g
+    for m in (E99, E11, E37, WeierstrassModel(1, 2, 3, 4, 5)):
+        psi = division_polynomial(m, n)
+        a, b = m.short  # X = 36x + 3 b2 on the short model Y^2 = X^3 + aX + b
+        for q in (37, 41, 43, 47, 53, 59, 61, 67, 71, 73):
+            if m.disc % q == 0 or n % q == 0:
+                continue
+            d = next(d for d in range(2, q) if pow(d, (q - 1) // 2, q) == q - 1)
+            # the twist d Y^2 = X^3 + aX + b, as Y'^2 = X'^3 + d^2 a X' + d^3 b with X' = d X
+            twist = {x * pow(d, -1, q) % q for x in _torsion_xs(d * d * a, d**3 * b, n, q)}
+            roots = {(36 * x + 3 * m.b2) % q for x in range(q) if _pol_eval_mod(psi, x, q) == 0}
+            assert roots == _torsion_xs(a, b, n, q) | twist, (m, n, q)
 
 
 def test_division_polynomial_known_torsion():

@@ -219,7 +219,8 @@ def test_g_of_x_small():
 
 def test_g_of_x_dual_algorithms():
     for bound in (7, 50, 100, 300, 600):
-        assert g_of_X(E99, 3, bound, method="dfs") == g_of_X(E99, 3, bound, method="sieve")
+        primes = script_q_primes(E99, 3, bound)
+        assert g_of_X(E99, 3, bound) == _product_totals_sieve(primes, 3, [bound])[0]
 
 
 def test_g_of_x_brute_subsets():
@@ -353,15 +354,24 @@ def test_unknown_method_rejected_before_any_work(monkeypatch):
     monkeypatch.setattr("iwakit.fields._odd_flags", fail)
     monkeypatch.setattr("iwakit.fields._distinguished_primes", fail)
     calls = [
-        lambda: g_of_X(E99, 3, 600, method="bogus"),
         lambda: g_steps(E99, 3, 600, method="bogus"),
-        lambda: M_of_X(3, 600, method="bogus"),
         lambda: m_steps(3, 600, method="bogus"),
-        lambda: M_of_X(3, 1, method="bogus"),  # no field at all below 49
+        lambda: m_steps(3, 1, method="bogus"),  # no field at all below 49
     ]
     for call in calls:
         with pytest.raises(ValueError, match="unknown method"):
             call()
+
+
+@pytest.mark.parametrize("count", [
+    lambda: g_of_X(E99, 3, 0),
+    lambda: M_of_X(3, 0),
+    lambda: g_steps(E99, 3, 0),
+    lambda: m_steps(3, 0),
+], ids=["g_of_X", "M_of_X", "g_steps", "m_steps"])
+def test_counts_reject_bound_zero(count):
+    with pytest.raises(ValueError, match="bound must be >= 1, got 0"):
+        count()
 
 
 def test_m_of_x_smallest_fields():
@@ -377,7 +387,7 @@ def test_m_of_x_smallest_fields():
 def test_m_of_x_conductor_hundred():
     # conductors <= 100: eleven single tame primes, 7*13, plus wild 9 and 9*7
     assert M_of_X(3, 10**4) == 16
-    assert M_of_X(3, 10**4, method="sieve") == 16
+    assert _m_totals(3, [100], _product_totals_sieve) == [16]
 
 
 def test_m_of_x_vs_direct_enumeration():
@@ -396,7 +406,8 @@ def test_m_of_x_vs_direct_enumeration():
                     total += len(enumerate_extensions(p, combo))
                 if prod * p * p <= max_f:
                     total += len(enumerate_extensions(p, combo, wild_at_p=True))
-        assert M_of_X(p, bound) == total == M_of_X(p, bound, method="sieve")
+        sieve = _m_totals(p, [max_f], _product_totals_sieve)[0]
+        assert M_of_X(p, bound) == total == sieve
 
 
 def test_m_of_x_monotone():
