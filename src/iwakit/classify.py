@@ -8,7 +8,7 @@ growth along the cyclotomic tower is decided at the finite residue level.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .counting import TraceCache, frobenius_data, order_over_extension
@@ -79,14 +79,20 @@ def _good_traces(
     return (cache if cache is not None else TraceCache(None)).traces(minimal, good, jobs=jobs)
 
 
-def _prime_class(p: int, ell: int, a: int | None) -> PrimeClass:
-    """The verdict at ell from a_ell, or from None at a bad prime: Q2 when p
-    divides #E(F_ell) = ell + 1 - a_ell, else Q3, distinguished if ell = 1 mod p."""
+def _verdict(p: int, ell: int, a: int | None) -> tuple[str, bool]:
+    """The class at ell from a_ell, or from None at a bad prime, and whether ell
+    is distinguished: Q2 when p divides #E(F_ell) = ell + 1 - a_ell, else Q3,
+    distinguished if ell = 1 mod p."""
     if a is None:
-        return PrimeClass(ell=ell, category="Q1", a_ell=None, in_script_q=False)
-    category = "Q2" if (ell + 1 - a) % p == 0 else "Q3"
-    return PrimeClass(ell=ell, category=category, a_ell=a,
-                      in_script_q=category == "Q3" and ell % p == 1)
+        return "Q1", False
+    if (ell + 1 - a) % p == 0:
+        return "Q2", False
+    return "Q3", ell % p == 1
+
+
+def _prime_class(p: int, ell: int, a: int | None) -> PrimeClass:
+    category, distinguished = _verdict(p, ell, a)
+    return PrimeClass(ell=ell, category=category, a_ell=a, in_script_q=distinguished)
 
 
 def classify_prime(
@@ -129,12 +135,25 @@ def bulk_classify(
     jobs: int = 1,
 ) -> list[PrimeClass]:
     """Classify every prime ell <= bound except p, in increasing order."""
+    return list(_classified(model, p, bound, cache, jobs)[1])
+
+
+def _classified(
+    model: WeierstrassModel,
+    p: int,
+    bound: int,
+    cache: TraceCache | None,
+    jobs: int,
+) -> tuple[Iterator[tuple[str, bool]], Iterator[PrimeClass]]:
+    """The (class, distinguished) verdicts of ``bulk_classify``'s records, and
+    those records, each made one at a time from one table of traces: a caller
+    that writes the records as they come holds no list of them."""
     check_odd_prime(p)
-    if bound < 2:
-        return []
-    ells = [ell for ell in sieve_primes(bound) if ell != p]
-    traces = _good_traces(model, ells, cache, jobs)
-    return [_prime_class(p, ell, traces.get(ell)) for ell in ells]
+    ells = [ell for ell in sieve_primes(bound) if ell != p] if bound >= 2 else []
+    traces = _good_traces(model, ells, cache, jobs) if ells else {}
+    verdicts = (_verdict(p, ell, traces.get(ell)) for ell in ells)
+    records = (_prime_class(p, ell, traces.get(ell)) for ell in ells)
+    return verdicts, records
 
 
 def _distinguished_primes(
@@ -155,12 +174,14 @@ def _distinguished_primes(
     flags = _odd_flags(bound)
     # only the flags of the odd ell = 1 mod 2p are read: no list of all primes is built
     cache = cache if cache is not None else TraceCache(None)
-    ells, traces = cache._traces_1_mod_2p(model, p, flags, jobs)
-    # the Q3 test of _prime_class, where ell + 1 = 2 mod p; pi(bound) counts 2 too
-    return [ell for ell, a in zip(ells, traces) if (2 - a) % p], 1 + flags.count(1)
+    ells, arr, beyond = cache._traces_1_mod_2p(model, p, flags, jobs)
+    # the Q3 test of _verdict, where ell + 1 = 2 mod p; pi(bound) counts 2 too
+    distinguished = [ell for ell in ells if (2 - arr[ell >> 1]) % p]
+    distinguished += [ell for ell, a in beyond.items() if (2 - a) % p]
+    return distinguished, 1 + flags.count(1)
 
 
-def classification_rows(records: list[PrimeClass]) -> Iterator[str]:
+def classification_rows(records: Iterable[PrimeClass]) -> Iterator[str]:
     """The lines of ``classification_csv``, header first, each ending in a newline."""
     # no field holds a comma, quote or newline, so csv.writer would quote none
     yield "ell,class,a_ell,in_script_Q\n"

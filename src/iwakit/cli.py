@@ -16,13 +16,13 @@ import math
 import os
 import re
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import chain, islice
 from pathlib import Path
 
-from .classify import PrimeClass, bulk_classify, classification_rows
+from .classify import PrimeClass, _classified, bulk_classify, classification_rows
 from .counting import TraceCache
 from .density import (
     GRID_BUDGET,
@@ -143,7 +143,8 @@ def _bool_arg(text: str) -> bool:
 
 
 def _cache_from(args: argparse.Namespace) -> TraceCache:
-    directory = getattr(args, "cache_dir", None) or os.environ.get("IWAKIT_CACHE_DIR")
+    # an empty IWAKIT_CACHE_DIR is unset, not the current directory: memory only
+    directory = getattr(args, "cache_dir", None) or os.environ.get("IWAKIT_CACHE_DIR") or None
     return TraceCache(directory=directory)
 
 
@@ -206,12 +207,11 @@ def _failure(exc: ValueError) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _class_counts(records) -> dict:
+def _class_counts(verdicts: Iterable[tuple[str, bool]]) -> dict:
     counts = {"Q1": 0, "Q2": 0, "Q3": 0, "script_Q": 0}
-    for rec in records:
-        counts[rec.category] += 1
-        if rec.in_script_q:
-            counts["script_Q"] += 1
+    for category, distinguished in verdicts:
+        counts[category] += 1
+        counts["script_Q"] += distinguished
     return counts
 
 
@@ -221,12 +221,9 @@ def _check_bound(bound: int) -> None:
         raise ValueError(f"bound {bound} exceeds the budget {GRID_BUDGET}")
 
 
-def _primes_json(records: list[PrimeClass]) -> Iterator[str]:
+def _primes_json(records: Iterable[PrimeClass]) -> Iterator[str]:
     # the "primes" list as _JSON writes it at depth 1, one piece per record:
     # keys sorted, each record's dict at depth 2, None and bools spelled as JSON
-    if not records:
-        yield "[]"
-        return
     sep = "["
     for r in records:
         a_ell = "null" if r.a_ell is None else r.a_ell
@@ -234,14 +231,16 @@ def _primes_json(records: list[PrimeClass]) -> Iterator[str]:
         yield (f'{sep}\n    {{\n      "a_ell": {a_ell},\n      "class": "{r.category}",'
                f'\n      "ell": {r.ell},\n      "in_script_Q": {flag}\n    }}')
         sep = ","
-    yield "\n  ]"
+    # an empty list is "[]"; records are only known to be none once they run out
+    yield "[]" if sep == "[" else "\n  ]"
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     _check_bound(args.bound)
-    # the trace cache is not kept, so its table is freed before the output
-    records = bulk_classify(args.curve, args.p, args.bound, cache=_cache_from(args),
-                            jobs=args.jobs)
+    # each record is made as it is written, so no list of them is held; the
+    # trace cache is not kept, so its table is freed before the output
+    verdicts, records = _classified(args.curve, args.p, args.bound, _cache_from(args),
+                                    args.jobs)
     if args.format == "csv":
         _write_slices(classification_rows(records), _RECORD_SLICE, args.out)
         return EXIT_OK
@@ -251,7 +250,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         **_curve_keys(args.curve, minimal_model(args.curve)[0]),
         "p": args.p,
         "bound": args.bound,
-        "counts": _class_counts(records),
+        "counts": _class_counts(verdicts),
         "primes": [],
     }
     # the records go in at the one "primes": [] slot of the rest of the payload
@@ -401,6 +400,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         for local in bad
     ]
     records = bulk_classify(model, p, args.bound, cache=cache, jobs=args.jobs)
+    counts = _class_counts((r.category, r.in_script_q) for r in records)
     try:
         euler: dict = euler_factors_record(euler_char_factors(minimal, p))
     except ValueError as exc:
@@ -411,7 +411,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         "p": p,
         "conductor": math.prod(local.ell ** local.conductor_exponent for local in bad),
         "reduction": reduction,
-        "classification": {"bound": args.bound, "counts": _class_counts(records)},
+        "classification": {"bound": args.bound, "counts": counts},
         "euler": euler,
         "density_constants": {
             "alpha": str(alpha_closed_form(p)),

@@ -28,7 +28,7 @@ import tempfile
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress
+from itertools import compress, islice
 from pathlib import Path
 
 from .elliptic import BadReductionError, WeierstrassModel, format_model, minimal_model
@@ -456,11 +456,13 @@ class TraceCache:
 
     def _traces_1_mod_2p(
         self, model: WeierstrassModel, p: int, flags: bytearray, jobs: int
-    ) -> tuple[list[int], list[int]]:
-        """The good primes ell = 1 mod 2p, ascending, and their a_ell, where
-        flag i of the odd sieve flags says whether 2i + 1 is prime.
+    ) -> tuple[list[int], array, dict[int, int]]:
+        """The good primes ell = 1 mod 2p up to GRID_BUDGET, ascending, and the
+        trace array, which holds their a_ell at slot ell >> 1; then a_ell at
+        the good primes ell = 1 mod 2p above GRID_BUDGET, ascending.  Flag i of
+        the odd sieve flags says whether 2i + 1 is prime.
 
-        Slot and flag of an odd ell are both (ell - 1) / 2, so the slots are
+        Slot and flag of an odd ell are both (ell - 1) / 2, so the primes are
         read with the stride of the flags: no dict, no sort.
         """
         minimal, _ = minimal_model(model)
@@ -468,18 +470,21 @@ class TraceCache:
         arr = self._load(key)
         odd, primes = _stride_1_mod_2p(flags, p)
         ells = list(compress(odd, primes))
-        traces = list(compress(arr[: len(flags) : p], primes))
-        traces += [_UNKNOWN] * (len(ells) - len(traces))  # past the end of the array
-        missing = [ell for ell, a in zip(ells, traces) if a == _UNKNOWN or a * a > 4 * ell]
+        # ells[:held] have a slot in the array; an unknown slot fails the Hasse
+        # test too, as (-32768)^2 = 2^30 > 4 GRID_BUDGET
+        held = bisect.bisect_left(ells, min(2 * len(arr), GRID_BUDGET + 1))
+        missing = [ell for ell in islice(ells, held) if (a := arr[ell >> 1]) * a > 4 * ell]
+        missing += ells[held:]
+        beyond: dict[int, int] = {}
         if missing:
             # the minimal model has bad reduction exactly at the primes of its
             # discriminant, and a bad prime has no trace
             disc = minimal.disc
             good = [ell for ell in missing if disc % ell]
-            for ell, a in zip(good, self._count(key, minimal, good, jobs)):
-                traces[bisect.bisect_left(ells, ell)] = a
+            counted = self._count(key, minimal, good, jobs)  # stores ell <= GRID_BUDGET
+            beyond = {ell: a for ell, a in zip(good, counted) if ell > GRID_BUDGET}
+            del ells[bisect.bisect_right(ells, GRID_BUDGET):]
             for ell in missing:
-                if not disc % ell:
-                    i = bisect.bisect_left(ells, ell)
-                    del ells[i], traces[i]
-        return ells, traces
+                if ell <= GRID_BUDGET and not disc % ell:
+                    del ells[bisect.bisect_left(ells, ell)]
+        return ells, arr, beyond

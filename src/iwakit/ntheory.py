@@ -23,12 +23,26 @@ __all__ = [
 ]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (B, bases): the first k bases of _MR_BASES prove every n < B.  Each B is the
+# least strong pseudoprime to those k bases (Jaeschke 1993, Math. Comp. 61;
+# Sorenson-Webster 2015, Math. Comp. 86); all 12 prove n < 3.18e23.
+_MR_BOUNDS = tuple((bound, _MR_BASES[:k]) for bound, k in (
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+))
 
 
 def is_prime(n: int) -> bool:
     """Trial division by the primes 2..37, which proves n < 41^2 = 1681; above
-    that, Miller-Rabin to the same bases: proven for n < 3.18e23
-    (Sorenson-Webster 2015), a strong probable-prime test above that."""
+    that, Miller-Rabin to the first k bases 2, 3, 5, ..., with k read from the
+    proven bounds of ``_MR_BOUNDS`` (Jaeschke 1993; Sorenson-Webster 2015):
+    bases 2 and 3 below 1,373,653, ..., all 12 below 3.18e23, and a strong
+    probable-prime test to all 12 above that."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -36,11 +50,16 @@ def is_prime(n: int) -> bool:
             return n == q
     if n < 1681:  # 41^2: a composite below it has a prime factor up to 37
         return True
+    bases = _MR_BASES
+    for bound, proven in _MR_BOUNDS:
+        if n < bound:
+            bases = proven
+            break
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

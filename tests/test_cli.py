@@ -8,12 +8,13 @@ import multiprocessing
 import shutil
 import sys
 import time
+import weakref
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from iwakit import cli, elliptic, eulerchar, kida, refdata
+from iwakit import classify, cli, elliptic, eulerchar, kida, refdata
 from iwakit.classify import PrimeClass, bulk_classify
 from iwakit.cli import EXIT_BLOCKED, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, build_parser, main
 
@@ -160,6 +161,40 @@ def test_classify_output_matches_stdlib_writers(capsys, tmp_path, curve, p, boun
         out = tmp_path / f"classify.{fmt}"
         assert _run(capsys, [*argv, "--format", fmt, "--out", str(out)]) == (EXIT_OK, "")
         assert out.read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_classify_holds_no_record_list(capsys, monkeypatch, fmt):
+    # each record is written as it is made: the live records never outnumber
+    # one slice, where a list of them would reach all 429 primes below 3000
+    live: weakref.WeakSet = weakref.WeakSet()
+    made = []
+    most = 0
+    prime_class = classify._prime_class
+
+    def tracked(*args):
+        nonlocal most
+        record = prime_class(*args)
+        live.add(record)
+        made.append(record.ell)
+        most = max(most, len(live))
+        return record
+
+    monkeypatch.setattr(classify, "_prime_class", tracked)
+    argv = ["classify", "--curve", E99, "--p", "3", "--bound", "3000", "--format", fmt]
+    code, out = _run(capsys, argv)
+    assert code == EXIT_OK
+    assert len(made) == 429 and str(made[-1]) in out
+    assert most <= cli._RECORD_SLICE + 4
+
+
+def test_empty_cache_dir_env_var_is_memory_only(capsys, tmp_path, monkeypatch):
+    # an empty IWAKIT_CACHE_DIR is unset, not the working directory
+    monkeypatch.setenv("IWAKIT_CACHE_DIR", "")
+    monkeypatch.chdir(tmp_path)
+    code, out = _run(capsys, ["classify", "--curve", E99, "--p", "3", "--bound", "100"])
+    assert code == EXIT_OK and json.loads(out)["counts"]["Q3"] > 0
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_classify_csv_rows(capsys):

@@ -909,6 +909,19 @@ def test_distinguished_primes_recount_a_damaged_slot(tmp_path, monkeypatch):
     assert path.read_bytes() == data
 
 
+@pytest.mark.parametrize("budget", [7, 1000])
+@pytest.mark.parametrize("p", [3, 5])
+def test_distinguished_primes_past_the_array_budget(tmp_path, monkeypatch, p, budget):
+    # an ell above GRID_BUDGET has no slot, so it is counted on every call;
+    # at p = 5 the bad prime 11 = 1 mod 10 sits above the budget 7 and below 1000
+    expected = _distinguished_primes(E99, p, 3000, None, 1)
+    monkeypatch.setattr(counting, "GRID_BUDGET", budget)
+    for _ in ("cold", "warm"):
+        assert _distinguished_primes(E99, p, 3000, TraceCache(tmp_path), 1) == expected
+    for path in tmp_path.glob("*.traces"):  # none when no good ell has a slot
+        assert len(path.read_bytes()) - 32 <= 2 * (budget // 2 + 1)
+
+
 def test_trace_cache_file_holds_the_union_of_density_and_classify(tmp_path):
     # density at p = 3, classify, then density at p = 5 on one directory
     asymptotic_report(E99, 3, [100, 1000, 2000, 6000], cache=TraceCache(tmp_path))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import time
@@ -91,6 +92,73 @@ def test_is_prime_large():
     # Carmichael numbers
     for n in (561, 1105, 41041, 825265):
         assert not is_prime(n)
+
+
+# the least strong pseudoprime to the first k prime bases, for each row of
+# is_prime's table of proven base sets (Jaeschke 1993; Sorenson-Webster 2015)
+_PSEUDOPRIME_ROWS = [
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+]
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _strong_probable_prime(n: int, bases) -> bool:
+    """Whether the odd n > 2 passes the strong (Miller-Rabin) test to every base."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _trial_division_6k(n: int) -> bool:
+    """Primality by trial division to sqrt(n) with 2, 3 and 6k +- 1."""
+    if n < 4:
+        return n > 1
+    if n % 2 == 0 or n % 3 == 0:
+        return False
+    for d in range(5, math.isqrt(n) + 1, 6):
+        if n % d == 0 or n % (d + 2) == 0:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("bound, k", _PSEUDOPRIME_ROWS)
+def test_is_prime_rejects_the_pseudoprime_that_bounds_each_row(bound, k):
+    # the row's k bases alone would call its bound prime, so the row must end there
+    assert _strong_probable_prime(bound, _PRIME_BASES[:k])
+    assert not _trial_division_6k(bound)  # each has a prime factor below 1.1e7
+    assert not is_prime(bound)
+
+
+@pytest.mark.parametrize("bound", [b for b, _ in _PSEUDOPRIME_ROWS])
+def test_is_prime_near_each_row_bound(bound):
+    # trial division up to 3.4e14; at 3.8e18 it would take 2e9 divisions, so the
+    # oracle there is the strong test to all 12 bases, proven below 3.18e23
+    if bound < 10**15:
+        oracle = _trial_division_6k
+    else:
+        oracle = functools.partial(_strong_probable_prime, bases=_PRIME_BASES)
+    window = range(bound - 50, bound + 51)
+    got = [is_prime(n) for n in window]
+    assert got == [n % 2 == 1 and oracle(n) for n in window]
+    assert any(got)
 
 
 def test_legendre_against_squares():
