@@ -23,7 +23,6 @@ __all__ = [
     "cyclotomic_split_count",
     "bulk_classify",
     "classification_rows",
-    "classification_csv",
 ]
 
 
@@ -182,13 +181,9 @@ def _distinguished_primes(
 
 
 def classification_rows(records: Iterable[PrimeClass]) -> Iterator[str]:
-    """The lines of ``classification_csv``, header first, each ending in a newline."""
+    """The CSV lines of the records, header first, each ending in a newline."""
     # no field holds a comma, quote or newline, so csv.writer would quote none
     yield "ell,class,a_ell,in_script_Q\n"
     for r in records:
         a_ell = "" if r.a_ell is None else r.a_ell
         yield f"{r.ell},{r.category},{a_ell},{'true' if r.in_script_q else 'false'}\n"
-
-
-def classification_csv(records: list[PrimeClass]) -> str:
-    return "".join(classification_rows(records))

@@ -56,6 +56,7 @@ from .kida import (
     kida_record,
     lambda_transfer,
 )
+from .ntheory import check_odd_prime
 from .refdata import ingest_reference, reference_record
 
 __all__ = ["main", "EXIT_OK", "EXIT_FAILURE", "EXIT_USAGE", "EXIT_BLOCKED"]
@@ -150,6 +151,7 @@ def _cache_from(args: argparse.Namespace) -> TraceCache:
 
 def _extension_from(args: argparse.Namespace) -> CyclicExtension:
     p = args.p
+    check_odd_prime(p)  # the normalization below works mod p
     tame = args.ramified or ()
     exponents = args.exponents
     if exponents is None:
@@ -166,6 +168,8 @@ def _extension_from(args: argparse.Namespace) -> CyclicExtension:
     # a character and its powers cut out the same field, so reduce mod p and
     # rescale the whole vector to the normalized representative
     vector = [e for _, e in pairs] + ([wild_exponent] if wild else [])
+    if not vector:
+        raise ValueError("a nontrivial extension of Q ramifies somewhere")
     if any(e % p == 0 for e in vector):
         raise ValueError(f"an exponent divisible by {p} cuts out no degree-{p} character")
     inverse = pow(vector[0], -1, p)

@@ -25,15 +25,12 @@ from .ntheory import (
 
 __all__ = [
     "WeierstrassModel",
-    "CurveInvariants",
     "LocalReductionData",
     "SingularCurveError",
     "NonMinimalModelError",
     "InvalidTwistError",
     "BadReductionError",
-    "invariants",
     "minimal_model",
-    "is_minimal_at",
     "reduction_type",
     "local_data",
     "quadratic_twist",
@@ -124,41 +121,6 @@ class WeierstrassModel:
         n4 = a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t
         n6 = a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1
         return WeierstrassModel(n1, n2, n3, n4, n6)
-
-
-@dataclass(frozen=True)
-class CurveInvariants:
-    b2: int
-    b4: int
-    b6: int
-    b8: int
-    c4: int
-    c6: int
-    disc: int
-    j: Fraction
-
-    def __post_init__(self) -> None:
-        if self.disc == 0:
-            raise SingularCurveError("discriminant vanishes")
-        assert 4 * self.b8 == self.b2 * self.b6 - self.b4 * self.b4
-        assert self.b2 * self.b2 - 24 * self.b4 == self.c4
-        assert self.c4**3 - self.c6**2 == 1728 * self.disc
-        assert self.j == Fraction(self.c4**3, self.disc)
-
-
-def invariants(model: WeierstrassModel) -> CurveInvariants:
-    """All b/c invariants, the discriminant and the exact j-invariant."""
-    disc = model.disc
-    return CurveInvariants(
-        b2=model.b2,
-        b4=model.b4,
-        b6=model.b6,
-        b8=model.b8,
-        c4=model.c4,
-        c6=model.c6,
-        disc=disc,
-        j=Fraction(model.c4**3, disc),
-    )
 
 
 def parse_model(text: str) -> WeierstrassModel:
@@ -267,12 +229,6 @@ def minimal_model(model: WeierstrassModel) -> tuple[WeierstrassModel, int]:
     return minimal, u
 
 
-def is_minimal_at(model: WeierstrassModel, q: int) -> bool:
-    if not is_prime(q):
-        raise ValueError(f"{q} is not prime")
-    return _minimality_exponent(model.c4, model.c6, model.disc, q) == 0
-
-
 def local_data(model: WeierstrassModel) -> list[LocalReductionData]:
     """Tate's algorithm at each bad prime of the minimal model, in increasing order.
 
@@ -291,11 +247,10 @@ def conductor(model: WeierstrassModel) -> int:
 
 
 def has_potential_good_reduction(model: WeierstrassModel, q: int) -> bool:
-    """True when j is q-integral."""
+    """True when j = c4^3 / disc is q-integral."""
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
-    j = invariants(model).j
-    return j.denominator % q != 0
+    return Fraction(model.c4**3, model.disc).denominator % q != 0
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ __all__ = [
     "lambda_transfer",
     "rank_bound",
     "rank_claim",
-    "split_multiplicative_over",
     "stable_extension_test",
     "tower_transfer",
 ]
@@ -224,24 +223,6 @@ def _require_unblocked(report: HypothesisReport, p: int) -> None:
         reasons.append("base mu/lambda invariants are unresolved; supply them or override")
     if reasons:
         raise HypothesisBlockedError("; ".join(reasons))
-
-
-def split_multiplicative_over(model: WeierstrassModel, ell: int, f: int = 1) -> bool:
-    """Split multiplicative reduction over the degree-f residue extension.
-
-    Decided by the square class of -c6 in F_{ell^f}; for odd f this agrees
-    with the class over F_ell.
-    """
-    if f < 1:
-        raise ValueError(f"residue degree must be >= 1, got {f}")
-    minimal, _ = minimal_model(model)
-    local = reduction_type(minimal, ell)
-    if not local.is_multiplicative:
-        raise ValueError(f"reduction at {ell} is {local.type}, not multiplicative")
-    if ell == 2:
-        raise ValueError("the square-class test needs an odd residue characteristic")
-    x = (-minimal.c6) % ell
-    return pow(x, (ell**f - 1) // 2, ell) == 1
 
 
 def lambda_transfer(

@@ -10,7 +10,7 @@ from iwakit.classify import (
     CyclotomicSplitting,
     PrimeClass,
     bulk_classify,
-    classification_csv,
+    classification_rows,
     classify_prime,
     cyclotomic_split_count,
     p2_membership,
@@ -265,7 +265,7 @@ def test_prime_class_validation():
 
 def test_classification_csv_format():
     records = bulk_classify(E99, 3, 13)
-    text = classification_csv(records)
+    text = "".join(classification_rows(records))
     lines = text.splitlines()
     assert lines[0] == "ell,class,a_ell,in_script_Q"
     assert len(lines) == 1 + len(records)
@@ -273,7 +273,7 @@ def test_classification_csv_format():
     assert row11 == "11,Q1,,false"
     row7 = next(line for line in lines if line.startswith("7,"))
     assert row7 == "7,Q3,-2,true"
-    assert classification_csv(records) == text
+    assert "".join(classification_rows(records)) == text
 
 
 def test_bulk_classify_non_minimal_model():

