@@ -1,0 +1,222 @@
+#!/usr/bin/env python3
+"""Record a change against its parent checkout in BENCH_<pr>.json.
+
+Runs, in this order:
+- bench/run.py in both checkouts, in pairs per workload; the side that runs
+  first alternates from pair to pair, since the first run of a back-to-back
+  pair reads faster on classify_cold;
+- fresh-process cold starts of each of the six subcommands, interleaved
+  between the checkouts, compiling src/ in every process as the benchmark
+  does, and again on both sides with a warm bytecode cache;
+- the tier-1 suite once in each checkout, for its wall time.
+
+Each side's runs are then read back from its .bench_out/results.jsonl with
+bench/compare.py, which must hold only this recording's runs: the script
+refuses to start if either file exists. It writes, per workload and
+end-to-end metric, both sides' quartiles, the change, compare's verdict and
+the pairs the change won, with the environment and the order of the runs.
+The parent commit is read from the base checkout, which must be a git
+checkout; every bench run uses seed 0, whose digests bench/run.py checks.
+
+    python3 scripts/bench_record.py ../parent --pr 21 \\
+        --pairs classify_cold=10 --pairs density_warm=5 --pairs curve_pipeline=5
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+from compare import load, quartiles, verdict  # noqa: E402
+from speed import timed  # noqa: E402
+
+E99 = "0,0,1,-3,-5"
+SEED = 0  # the seed of bench/digests.json, so that every run is checked
+COLD_REPS = 15  # fresh processes per subcommand and side
+COLD_ARGV = {
+    "classify": ("classify", "--curve", E99, "--p", "3", "--bound", "1000"),
+    "kida": ("kida", "--curve", E99, "--p", "3", "--ramified", "7"),  # the bench's COLD_ARGV
+    "euler-char": ("euler-char", "--curve", E99, "--p", "3"),
+    "enumerate-fields": ("enumerate-fields", "--p", "3", "--ramified", "7,13", "--wild"),
+    "density": ("density", "--curve", E99, "--p", "3", "--grid", "1e2,1e3,2e3,4e3",
+                "--jobs", "1"),
+    "report": ("report", "--curve", E99, "--p", "3", "--ramified", "7", "--jobs", "1"),
+}
+
+
+def _env(checkout: Path, **extra: str) -> dict[str, str]:
+    env = {k: v for k, v in os.environ.items() if k != "IWAKIT_CACHE_DIR"}
+    env["PYTHONPATH"] = str(checkout / "src")
+    env.update(extra)
+    return env
+
+
+def _bench(checkout: Path, workload: str, seconds: float) -> None:
+    subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
+                    "--seconds", str(seconds)], cwd=checkout, check=True,
+                   env=_env(checkout, PYTHONDONTWRITEBYTECODE="1"), stdout=subprocess.DEVNULL)
+
+
+def _cold_ms(checkout: Path, argv: tuple[str, ...], env: dict[str, str]) -> float:
+    # scaled to the bench's reference speed, as its cold_start_ms is
+    _, _, scaled = timed(lambda: subprocess.run(
+        [sys.executable, "-m", "iwakit", *argv], cwd=checkout, env=env, check=True,
+        stdout=subprocess.DEVNULL))
+    return 1e3 * scaled
+
+
+def _summary(values: list[float]) -> dict:
+    q1, median, q3 = quartiles(values)
+    return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
+
+
+def cold_starts(base: Path, change: Path) -> dict:
+    """Quartiles of each subcommand's time as a fresh process, in scaled ms."""
+    with tempfile.TemporaryDirectory() as base_cache, tempfile.TemporaryDirectory() as change_cache:
+        sides = [("base", base, _env(base, PYTHONDONTWRITEBYTECODE="1")),
+                 ("change", change, _env(change, PYTHONDONTWRITEBYTECODE="1"))]
+        for name, checkout, cache in (("base", base, base_cache), ("change", change, change_cache)):
+            env = {k: v for k, v in _env(checkout, PYTHONPYCACHEPREFIX=cache).items()
+                   if k != "PYTHONDONTWRITEBYTECODE"}
+            sides.append((f"{name}_bytecode_cached", checkout, env))
+            for argv in COLD_ARGV.values():
+                _cold_ms(checkout, argv, env)  # fills the bytecode cache
+        times: dict[str, dict[str, list[float]]] = {
+            sub: {name: [] for name, _, _ in sides} for sub in COLD_ARGV}
+        for rep in range(COLD_REPS):
+            for sub, argv in COLD_ARGV.items():
+                for name, checkout, env in sides if rep % 2 == 0 else sides[::-1]:
+                    times[sub][name].append(_cold_ms(checkout, argv, env))
+    out = {}
+    for sub, per_side in times.items():
+        out[sub] = {name: _summary(values) for name, values in per_side.items()}
+        for suffix in ("", "_bytecode_cached"):
+            b, c = out[sub][f"base{suffix}"]["median"], out[sub][f"change{suffix}"]["median"]
+            out[sub][f"change{suffix}_pct"] = 100 * (c - b) / b
+    return out
+
+
+def tier1(checkout: Path) -> dict:
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "--continue-on-collection-errors"], cwd=checkout,
+                          env=_env(checkout), capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    return {"wall_s": wall, "summary": re.sub(r"=+", "", summary).strip(),
+            "exit_code": proc.returncode}
+
+
+def compare_sides(base_file: Path, change_file: Path, spec: dict) -> dict:
+    """Per workload and end-to-end metric: quartiles, change, verdict, pairs won;
+    and each side's highest fail_ratio over its runs."""
+    e2e = {m["name"]: m for m in spec["end_to_end"]}
+    base, change = load(base_file), load(change_file)
+    out: dict = {}
+    for workload, trace in sorted(set(base) | set(change)):
+        rows = out.setdefault(workload, {})
+        for name, m in e2e.items():
+            b, c = base[(workload, trace)].get(name), change[(workload, trace)].get(name)
+            if not b or not c:
+                continue
+            bm, cm = quartiles(b)[1], quartiles(c)[1]
+            sign = 1 if m["better"] == "higher" else -1
+            # the files hold one run per side per pair, in pair order
+            won = sum(sign * (y - x) > 0 for x, y in zip(b, c))
+            rows[name] = {
+                "unit": m["unit"], "better": m["better"], "bound": m["bound"],
+                "base": _summary(b), "change": _summary(c),
+                "change_pct": 100 * (cm - bm) / bm,
+                "verdict": verdict(b, c, m["better"], m["bound"]),
+                "pairs_won": f"{won}/{min(len(b), len(c))}",
+                "base_iqr": quartiles(b)[2] - quartiles(b)[0],
+            }
+    for side, path in (("base", base_file), ("change", change_file)):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            rec = json.loads(line)
+            worst = out[rec["workload"]].setdefault("max_fail_ratio", {})
+            worst[side] = max(worst.get(side, 0.0), rec["fail_ratio"])
+    return out
+
+
+def _cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("base", type=Path, help="checkout of the parent commit")
+    parser.add_argument("--pr", type=int, required=True, help="number in BENCH_<pr>.json")
+    parser.add_argument("--pairs", action="append", default=[], metavar="WORKLOAD=N",
+                        help="run N alternating pairs of this workload")
+    args = parser.parse_args(argv)
+    base, change = args.base.resolve(), ROOT
+    base_rev = subprocess.run(["git", "-C", str(base), "rev-parse", "--short", "HEAD"],
+                              check=True, capture_output=True, text=True).stdout.strip()
+    files = {side: side / ".bench_out" / "results.jsonl" for side in (base, change)}
+    for path in files.values():
+        if path.exists():
+            parser.error(f"{path} exists; move it away so that it holds only this recording")
+    pairs = [(w, int(n)) for w, _, n in (p.partition("=") for p in args.pairs)]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
+
+    started = time.time()
+    load_start = os.getloadavg()
+    order = []
+    for workload, n in pairs:
+        for i in range(n):
+            sides = [("base", base), ("change", change)]
+            for name, checkout in sides if i % 2 == 0 else sides[::-1]:
+                order.append(f"{workload}:{i}:{name}")
+                _bench(checkout, workload, seconds)
+    cold = cold_starts(base, change)
+    tests = {"base": tier1(base), "change": tier1(change)}
+
+    record = {
+        "pr": args.pr,
+        "base_rev": base_rev,
+        "environment": {
+            "python": platform.python_version(),
+            "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count(),
+            "cpu_model": _cpu_model(),
+            "loadavg_start": list(load_start),
+            "loadavg_end": list(os.getloadavg()),
+            # set for the bench runs and the uncached cold starts, so those
+            # processes compile src/ as the benchmark's processes do
+            "PYTHONDONTWRITEBYTECODE": "1",
+            "wall_minutes": (time.time() - started) / 60,
+        },
+        "bench": {"seconds": seconds, "seed": SEED, "order": order,
+                  "workloads": compare_sides(files[base], files[change], spec)},
+        "cold_start_ms": {"reps": COLD_REPS, "argv": {k: " ".join(v) for k, v in
+                                                           COLD_ARGV.items()},
+                          "subcommands": cold},
+        "tier1": tests,
+    }
+    out = ROOT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {out.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -21,18 +21,13 @@ from contextlib import nullcontext
 from fractions import Fraction
 from itertools import chain, islice
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+# every subcommand but classify imports what it runs inside its handler, so a
+# call compiles only what it needs; the classify path loads with this module,
+# since the bench's tests expect iwakit.cli.bulk_classify to be bound
 from .classify import PrimeClass, _classified, bulk_classify, classification_rows
-from .counting import TraceCache
-from .density import (
-    GRID_BUDGET,
-    alpha_closed_form,
-    asymptotic_report,
-    beta_stated_form,
-    delange_exponents,
-    density_record,
-    table_csv,
-)
+from .counting import GRID_BUDGET, TraceCache
 from .elliptic import (
     WeierstrassModel,
     format_model,
@@ -40,24 +35,10 @@ from .elliptic import (
     minimal_model,
     parse_model,
 )
-from .eulerchar import (
-    HypothesisNotMetError,
-    SupersingularTwistError,
-    TwistNotGoodError,
-    euler_char_factors,
-    euler_factors_record,
-)
-from .fields import CyclicExtension, count_extensions, enumerate_extensions, extension_record
-from .kida import (
-    _BASE_FLAG,
-    HypothesisBlockedError,
-    check_hypotheses,
-    hypothesis_record,
-    kida_record,
-    lambda_transfer,
-)
 from .ntheory import check_odd_prime
-from .refdata import ingest_reference, reference_record
+
+if TYPE_CHECKING:
+    from .fields import CyclicExtension
 
 __all__ = ["main", "EXIT_OK", "EXIT_FAILURE", "EXIT_USAGE", "EXIT_BLOCKED"]
 
@@ -71,12 +52,15 @@ _JSON = json.JSONEncoder(sort_keys=True, indent=2)
 # classify records (JSON or CSV) written per slice
 _RECORD_SLICE = 256
 
-BLOCKED_ERRORS = (
-    HypothesisBlockedError,
-    HypothesisNotMetError,
-    TwistNotGoodError,
-    SupersingularTwistError,
-)
+
+def _is_blocked(exc: Exception) -> bool:
+    # the error classes are looked up only once an error has reached here,
+    # so a call that succeeds loads neither kida nor eulerchar for them
+    from .eulerchar import HypothesisNotMetError, SupersingularTwistError, TwistNotGoodError
+    from .kida import HypothesisBlockedError
+
+    return isinstance(exc, (HypothesisBlockedError, HypothesisNotMetError, TwistNotGoodError,
+                            SupersingularTwistError))
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +134,8 @@ def _cache_from(args: argparse.Namespace) -> TraceCache:
 
 
 def _extension_from(args: argparse.Namespace) -> CyclicExtension:
+    from .fields import CyclicExtension
+
     p = args.p
     check_odd_prime(p)  # the normalization below works mod p
     tame = args.ramified or ()
@@ -203,7 +189,7 @@ def _curve_keys(model: WeierstrassModel, minimal: WeierstrassModel) -> dict:
 
 
 def _failure(exc: ValueError) -> dict:
-    return {"blocked" if isinstance(exc, BLOCKED_ERRORS) else "error": str(exc)}
+    return {"blocked" if _is_blocked(exc) else "error": str(exc)}
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +251,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _resolve_lambda_base(args: argparse.Namespace, report) -> int:
+    from .kida import HypothesisBlockedError
+
     if args.lambda_base is not None:
         if report.base_mu_lambda_zero is True and args.lambda_base != 0:
             raise ValueError(
@@ -285,6 +273,9 @@ def _kida_records(
     mu_lambda_zero: bool | None,
 ) -> dict:
     """The extension, hypothesis audit and transfer records of kida and report."""
+    from .fields import extension_record
+    from .kida import check_hypotheses, hypothesis_record, kida_record, lambda_transfer
+
     report = check_hypotheses(minimal, args.p, ext, mu_lambda_zero_at_base=mu_lambda_zero)
     lambda_base = _resolve_lambda_base(args, report)
     override = getattr(args, "override", False)  # report has no --override
@@ -317,6 +308,9 @@ def _sharing_count(ext: CyclicExtension) -> int:
 
 
 def _cmd_euler_char(args: argparse.Namespace) -> int:
+    from .eulerchar import euler_char_factors, euler_factors_record
+    from .refdata import ingest_reference, reference_record
+
     dataset = ingest_reference(args.reference) if args.reference else None
     minimal, _ = minimal_model(args.curve)
     record = reference_record(minimal, args.p, dataset=dataset)
@@ -353,6 +347,8 @@ def _cmd_euler_char(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate_fields(args: argparse.Namespace) -> int:
+    from .fields import count_extensions, enumerate_extensions, extension_record
+
     primes = args.ramified or ()
     fields = enumerate_extensions(args.p, primes, wild_at_p=args.wild)
     payload = {
@@ -369,6 +365,8 @@ def _cmd_enumerate_fields(args: argparse.Namespace) -> int:
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
+    from .density import asymptotic_report, density_record, table_csv
+
     cache = _cache_from(args)
     report = asymptotic_report(
         args.curve, args.p, args.grid, cache=cache, jobs=args.jobs, method=args.method
@@ -387,6 +385,9 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .density import alpha_closed_form, beta_stated_form, delange_exponents
+    from .eulerchar import euler_char_factors, euler_factors_record
+
     _check_bound(args.bound)
     cache = _cache_from(args)
     model = args.curve
@@ -424,6 +425,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         },
     }
     if args.ramified:
+        from .kida import _BASE_FLAG
+
         # the Euler audit above already settled the base invariants
         base = _BASE_FLAG.get(euler.get("mu_lambda_vanish"))
         try:
@@ -537,10 +540,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except BLOCKED_ERRORS as exc:
-        print(f"blocked: {exc}", file=sys.stderr)
-        return EXIT_BLOCKED
     except (ValueError, ArithmeticError, OSError) as exc:
+        if _is_blocked(exc):
+            print(f"blocked: {exc}", file=sys.stderr)
+            return EXIT_BLOCKED
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -5,7 +5,9 @@ import functools
 import io
 import json
 import multiprocessing
+import os
 import shutil
+import subprocess
 import sys
 import time
 import weakref
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import iwakit
 from iwakit import classify, cli, elliptic, eulerchar, kida, refdata
 from iwakit.classify import PrimeClass, bulk_classify
 from iwakit.cli import EXIT_BLOCKED, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, build_parser, main
@@ -495,6 +498,51 @@ def test_each_curve_minimized_once(capsys, monkeypatch, argv, bound):
     counts = _count_calls(monkeypatch, [elliptic.model_from_c4c6])
     assert _run(capsys, argv)[0] == EXIT_OK
     assert 1 <= counts["model_from_c4c6"] <= bound, counts["model_from_c4c6"]
+
+
+# the classify path loads with the CLI: bench/test_bench.py expects
+# iwakit.cli.bulk_classify to be bound
+_CLI_MODULES = {"cli", "classify", "counting", "elliptic", "ntheory", "_poly"}
+
+
+def _imported(args: list[str]) -> set[str]:
+    """The iwakit submodules that a fresh interpreter imports to run args."""
+    env = {k: v for k, v in os.environ.items() if k != "IWAKIT_CACHE_DIR"}
+    src = str(Path(iwakit.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    names = (line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:"))
+    return {name.removeprefix("iwakit.") for name in names if name.startswith("iwakit.")}
+
+
+@pytest.mark.parametrize(("args", "expected"), [
+    (["-c", "import iwakit"], set()),
+    (["-c", "import iwakit.cli"], _CLI_MODULES),
+    (["-m", "iwakit", "classify", "--curve", E99, "--p", "3", "--bound", "100"], _CLI_MODULES),
+    (["-m", "iwakit", "density", "--curve", E99, "--p", "3", "--grid", "1e2,1e3,2e3,4e3",
+      "--jobs", "1"], _CLI_MODULES | {"density", "fields"}),
+    (["-m", "iwakit", "enumerate-fields", "--p", "3", "--ramified", "7"],
+     _CLI_MODULES | {"fields"}),
+    (["-m", "iwakit", "euler-char", "--curve", E99, "--p", "3"],
+     _CLI_MODULES | {"eulerchar", "refdata"}),
+    (["-m", "iwakit", "kida", "--curve", E99, "--p", "3", "--ramified", "7"],
+     _CLI_MODULES | {"eulerchar", "fields", "kida", "refdata"}),
+    (["-m", "iwakit", "report", "--curve", E99, "--p", "3", "--ramified", "7", "--bound", "100",
+      "--jobs", "1"], _CLI_MODULES | {"density", "eulerchar", "fields", "kida", "refdata"}),
+    (["-m", "iwakit", "report", "--curve", E99, "--p", "3", "--bound", "100", "--jobs", "1"],
+     _CLI_MODULES | {"density", "eulerchar", "fields", "refdata"}),
+    # the Euler audit fails at p = 5 (good reduction); _failure looks up the
+    # blocked-error classes, which loads kida
+    (["-m", "iwakit", "report", "--curve", E99, "--p", "5", "--bound", "100", "--jobs", "1"],
+     _CLI_MODULES | {"density", "eulerchar", "fields", "kida", "refdata"}),
+], ids=["import-iwakit", "import-cli", "classify", "density", "enumerate-fields", "euler-char",
+        "kida", "report", "report-unramified", "report-euler-error"])
+def test_each_call_imports_only_what_it_runs(args, expected):
+    # no case loads iwasawa
+    assert _imported(args) == expected
 
 
 def test_usage_errors_exit_two():

@@ -17,3 +17,21 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == [], missing
+
+
+def test_star_import_binds_each_name_to_its_definition():
+    # the package resolves its names on first use; `import *` and dir() still
+    # see all of __all__, each bound to the object its submodule defines
+    namespace: dict = {}
+    exec("from iwakit import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(iwakit.__all__)
+    assert set(iwakit.__all__) <= set(dir(iwakit))
+    assert namespace["__version__"] == iwakit.__version__
+    for name in set(iwakit.__all__) - {"__version__"}:
+        obj = namespace[name]
+        assert obj.__module__.startswith("iwakit."), name
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    # an unknown name is an AttributeError, so `from iwakit import fields`
+    # still falls back to importing the submodule
+    assert not hasattr(iwakit, "no_such_name")
