@@ -8,6 +8,10 @@ Runs, in this order:
 - fresh-process cold starts of each of the six subcommands, interleaved
   between the checkouts, compiling src/ in every process as the benchmark
   does, and again on both sides with a warm bytecode cache;
+- cold p = 3 density reports on an empty --cache-dir, alternating between
+  the checkouts: three per side to 1e6 and one per side to 1e7, each with its
+  wall time, the peak RSS of its process and whether its stdout is the same
+  as every run of the other side's;
 - the tier-1 suite once in each checkout, for its wall time.
 
 Each side's runs are then read back from its .bench_out/results.jsonl with
@@ -25,6 +29,7 @@ checkout; every bench run uses seed 0, whose digests bench/run.py checks.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -54,6 +59,9 @@ COLD_ARGV = {
     "report": ("report", "--curve", E99, "--p", "3", "--ramified", "7", "--jobs", "1"),
 }
 
+DENSITY_ARGV = ("density", "--curve", E99, "--p", "3", "--jobs", "1")
+COLD_DENSITY = (("1e3,1e4,1e5,1e6", 3), ("1e4,1e5,1e6,1e7", 1))  # grid, runs per side
+
 
 def _env(checkout: Path, **extra: str) -> dict[str, str]:
     env = {k: v for k, v in os.environ.items() if k != "IWAKIT_CACHE_DIR"}
@@ -74,6 +82,44 @@ def _cold_ms(checkout: Path, argv: tuple[str, ...], env: dict[str, str]) -> floa
         [sys.executable, "-m", "iwakit", *argv], cwd=checkout, env=env, check=True,
         stdout=subprocess.DEVNULL))
     return 1e3 * scaled
+
+
+def _density_run(checkout: Path, grid: str) -> dict:
+    """One cold density report: wall time, the peak RSS of its process (from
+    the rusage os.wait4 returns for it), exit code and stdout."""
+    with tempfile.TemporaryDirectory() as cache, tempfile.TemporaryFile() as out:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "iwakit", *DENSITY_ARGV, "--grid", grid,
+                                 "--cache-dir", cache], cwd=checkout, stdout=out,
+                                env=_env(checkout, PYTHONDONTWRITEBYTECODE="1"))
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        stdout = out.read()
+    # ru_maxrss is in KiB on Linux
+    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024, "exit_code": proc.returncode,
+            "stdout": stdout}
+
+
+def cold_density(base: Path, change: Path) -> dict:
+    """Cold p = 3 density reports per grid, the first side alternating per run."""
+    out = {}
+    for grid, reps in COLD_DENSITY:
+        runs: dict[str, list[dict]] = {"base": [], "change": []}
+        sides = [("base", base), ("change", change)]
+        for rep in range(reps):
+            for name, checkout in sides if rep % 2 == 0 else sides[::-1]:
+                runs[name].append(_density_run(checkout, grid))
+        for name, other in (("base", "change"), ("change", "base")):
+            for run in runs[name]:
+                run["stdout_matches"] = all(run["stdout"] == o["stdout"] for o in runs[other])
+        for run in runs["base"] + runs["change"]:
+            run["stdout_sha256"] = hashlib.sha256(run.pop("stdout")).hexdigest()
+        b = quartiles([r["wall_s"] for r in runs["base"]])[1]
+        c = quartiles([r["wall_s"] for r in runs["change"]])[1]
+        out[grid] = {**runs, "base_over_change": b / c}
+    return out
 
 
 def _summary(values: list[float]) -> dict:
@@ -188,6 +234,7 @@ def main(argv: list[str] | None = None) -> int:
                 order.append(f"{workload}:{i}:{name}")
                 _bench(checkout, workload, seconds)
     cold = cold_starts(base, change)
+    density = cold_density(base, change)
     tests = {"base": tier1(base), "change": tier1(change)}
 
     record = {
@@ -210,6 +257,8 @@ def main(argv: list[str] | None = None) -> int:
         "cold_start_ms": {"reps": COLD_REPS, "argv": {k: " ".join(v) for k, v in
                                                            COLD_ARGV.items()},
                           "subcommands": cold},
+        "cold_density": {"argv": " ".join(DENSITY_ARGV) + " --grid GRID --cache-dir EMPTY",
+                         "grids": density},
         "tier1": tests,
     }
     out = ROOT / f"BENCH_{args.pr}.json"

@@ -5,6 +5,10 @@ Prints one JSON line:
 - "count_us": microseconds per prime of count_points in each band (ell <= 229
   is naive counting, the rest BSGS), over --curves seeded random curves and
   --primes seeded good primes per band and curve;
+- "psi3_us": microseconds per prime of the psi_3 kernel that decides whether
+  3 divides #E(F_ell), which the p = 3 density scan runs in place of BSGS, in
+  each band above 229, over the same curves and --primes seeded good primes
+  ell = 1 mod 6 per band and curve;
 - "factorize_us": microseconds per factorize call on the minimal
   discriminants of --discs seeded random curves with |a4|, |a6| <= 3000.
 Each figure is the best of --repeats passes over the same inputs.  Every
@@ -20,7 +24,7 @@ import json
 import random
 import time
 
-from iwakit.counting import count_points
+from iwakit.counting import _three_divides, count_points
 from iwakit.elliptic import SingularCurveError, WeierstrassModel, minimal_model
 from iwakit.ntheory import factorize, sieve_primes
 
@@ -63,7 +67,8 @@ def main() -> int:
     rng = random.Random(0)
     curves = random_minimal_curves(rng, args.curves)
     primes = sieve_primes(BANDS[-1][1])
-    count_us = {}
+    count_us, psi3_us = {}, {}
+    psi3_rng = random.Random(1)
     for lo, hi in BANDS:
         band = [q for q in primes if lo < q <= hi]
         work = [(i, ell) for i, w in enumerate(curves)
@@ -74,11 +79,24 @@ def main() -> int:
             return lambda: [count_points(models[i], ell) for i, ell in work]
 
         count_us[f"{lo}-{hi}"] = best_us(fresh_pass, len(work), args.repeats)
+        if lo < 229:
+            continue
+        # its own draws, so count_us and factorize_us keep their inputs
+        band = [q for q in band if q % 6 == 1]
+        work = [(i, ell) for i, w in enumerate(curves)
+                for ell in psi3_rng.sample(band, min(args.primes, len(band))) if w.disc % ell]
+
+        def fresh_short():
+            models = [WeierstrassModel(*w.coefficients()) for w in curves]
+            return lambda: [_three_divides(*models[i].short, ell) for i, ell in work]
+
+        psi3_us[f"{lo}-{hi}"] = best_us(fresh_short, len(work), args.repeats)
     discs = [w.disc for w in random_minimal_curves(rng, args.discs)]
     factorize_us = best_us(lambda: lambda: [factorize(d) for d in discs], len(discs),
                            args.repeats)
     print(json.dumps({"curves": args.curves, "primes": args.primes, "discs": args.discs,
-                      "count_us": count_us, "factorize_us": factorize_us}))
+                      "count_us": count_us, "psi3_us": psi3_us,
+                      "factorize_us": factorize_us}))
     return 0
 
 

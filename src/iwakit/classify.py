@@ -173,11 +173,8 @@ def _distinguished_primes(
     flags = _odd_flags(bound)
     # only the flags of the odd ell = 1 mod 2p are read: no list of all primes is built
     cache = cache if cache is not None else TraceCache(None)
-    ells, arr, beyond = cache._traces_1_mod_2p(model, p, flags, jobs)
-    # the Q3 test of _verdict, where ell + 1 = 2 mod p; pi(bound) counts 2 too
-    distinguished = [ell for ell in ells if (2 - arr[ell >> 1]) % p]
-    distinguished += [ell for ell, a in beyond.items() if (2 - a) % p]
-    return distinguished, 1 + flags.count(1)
+    # pi(bound) counts 2 too
+    return cache._distinguished(model, p, flags, jobs), 1 + flags.count(1)
 
 
 def classification_rows(records: Iterable[PrimeClass]) -> Iterator[str]:

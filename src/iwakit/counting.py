@@ -268,6 +268,97 @@ def count_points_bsgs(model: WeierstrassModel, ell: int) -> int:
     raise AssertionError(f"group order at {ell} not pinned down")
 
 
+# -- 3 | #E(F_ell) from the 3-division polynomial ----------------------------
+
+
+def _mul_mod_quartic(u, v, e0, e1, e2, ell):
+    """u v modulo x^4 - e2 x^2 - e1 x - e0 over F_ell; residues are their
+    coefficients (c0, c1, c2, c3), lowest first."""
+    u0, u1, u2, u3 = u
+    v0, v1, v2, v3 = v
+    # fold x^6, x^5, x^4 down in turn: x^(k+4) = x^k (e2 x^2 + e1 x + e0)
+    s6 = u3 * v3 % ell
+    s5 = (u2 * v3 + u3 * v2) % ell
+    s4 = (u1 * v3 + u2 * v2 + u3 * v1 + e2 * s6) % ell
+    s3 = u0 * v3 + u1 * v2 + u2 * v1 + u3 * v0 + e1 * s6 + e2 * s5
+    s2 = u0 * v2 + u1 * v1 + u2 * v0 + e0 * s6 + e1 * s5 + e2 * s4
+    s1 = u0 * v1 + u1 * v0 + e0 * s5 + e1 * s4
+    return (u0 * v0 + e0 * s4) % ell, s1 % ell, s2 % ell, s3 % ell
+
+
+def _three_divides(A: int, B: int, ell: int) -> bool:
+    """Whether 3 divides #E(F_ell) for E: y^2 = x^3 + Ax + B, read off the
+    3-division polynomial alone (Schoof's mod-l step at l = 3).  ell is a prime
+    = 1 mod 6 at which E has good reduction.
+
+    The roots of psi_3 / 3 = x^4 + 2Ax^2 + 4Bx - A^2/3 are the x of the four
+    pairs +-P of nonzero 3-torsion points.  As ell = 1 mod 3, Frobenius on E[3]
+    lies in SL_2(F_3), and its image in PSL_2(F_3) = A_4 fixes 0, 1 or 4 of
+    the pairs, so gcd(x^ell - x, psi_3) has degree 0, 1 or 4:
+    - 0: no pair is fixed, so no point of order 3 is rational;
+    - 1: Frobenius fixes the pair over the root x0.  It is +1 on P = (x0, y0),
+      a rational point of order 3, exactly when f(x0) = x0^3 + Ax0 + B is a
+      square; otherwise it is -1 there and, of determinant 1, has no
+      eigenvalue 1;
+    - 4: Frobenius is +I or -I, so f^((ell-1)/2) mod psi_3 is the constant +1
+      (every point of E[3] is rational) or -1 (none is).
+    Degree 2 or 3, or a degree-4 power that is not +-1, would mean ell breaks
+    these premises, and raises AssertionError.
+    """
+    a, b = A % ell, B % ell
+    # x^4 = e2 x^2 + e1 x + e0 modulo psi_3 / 3
+    e2, e1, e0 = -2 * a % ell, -4 * b % ell, a * a * pow(3, -1, ell) % ell
+    # x^ell, left to right over the bits of ell: h = x after the top bit, then
+    # h -> h^2 per bit and h -> h x per bit set, unrolled as in _mul_mod_quartic
+    h0, h1, h2, h3 = 0, 1, 0, 0
+    for bit in bin(ell)[3:]:
+        s6 = h3 * h3 % ell
+        s5 = 2 * h2 * h3 % ell
+        s4 = (h2 * h2 + 2 * h1 * h3 + e2 * s6) % ell
+        s3 = 2 * (h0 * h3 + h1 * h2) + e1 * s6 + e2 * s5
+        s2 = h1 * h1 + 2 * h0 * h2 + e0 * s6 + e1 * s5 + e2 * s4
+        s1 = 2 * h0 * h1 + e0 * s5 + e1 * s4
+        s0 = h0 * h0 + e0 * s4
+        if bit == "1":  # the shift by x folds the x^3 coefficient down
+            s3 %= ell
+            h0, h1, h2, h3 = e0 * s3 % ell, (s0 + e1 * s3) % ell, (s1 + e2 * s3) % ell, s2 % ell
+        else:
+            h0, h1, h2, h3 = s0 % ell, s1 % ell, s2 % ell, s3 % ell
+    g = [h0, (h1 - 1) % ell, h2, h3]  # x^ell - x, lowest coefficient first
+    while g and not g[-1]:
+        g.pop()
+    if not g:  # degree 4
+        f = (b, a, 0, 1)
+        power = f
+        for bit in bin((ell - 1) // 2)[3:]:
+            power = _mul_mod_quartic(power, power, e0, e1, e2, ell)
+            if bit == "1":
+                power = _mul_mod_quartic(power, f, e0, e1, e2, ell)
+        if power not in ((1, 0, 0, 0), (ell - 1, 0, 0, 0)):
+            raise AssertionError(f"f^((ell-1)/2) mod psi_3 is not +-1 at {ell}")
+        return power[0] == 1
+    # Euclid on (psi_3 / 3, x^ell - x): r mod g, then swap, until g is zero
+    r = [-e0 % ell, -e1 % ell, -e2 % ell, 0, 1]
+    while g:
+        d = len(g) - 1
+        inv = pow(g[-1], -1, ell)
+        for k in range(len(r) - 1, d - 1, -1):
+            c = r[k] * inv % ell
+            if c:
+                for j in range(d):
+                    r[k - d + j] = (r[k - d + j] - c * g[j]) % ell
+        del r[d:]
+        while r and not r[-1]:
+            r.pop()
+        r, g = g, r
+    if len(r) == 1:  # degree 0
+        return False
+    if len(r) != 2:
+        raise AssertionError(f"psi_3 has {len(r) - 1} roots mod {ell}, not 0, 1 or 4")
+    x0 = -r[0] * pow(r[1], -1, ell) % ell
+    return pow((x0 * x0 + a) * x0 + b, (ell - 1) // 2, ell) == 1
+
+
 def count_points(model: WeierstrassModel, ell: int) -> int:
     """#E(F_ell): naive counting through Mestre's bound, ell = 229, below
     which the BSGS search need not stop; BSGS above, where it is faster."""
@@ -316,10 +407,25 @@ def order_over_extension(fd: FrobeniusData, n: int) -> int:
 # report: its array is at most 10 MB.
 GRID_BUDGET = 10**7
 # A trace array has slot i for a_{2i+1} and slot 0 for a_2 (1 is never prime).
-# Every |a_ell| <= 2 sqrt(ell) fits in int16 for ell < 2.68e8, so -32768 is free
-# to mark a slot whose trace is not known.
+# Every |a_ell| <= 2 sqrt(ell) fits in int16 for ell < 2.68e8, so the three
+# lowest values are free.  -32768 marks a slot whose trace is not known.  The
+# density scan at p = 3 stores only whether 3 divides #E(F_ell) at ell > 229,
+# as -32767 (it does) or -32766 (it does not): (2 - code) % 3 is 0 or 2, the
+# Q3 test's value at p = 3, where #E(F_ell) = 2 - a_ell mod 3.  All three
+# fail the Hasse bound, so a reader that wants a_ell counts the slot again.
+# In a merge an a_ell beats a code and a code beats -32768: the greater value.
 _UNKNOWN = -32768
+_THREE_DIVIDES = -32767
+_THREE_DOES_NOT_DIVIDE = -32766
 _DIGEST = hashlib.sha256().digest_size
+
+
+def _slot_value(minimal: WeierstrassModel, three: bool, ell: int) -> int:
+    """a_ell at a good prime ell; with three, at ell > 229, the code that says
+    whether 3 divides #E(F_ell) (ell = 1 mod 6)."""
+    if three and ell > _MESTRE_BOUND:
+        return _THREE_DIVIDES if _three_divides(*minimal.short, ell) else _THREE_DOES_NOT_DIVIDE
+    return trace_of_frobenius(minimal, ell)
 
 
 def _slot(ell: int) -> int | None:
@@ -339,10 +445,15 @@ class TraceCache:
     bytes is a miss as a whole, so truncation, a flipped byte or a file in
     another format is recomputed and rewritten, never trusted slot by slot.  A
     slot is checked against the Hasse bound when it is read, and one that fails
-    is counted again.  Only ell <= GRID_BUDGET is stored; a larger ell is counted
-    on every call.  Files are replaced whole, through a temporary file, after
-    merging in what is on disk, so a reader never sees a partial write and a
-    writer keeps the entries another process stored before it.
+    is counted again.  A slot may hold one of two codes instead of a_ell:
+    _THREE_DIVIDES or _THREE_DOES_NOT_DIVIDE, which the density scan at p = 3
+    stores at ell > 229 and accepts there.  Both fail the Hasse bound, so every
+    other reader counts such a slot again and stores a_ell over it.  Only
+    ell <= GRID_BUDGET is stored; a larger ell is counted on every call.  Files
+    are replaced whole, through a temporary file, after merging in what is on
+    disk (an a_ell over a code, a code over _UNKNOWN), so a reader never sees a
+    partial write and a writer keeps the entries another process stored before
+    it.
     """
 
     def __init__(self, directory: str | Path | None = None):
@@ -390,7 +501,8 @@ class TraceCache:
         n = min(len(arr), len(disk))
         if arr[:n] != disk[:n]:  # keep what other writers stored
             for i in range(n):
-                if arr[i] == _UNKNOWN:
+                # a code or _UNKNOWN gives way to a greater value on disk
+                if arr[i] <= _THREE_DOES_NOT_DIVIDE and disk[i] > arr[i]:
                     arr[i] = disk[i]
         arr.extend(disk[n:])
         body = arr
@@ -412,19 +524,21 @@ class TraceCache:
             os.unlink(tmp)
             raise
 
-    def _count(self, key: str, minimal: WeierstrassModel, ells: list[int], jobs: int) -> list[int]:
-        """a_ell at the good primes ells, counted; those the array holds are stored."""
+    def _count(
+        self, key: str, minimal: WeierstrassModel, ells: list[int], jobs: int, three: bool = False
+    ) -> list[int]:
+        """_slot_value at the good primes ells, counted; those the array holds are stored."""
         if not ells:
             return []
-        trace = partial(trace_of_frobenius, minimal)
+        answer = partial(_slot_value, minimal, three)
         jobs = min(jobs, os.cpu_count() or 1)
         if jobs > 1:
             from multiprocessing import Pool  # one-job runs skip this import
 
             with Pool(jobs) as pool:
-                results = pool.map(trace, ells, chunksize=64)
+                results = pool.map(answer, ells, chunksize=64)
         else:
-            results = [trace(ell) for ell in ells]
+            results = [answer(ell) for ell in ells]
         arr = self._mem[key]
         stored = False
         for ell, a in zip(ells, results):
@@ -454,37 +568,43 @@ class TraceCache:
         out.update(zip(missing, self._count(key, minimal, missing, jobs)))
         return out
 
-    def _traces_1_mod_2p(
+    def _distinguished(
         self, model: WeierstrassModel, p: int, flags: bytearray, jobs: int
-    ) -> tuple[list[int], array, dict[int, int]]:
-        """The good primes ell = 1 mod 2p up to GRID_BUDGET, ascending, and the
-        trace array, which holds their a_ell at slot ell >> 1; then a_ell at
-        the good primes ell = 1 mod 2p above GRID_BUDGET, ascending.  Flag i of
-        the odd sieve flags says whether 2i + 1 is prime.
+    ) -> list[int]:
+        """The good primes ell = 1 mod 2p below 2 len(flags), ascending, at which
+        p does not divide #E(F_ell).  Flag i of the odd sieve flags says whether
+        2i + 1 is prime.
 
-        Slot and flag of an odd ell are both (ell - 1) / 2, so the primes are
-        read with the stride of the flags: no dict, no sort.
+        The primes are read off the flags with the stride of the odd ell = 1
+        mod 2p, and one loop answers each stored slot ell >> 1: the Hasse check
+        and the Q3 test of classify._verdict, p not dividing ell + 1 - a_ell =
+        2 - a_ell mod p.  At p = 3 a code answers both, and a miss above 229 is
+        stored as a code.
         """
         minimal, _ = minimal_model(model)
         key = self._key(minimal)
         arr = self._load(key)
         odd, primes = _stride_1_mod_2p(flags, p)
         ells = list(compress(odd, primes))
-        # ells[:held] have a slot in the array; an unknown slot fails the Hasse
-        # test too, as (-32768)^2 = 2^30 > 4 GRID_BUDGET
+        # ells[:held] have a slot in the array
         held = bisect.bisect_left(ells, min(2 * len(arr), GRID_BUDGET + 1))
-        missing = [ell for ell in islice(ells, held) if (a := arr[ell >> 1]) * a > 4 * ell]
+        codes = (_THREE_DIVIDES, _THREE_DOES_NOT_DIVIDE) if p == 3 else ()
+        out: list[int] = []
+        missing: list[int] = []
+        for ell in islice(ells, held):
+            a = arr[ell >> 1]
+            if a * a <= 4 * ell or a in codes:
+                if (2 - a) % p:
+                    out.append(ell)
+            else:  # _UNKNOWN, a code at p >= 5, or a damaged slot
+                missing.append(ell)
         missing += ells[held:]
-        beyond: dict[int, int] = {}
         if missing:
             # the minimal model has bad reduction exactly at the primes of its
             # discriminant, and a bad prime has no trace
             disc = minimal.disc
             good = [ell for ell in missing if disc % ell]
-            counted = self._count(key, minimal, good, jobs)  # stores ell <= GRID_BUDGET
-            beyond = {ell: a for ell, a in zip(good, counted) if ell > GRID_BUDGET}
-            del ells[bisect.bisect_right(ells, GRID_BUDGET):]
-            for ell in missing:
-                if ell <= GRID_BUDGET and not disc % ell:
-                    del ells[bisect.bisect_left(ells, ell)]
-        return ells, arr, beyond
+            answers = self._count(key, minimal, good, jobs, three=p == 3)
+            out += [ell for ell, a in zip(good, answers) if (2 - a) % p]
+            out.sort()  # two ascending runs
+        return out

@@ -15,6 +15,7 @@ from iwakit.counting import (
     TraceCache,
     _bsgs_annihilators,
     _ec_mul,
+    _three_divides,
     count_points,
     count_points_bsgs,
     count_points_naive,
@@ -30,7 +31,9 @@ from iwakit.elliptic import (
     model_from_c4c6,
     quadratic_twist,
 )
+from iwakit._poly import _gcd, _sub, _x_pow_mod
 from iwakit.density import asymptotic_report
+from iwakit.eulerchar import division_polynomial
 from iwakit.ntheory import legendre, sieve_primes
 
 E99 = WeierstrassModel(0, 0, 1, -3, -5)
@@ -696,6 +699,80 @@ def test_ec_mul_two_power_orders():
 
 
 # ---------------------------------------------------------------------------
+# 3 | #E(F_ell) from the 3-division polynomial
+# ---------------------------------------------------------------------------
+
+PRIMES_1_MOD_6 = [ell for ell in sieve_primes(10**5) if ell > 229 and ell % 6 == 1]
+E27 = WeierstrassModel(0, 0, 1, 0, 0)  # (0, 0) is a rational point of order 3
+
+
+def _psi3_roots(minimal, ell):
+    """The degree of gcd(x^ell - x, psi_3) over F_ell, by the generic _poly
+    routines on eulerchar's psi_3 of the short model."""
+    A, B = minimal.short
+    psi3 = [c % ell for c in division_polynomial(WeierstrassModel(0, 0, 0, A, B), 3)]
+    return len(_gcd(psi3, _sub(_x_pow_mod(ell, psi3, ell), [0, 1]), ell)) - 1
+
+
+@given(st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1),
+       st.integers(-500, 500), st.integers(-500, 500), st.sampled_from(PRIMES_1_MOD_6))
+@settings(deadline=None, max_examples=60)
+def test_three_divides_matches_bsgs_and_generic_gcd(a1, a2, a3, a4, a6, ell):
+    try:
+        minimal, _ = minimal_model(WeierstrassModel(a1, a2, a3, a4, a6))
+    except SingularCurveError:
+        return
+    assume(minimal.disc % ell)
+    verdict = _three_divides(*minimal.short, ell)
+    assert verdict == ((ell + 1 - trace_of_frobenius(minimal, ell)) % 3 == 0)
+    roots = _psi3_roots(minimal, ell)
+    assert roots in (0, 1, 4)  # Frobenius acts on the four roots through A_4
+    if roots == 0:
+        assert not verdict
+
+
+# (curve, ell, roots of psi_3 mod ell, 3 | #E(F_ell)), one per branch
+THREE_BRANCHES = [
+    (E99, 349, 0, False),
+    (E99, 271, 1, True),  # f(x0) is a square: a rational point of order 3
+    (E99, 241, 1, False),  # Frobenius is -1 on the one rational line
+    (E99, 337, 4, True),  # Frobenius is +I on E[3]
+    (E99, 829, 4, False),  # Frobenius is -I on E[3]
+    (E27, 241, 4, True),
+]
+
+
+@pytest.mark.parametrize(("model", "ell", "roots", "divides"), THREE_BRANCHES)
+def test_three_divides_each_branch(model, ell, roots, divides):
+    assert _psi3_roots(model, ell) == roots
+    assert _three_divides(*model.short, ell) is divides
+    assert (count_points_bsgs(model, ell) % 3 == 0) is divides
+
+
+def test_three_divides_on_the_twist_of_plus_identity():
+    # Frobenius is +I on E99[3] at 337; on the twist by a non-residue it is -I
+    d = next(d for d in (5, 7, 10, 11, 13) if legendre(d, 337) == -1)
+    twist, _ = minimal_model(quadratic_twist(E99, d))
+    assert _psi3_roots(twist, 337) == 4
+    assert _three_divides(*twist.short, 337) is False
+    assert count_points_bsgs(twist, 337) % 3
+    assert count_points_bsgs(E99, 337) % 9 == 0  # E[3] is rational on E99
+
+
+def test_three_divides_with_a_rational_three_torsion_point():
+    # 3 divides every #E27(F_ell) at a good ell
+    assert all(_three_divides(*E27.short, ell) for ell in PRIMES_1_MOD_6[:40])
+
+
+def test_three_divides_rejects_two_roots():
+    # at ell = 5 mod 6 Frobenius can fix two of the four lines, which the
+    # premise ell = 1 mod 3 rules out
+    assert _psi3_roots(E99, 233) == 2
+    with pytest.raises(AssertionError, match="2 roots"):
+        _three_divides(*E99.short, 233)
+
+
+# ---------------------------------------------------------------------------
 # Frobenius data and extensions
 # ---------------------------------------------------------------------------
 
@@ -745,6 +822,13 @@ def _cache_file_bytes(table):
         slots[0 if ell == 2 else ell // 2] = a
     body = struct.pack(f"<{len(slots)}h", *slots)
     return body + hashlib.sha256(body).digest()
+
+
+def _three_code(ell, a):
+    """The code the p = 3 density scan stores for ell > 229 in place of a_ell."""
+    if (ell + 1 - a) % 3 == 0:
+        return counting._THREE_DIVIDES
+    return counting._THREE_DOES_NOT_DIVIDE
 
 
 def _count_traces(monkeypatch):
@@ -930,8 +1014,133 @@ def test_trace_cache_file_holds_the_union_of_density_and_classify(tmp_path):
     bad = {3, 11}  # the conductor is 99
     ells = {ell for ell in sieve_primes(8000) if ell not in bad and (
         ell <= 3000 or (ell % 3 == 1 and ell <= 6000) or ell % 5 == 1)}
+    expected = TraceCache(None).traces(E99, ells)
+    # the primes = 1 mod 3 above 3000 that no p = 5 report reached keep the
+    # p = 3 scan's codes; classify and the p = 5 report stored a_ell over the rest
+    for ell in expected:
+        if ell > 3000 and ell % 5 != 1:
+            expected[ell] = _three_code(ell, expected[ell])
     (path,) = tmp_path.glob("*.traces")
-    assert path.read_bytes() == _cache_file_bytes(TraceCache(None).traces(E99, ells))
+    assert path.read_bytes() == _cache_file_bytes(expected)
+
+
+def test_three_codes_fail_hasse_and_carry_their_verdict():
+    codes = (counting._THREE_DIVIDES, counting._THREE_DOES_NOT_DIVIDE)
+    # below every a_ell a file can hold and above _UNKNOWN, in merge order
+    assert counting._UNKNOWN < codes[0] < codes[1] < -2 * math.isqrt(counting.GRID_BUDGET) - 1
+    assert all(code * code > 4 * counting.GRID_BUDGET for code in codes)
+    # #E(F_ell) = 2 - a_ell mod 3 at ell = 1 mod 3: 0 for "divides", not 0 otherwise
+    assert (2 - codes[0]) % 3 == 0
+    assert (2 - codes[1]) % 3 == 2
+
+
+CODE_BOUND = 2000
+# E99 is bad only at 3 and 11, so every ell = 1 mod 6 below the bound is good
+ELLS_1_MOD_6 = [ell for ell in sieve_primes(CODE_BOUND) if ell % 6 == 1]
+
+
+def _coded_bytes():
+    """The cache file a p = 3 density scan to CODE_BOUND writes on an empty
+    directory: a_ell through 229, codes above."""
+    good = TraceCache(None).traces(E99, ELLS_1_MOD_6)
+    return _cache_file_bytes({ell: a if ell <= 229 else _three_code(ell, a) for ell, a in good.items()})
+
+
+def _density_scan(tmp_path):
+    _distinguished_primes(E99, 3, CODE_BOUND, TraceCache(tmp_path), 1)
+    (path,) = tmp_path.glob("*.traces")
+    return path
+
+
+def test_density_scan_stores_codes_and_reads_them_back(tmp_path, monkeypatch):
+    expected = _distinguished_primes(E99, 3, CODE_BOUND, None, 1)
+    assert expected[0] == [r.ell for r in bulk_classify(E99, 3, CODE_BOUND) if r.in_script_q]
+    data = _coded_bytes()
+    counted = _count_traces(monkeypatch)
+    decided = []
+
+    def kernel(A, B, ell):
+        decided.append(ell)
+        return _three_divides(A, B, ell)
+
+    monkeypatch.setattr(counting, "_three_divides", kernel)
+    path = _density_scan(tmp_path)
+    assert counted == [ell for ell in ELLS_1_MOD_6 if ell <= 229]  # no BSGS above
+    assert decided == [ell for ell in ELLS_1_MOD_6 if ell > 229]
+    assert path.read_bytes() == data
+    counted.clear()
+    decided.clear()
+    assert _distinguished_primes(E99, 3, CODE_BOUND, TraceCache(tmp_path), 1) == expected
+    assert counted == decided == []  # the codes answer the second report
+    assert path.read_bytes() == data
+
+
+def test_density_scan_with_two_jobs_stores_the_same_codes(tmp_path):
+    expected = _distinguished_primes(E99, 3, CODE_BOUND, None, 1)
+    assert _distinguished_primes(E99, 3, CODE_BOUND, TraceCache(tmp_path), 2) == expected
+    (path,) = tmp_path.glob("*.traces")
+    assert path.read_bytes() == _coded_bytes()
+
+
+def test_classify_recounts_code_slots(tmp_path, monkeypatch):
+    records = bulk_classify(E99, 3, CODE_BOUND)
+    ells = [r.ell for r in records if r.a_ell is not None]
+    full = _cache_file_bytes({r.ell: r.a_ell for r in records if r.a_ell is not None})
+    path = _density_scan(tmp_path)
+    counted = _count_traces(monkeypatch)
+    assert bulk_classify(E99, 3, CODE_BOUND, cache=TraceCache(tmp_path)) == records
+    # every good prime but the a_ell the scan stored, the code slots among them
+    assert counted == [ell for ell in ells if not (ell % 6 == 1 and ell <= 229)]
+    assert path.read_bytes() == full
+
+
+def test_hasse_only_reader_recounts_codes(tmp_path, monkeypatch):
+    # traces() checks slots against the Hasse bound alone, as every reader
+    # before the codes did, so it never reads a code as a_ell
+    good = TraceCache(None).traces(E99, CACHE_ELLS)
+    path, data = _filled_cache_file(tmp_path)
+    assert [ell for ell in CACHE_ELLS if ell % 6 == 1 and ell > 229] == [463, 1009]
+    coded = {**good, 463: _three_code(463, good[463]), 1009: _three_code(1009, good[1009])}
+    path.write_bytes(_cache_file_bytes(coded))
+    counted = _count_traces(monkeypatch)
+    assert TraceCache(tmp_path).traces(E99, CACHE_ELLS) == good
+    assert counted == [463, 1009]
+    assert path.read_bytes() == data
+
+
+def test_density_at_p5_counts_code_slots(tmp_path, monkeypatch):
+    expected = _distinguished_primes(E99, 5, CODE_BOUND, None, 1)
+    _density_scan(tmp_path)
+    counted = _count_traces(monkeypatch)
+    assert _distinguished_primes(E99, 5, CODE_BOUND, TraceCache(tmp_path), 1) == expected
+    # the scan stored a_ell at ell = 1 mod 30 through 229 and codes above, which
+    # p = 5 counts again with the rest
+    assert counted == [ell for ell in sieve_primes(CODE_BOUND)
+                       if ell % 10 == 1 and ell != 11 and not (ell % 3 == 1 and ell <= 229)]
+    assert 241 in counted
+    a = TraceCache(None).traces(E99, [241])[241]
+    assert TraceCache(tmp_path)._load(TraceCache._key(E99))[241 >> 1] == a
+
+
+@pytest.mark.parametrize("first", ["density", "classify"])
+def test_store_merges_traces_over_codes_in_either_order(tmp_path, first):
+    runs = {
+        "density": lambda cache: _distinguished_primes(E99, 3, CODE_BOUND, cache, 1),
+        "classify": lambda cache: bulk_classify(E99, 3, CODE_BOUND // 2, cache=cache),
+    }
+    caches = {name: TraceCache(tmp_path) for name in runs}
+    for cache in caches.values():
+        cache.traces(E99, [])  # both have read the empty directory
+    runs[first](caches[first])
+    second = "classify" if first == "density" else "density"
+    runs[second](caches[second])
+    # a_ell wherever classify reached, the scan's codes above it
+    records = bulk_classify(E99, 3, CODE_BOUND // 2)
+    expected = {r.ell: r.a_ell for r in records if r.a_ell is not None}
+    good = TraceCache(None).traces(E99, ELLS_1_MOD_6)
+    expected.update({ell: _three_code(ell, a) for ell, a in good.items() if ell > CODE_BOUND // 2})
+    (path,) = tmp_path.glob("*.traces")
+    assert path.read_bytes() == _cache_file_bytes(expected)
 
 
 @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
