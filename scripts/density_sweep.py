@@ -35,20 +35,20 @@ def main() -> int:
 
     model = parse_model(args.curve)
     p = args.p
-    cache = TraceCache(directory=args.cache_dir)
+    cache = TraceCache(args.cache_dir, jobs=args.jobs)
 
-    records = bulk_classify(model, p, args.bound, cache=cache, jobs=args.jobs)
+    records = bulk_classify(model, p, args.bound, cache=cache)
     members = sum(1 for r in records if r.in_script_q)
     print(f"{len(records)} primes <= {args.bound} classified; "
           f"{members} in the distinguished set")
 
     alpha = alpha_closed_form(p)
-    density = empirical_density(model, p, args.bound, cache=cache, jobs=args.jobs)
+    density = empirical_density(model, p, args.bound, cache=cache)
     print(f"empirical density {density} = {float(density):.5f} "
           f"vs alpha = {alpha} = {float(alpha):.5f} "
           f"(gap {abs(float(density) - float(alpha)):.5f})")
 
-    report = asymptotic_report(model, p, args.grid, cache=cache, jobs=args.jobs)
+    report = asymptotic_report(model, p, args.grid, cache=cache)
     print("X, g(X), M(X):")
     m_by_x = dict(report.M_table)
     for x, g in report.g_table:

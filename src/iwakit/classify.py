@@ -67,15 +67,13 @@ def _check_primes(p: int, ell: int) -> None:
         raise ValueError(f"ell = p = {p} is excluded from classification")
 
 
-def _good_traces(
-    model: WeierstrassModel, ells, cache: TraceCache | None, jobs: int
-) -> dict[int, int]:
+def _good_traces(model: WeierstrassModel, ells, cache: TraceCache | None) -> dict[int, int]:
     """a_ell at the good primes among ells, ascending; a bad prime gets no entry."""
     minimal, _ = minimal_model(model)
     # the global minimal model has bad reduction exactly at the primes of its discriminant
     disc = minimal.disc
     good = [ell for ell in ells if disc % ell]
-    return (cache if cache is not None else TraceCache(None)).traces(minimal, good, jobs=jobs)
+    return (cache if cache is not None else TraceCache(None)).traces(minimal, good)
 
 
 def _verdict(p: int, ell: int, a: int | None) -> tuple[str, bool]:
@@ -102,7 +100,7 @@ def classify_prime(
     cache: TraceCache | None = None,
 ) -> PrimeClass:
     _check_primes(p, ell)
-    return _prime_class(p, ell, _good_traces(model, [ell], cache, 1).get(ell))
+    return _prime_class(p, ell, _good_traces(model, [ell], cache).get(ell))
 
 
 def p2_membership(model: WeierstrassModel, p: int, ell: int, f: int) -> bool:
@@ -131,10 +129,9 @@ def bulk_classify(
     bound: int,
     *,
     cache: TraceCache | None = None,
-    jobs: int = 1,
 ) -> list[PrimeClass]:
     """Classify every prime ell <= bound except p, in increasing order."""
-    return list(_classified(model, p, bound, cache, jobs)[1])
+    return list(_classified(model, p, bound, cache)[1])
 
 
 def _classified(
@@ -142,14 +139,13 @@ def _classified(
     p: int,
     bound: int,
     cache: TraceCache | None,
-    jobs: int,
 ) -> tuple[Iterator[tuple[str, bool]], Iterator[PrimeClass]]:
     """The (class, distinguished) verdicts of ``bulk_classify``'s records, and
     those records, each made one at a time from one table of traces: a caller
     that writes the records as they come holds no list of them."""
     check_odd_prime(p)
     ells = [ell for ell in sieve_primes(bound) if ell != p] if bound >= 2 else []
-    traces = _good_traces(model, ells, cache, jobs) if ells else {}
+    traces = _good_traces(model, ells, cache) if ells else {}
     verdicts = (_verdict(p, ell, traces.get(ell)) for ell in ells)
     records = (_prime_class(p, ell, traces.get(ell)) for ell in ells)
     return verdicts, records
@@ -160,7 +156,6 @@ def _distinguished_primes(
     p: int,
     bound: int,
     cache: TraceCache | None,
-    jobs: int,
 ) -> tuple[list[int], int]:
     """The distinguished primes <= bound, ascending, and the count of all primes <= bound.
 
@@ -174,7 +169,7 @@ def _distinguished_primes(
     # only the flags of the odd ell = 1 mod 2p are read: no list of all primes is built
     cache = cache if cache is not None else TraceCache(None)
     # pi(bound) counts 2 too
-    return cache._distinguished(model, p, flags, jobs), 1 + flags.count(1)
+    return cache._distinguished(model, p, flags), 1 + flags.count(1)
 
 
 def classification_rows(records: Iterable[PrimeClass]) -> Iterator[str]:

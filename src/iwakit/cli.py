@@ -130,7 +130,7 @@ def _bool_arg(text: str) -> bool:
 def _cache_from(args: argparse.Namespace) -> TraceCache:
     # an empty IWAKIT_CACHE_DIR is unset, not the current directory: memory only
     directory = getattr(args, "cache_dir", None) or os.environ.get("IWAKIT_CACHE_DIR") or None
-    return TraceCache(directory=directory)
+    return TraceCache(directory, jobs=args.jobs)
 
 
 def _extension_from(args: argparse.Namespace) -> CyclicExtension:
@@ -229,8 +229,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     _check_bound(args.bound)
     # each record is made as it is written, so no list of them is held; the
     # trace cache is not kept, so its table is freed before the output
-    verdicts, records = _classified(args.curve, args.p, args.bound, _cache_from(args),
-                                    args.jobs)
+    verdicts, records = _classified(args.curve, args.p, args.bound, _cache_from(args))
     if args.format == "csv":
         _write_slices(classification_rows(records), _RECORD_SLICE, args.out)
         return EXIT_OK
@@ -368,9 +367,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
     from .density import asymptotic_report, density_record, table_csv
 
     cache = _cache_from(args)
-    report = asymptotic_report(
-        args.curve, args.p, args.grid, cache=cache, jobs=args.jobs, method=args.method
-    )
+    report = asymptotic_report(args.curve, args.p, args.grid, cache=cache, method=args.method)
     if args.g_csv:
         Path(args.g_csv).write_text(table_csv(report.g_table, "g"), encoding="utf-8")
     if args.m_csv:
@@ -404,7 +401,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         }
         for local in bad
     ]
-    records = bulk_classify(model, p, args.bound, cache=cache, jobs=args.jobs)
+    records = bulk_classify(model, p, args.bound, cache=cache)
     counts = _class_counts((r.category, r.in_script_q) for r in records)
     try:
         euler: dict = euler_factors_record(euler_char_factors(minimal, p))

@@ -454,9 +454,15 @@ class TraceCache:
     disk (an a_ell over a code, a code over _UNKNOWN), so a reader never sees a
     partial write and a writer keeps the entries another process stored before
     it.
+
+    Misses are counted by jobs worker processes, capped at the CPU count; a
+    single miss is counted in this process.
     """
 
-    def __init__(self, directory: str | Path | None = None):
+    def __init__(self, directory: str | Path | None = None, jobs: int = 1):
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        self.jobs = min(jobs, os.cpu_count() or 1)
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -525,17 +531,16 @@ class TraceCache:
             raise
 
     def _count(
-        self, key: str, minimal: WeierstrassModel, ells: list[int], jobs: int, three: bool = False
+        self, key: str, minimal: WeierstrassModel, ells: list[int], three: bool = False
     ) -> list[int]:
         """_slot_value at the good primes ells, counted; those the array holds are stored."""
         if not ells:
             return []
         answer = partial(_slot_value, minimal, three)
-        jobs = min(jobs, os.cpu_count() or 1)
-        if jobs > 1:
-            from multiprocessing import Pool  # one-job runs skip this import
+        if self.jobs > 1 and len(ells) > 1:
+            from multiprocessing import Pool  # serial runs skip this import
 
-            with Pool(jobs) as pool:
+            with Pool(self.jobs) as pool:
                 results = pool.map(answer, ells, chunksize=64)
         else:
             results = [answer(ell) for ell in ells]
@@ -555,7 +560,7 @@ class TraceCache:
     def trace(self, model: WeierstrassModel, ell: int) -> int:
         return self.traces(model, [ell])[ell]
 
-    def traces(self, model: WeierstrassModel, ells, *, jobs: int = 1) -> dict[int, int]:
+    def traces(self, model: WeierstrassModel, ells) -> dict[int, int]:
         """a_ell for each requested good prime, ascending, computing and caching misses."""
         minimal, _ = minimal_model(model)
         key = self._key(minimal)
@@ -565,12 +570,10 @@ class TraceCache:
             i = _slot(ell)
             out[ell] = arr[i] if i is not None and i < len(arr) else _UNKNOWN
         missing = [ell for ell, a in out.items() if a == _UNKNOWN or a * a > 4 * ell]
-        out.update(zip(missing, self._count(key, minimal, missing, jobs)))
+        out.update(zip(missing, self._count(key, minimal, missing)))
         return out
 
-    def _distinguished(
-        self, model: WeierstrassModel, p: int, flags: bytearray, jobs: int
-    ) -> list[int]:
+    def _distinguished(self, model: WeierstrassModel, p: int, flags: bytearray) -> list[int]:
         """The good primes ell = 1 mod 2p below 2 len(flags), ascending, at which
         p does not divide #E(F_ell).  Flag i of the odd sieve flags says whether
         2i + 1 is prime.
@@ -604,7 +607,7 @@ class TraceCache:
             # discriminant, and a bad prime has no trace
             disc = minimal.disc
             good = [ell for ell in missing if disc % ell]
-            answers = self._count(key, minimal, good, jobs, three=p == 3)
+            answers = self._count(key, minimal, good, three=p == 3)
             out += [ell for ell, a in zip(good, answers) if (2 - a) % p]
             out.sort()  # two ascending runs
         return out

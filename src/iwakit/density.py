@@ -81,13 +81,12 @@ def empirical_density(
     bound: int,
     *,
     cache: TraceCache | None = None,
-    jobs: int = 1,
 ) -> Fraction:
     """Fraction of all primes <= bound that land in the distinguished set."""
     check_odd_prime(p)
     if bound < 2:
         return Fraction(0)
-    primes, prime_count = _distinguished_primes(model, p, bound, cache, jobs)
+    primes, prime_count = _distinguished_primes(model, p, bound, cache)
     return Fraction(len(primes), prime_count)
 
 
@@ -160,7 +159,6 @@ def asymptotic_report(
     grid,
     *,
     cache: TraceCache | None = None,
-    jobs: int = 1,
     method: str = "dfs",
 ) -> DensityReport:
     """Exact g/M tables over the grid plus the fitted log exponent.
@@ -188,7 +186,7 @@ def asymptotic_report(
 
     _, totals = _method(method)
     alpha = alpha_closed_form(p)
-    primes, prime_count = _distinguished_primes(model, p, grid[-1], cache, jobs)
+    primes, prime_count = _distinguished_primes(model, p, grid[-1], cache)
     density = Fraction(len(primes), prime_count)
     g_table = tuple(zip(grid, totals(primes, p, grid)))
     m_table = tuple(zip(grid, _m_totals(p, [iroot(x, p - 1) for x in grid], totals)))

@@ -215,10 +215,9 @@ def script_q_primes(
     bound: int,
     *,
     cache: TraceCache | None = None,
-    jobs: int = 1,
 ) -> list[int]:
     """Good primes = 1 mod p, below the bound, with no p-torsion mod ell."""
-    return _distinguished_primes(model, p, bound, cache, jobs)[0]
+    return _distinguished_primes(model, p, bound, cache)[0]
 
 
 def _product_weights_dfs(primes: list[int], p: int, bound: int) -> dict[int, int]:
@@ -315,12 +314,12 @@ def _method(method: str):
     return pair
 
 
-def _g_weights(model, p, bound, *, cache, jobs, method) -> dict[int, int]:
+def _g_weights(model, p, bound, *, cache, method) -> dict[int, int]:
     """Weight of each squarefree conductor <= bound in g_of_X."""
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     build, _ = _method(method)
-    return build(script_q_primes(model, p, bound, cache=cache, jobs=jobs), p, bound)
+    return build(script_q_primes(model, p, bound, cache=cache), p, bound)
 
 
 def _tame_primes(p: int, bound: int) -> list[int]:
@@ -374,12 +373,11 @@ def g_of_X(
     bound: int,
     *,
     cache: TraceCache | None = None,
-    jobs: int = 1,
 ) -> int:
     """Count of distinguished-set-ramified fields with squarefree conductor <= bound."""
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    primes = script_q_primes(model, p, bound, cache=cache, jobs=jobs)
+    primes = script_q_primes(model, p, bound, cache=cache)
     return _product_totals_dfs(primes, p, [bound])[0]
 
 
@@ -397,7 +395,6 @@ def g_steps(
     bound: int,
     *,
     cache: TraceCache | None = None,
-    jobs: int = 1,
     method: str = "dfs",
 ) -> tuple[tuple[int, int], ...]:
     """Jump points of X -> g_of_X(X) as (conductor, running count).
@@ -407,7 +404,7 @@ def g_steps(
     methods producing equal step lists agree at every X.
     """
     return tuple(_running_totals(
-        _g_weights(model, p, bound, cache=cache, jobs=jobs, method=method)))
+        _g_weights(model, p, bound, cache=cache, method=method)))
 
 
 def m_steps(p: int, bound: int, *, method: str = "dfs") -> tuple[tuple[int, int], ...]:

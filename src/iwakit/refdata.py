@@ -31,9 +31,13 @@ RECORD_FIELDS = (
 
 
 def _validate_record(rec: dict) -> None:
+    if not isinstance(rec, dict):
+        raise ValueError(f"reference record must be a JSON object, got {repr(rec)[:40]}")
     for key in RECORD_FIELDS:
         if key not in rec:
             raise ValueError(f"reference record missing {key!r}: {rec}")
+    if not isinstance(rec["curve"], str):
+        raise ValueError(f"field 'curve' must be a string, got {repr(rec['curve'])[:40]}")
     parse_model(rec["curve"])  # must be well-formed and nonsingular
     p = rec["p"]
     if not isinstance(p, int) or not is_prime(p) or p == 2:

@@ -236,8 +236,8 @@ def test_bulk_classify_empty_and_deterministic():
 
 
 def test_bulk_classify_with_shared_cache(tmp_path):
-    cache = TraceCache(tmp_path)
-    records = bulk_classify(E99, 3, 60, cache=cache, jobs=2)
+    cache = TraceCache(tmp_path, jobs=2)
+    records = bulk_classify(E99, 3, 60, cache=cache)
     again = bulk_classify(E99, 3, 60, cache=cache)
     assert records == again
     assert records == bulk_classify(E99, 3, 60)
@@ -313,23 +313,23 @@ def test_distinguished_primes_match_bulk_classify(a1, a2, a3, a4, a6, u, p, boun
     expected = _bulk_oracle(model, p, bound)
     # cold, then warm on what it stored, then on a cache bulk_classify filled
     cache = TraceCache(None)
-    assert _distinguished_primes(model, p, bound, cache, 1) == expected
-    assert _distinguished_primes(model, p, bound, cache, 1) == expected
+    assert _distinguished_primes(model, p, bound, cache) == expected
+    assert _distinguished_primes(model, p, bound, cache) == expected
     assert _bulk_oracle(model, p, bound, cache) == expected
     filled = TraceCache(None)
     bulk_classify(model, p, bound, cache=filled)
-    assert _distinguished_primes(model, p, bound, filled, 1) == expected
+    assert _distinguished_primes(model, p, bound, filled) == expected
 
 
 def test_distinguished_primes_edges():
-    assert _distinguished_primes(E99, 3, 1, None, 1) == ([], 0)
-    assert _distinguished_primes(E99, 3, 7, None, 1) == ([7], 4)
+    assert _distinguished_primes(E99, 3, 1, None) == ([], 0)
+    assert _distinguished_primes(E99, 3, 7, None) == ([7], 4)
     with pytest.raises(ValueError, match="odd prime"):
-        _distinguished_primes(E99, 9, 100, None, 1)
+        _distinguished_primes(E99, 9, 100, None)
     # the prime count is 1 + the odd flags set, so bound 2 counts the even prime only
-    assert _distinguished_primes(E99, 3, 2, None, 1) == ([], 1)
-    assert _distinguished_primes(E99, 3, 3, None, 1) == ([], 2)
+    assert _distinguished_primes(E99, 3, 2, None) == ([], 1)
+    assert _distinguished_primes(E99, 3, 3, None) == ([], 2)
     # p itself is no candidate; 2p + 1 is the first odd number = 1 mod p
     for p in (3, 5, 7):
         for bound in (2, 3, p, 2 * p + 1):
-            assert _distinguished_primes(E99, p, bound, None, 1) == _bulk_oracle(E99, p, bound)
+            assert _distinguished_primes(E99, p, bound, None) == _bulk_oracle(E99, p, bound)

@@ -4,7 +4,6 @@ import csv
 import functools
 import io
 import json
-import multiprocessing
 import os
 import shutil
 import subprocess
@@ -330,34 +329,14 @@ def test_jobs_below_one_is_usage_error(capsys, jobs):
         assert "--jobs" in capsys.readouterr().err
 
 
-class _SerialPool:
-    """Stands in for multiprocessing.Pool: records its size, starts no process."""
-
-    sizes: list = []
-
-    def __init__(self, processes):
-        self.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        return [fn(item) for item in items]
-
-
 @pytest.mark.parametrize(("cpus", "pools"), [(2, [2]), (1, []), (None, [])])
-def test_jobs_capped_at_cpu_count(capsys, monkeypatch, cpus, pools):
+def test_jobs_capped_at_cpu_count(capsys, monkeypatch, pool_sizes, cpus, pools):
     monkeypatch.delenv("IWAKIT_CACHE_DIR", raising=False)  # every trace is a miss
     argv = ["classify", "--curve", E99, "--p", "3", "--bound", "2000"]
     serial = _run(capsys, argv)
-    monkeypatch.setattr(_SerialPool, "sizes", [])
-    monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
     assert _run(capsys, [*argv, "--jobs", "100000"]) == serial
-    assert _SerialPool.sizes == pools
+    assert pool_sizes == pools
 
 
 def test_report_composite(capsys):

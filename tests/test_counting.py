@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from iwakit import counting
-from iwakit.classify import _distinguished_primes, bulk_classify
+from iwakit.classify import _distinguished_primes, bulk_classify, classify_prime
 from iwakit.counting import (
     FrobeniusData,
     TraceCache,
@@ -981,14 +981,14 @@ def test_trace_cache_merges_before_replace(tmp_path, monkeypatch):
 def test_distinguished_primes_recount_a_damaged_slot(tmp_path, monkeypatch):
     # the density path reads slots with stride p off the array; a slot that
     # fails the Hasse bound in a file whose digest verifies is counted again
-    expected = _distinguished_primes(E99, 3, 2000, None, 1)
-    assert _distinguished_primes(E99, 3, 2000, TraceCache(tmp_path), 1) == expected
+    expected = _distinguished_primes(E99, 3, 2000, None)
+    assert _distinguished_primes(E99, 3, 2000, TraceCache(tmp_path)) == expected
     (path,) = tmp_path.glob("*.traces")
     data = path.read_bytes()
     body = data[:2 * (7 // 2)] + struct.pack("<h", 99) + data[2 * (7 // 2) + 2: -32]
     path.write_bytes(body + hashlib.sha256(body).digest())
     counted = _count_traces(monkeypatch)
-    assert _distinguished_primes(E99, 3, 2000, TraceCache(tmp_path), 1) == expected
+    assert _distinguished_primes(E99, 3, 2000, TraceCache(tmp_path)) == expected
     assert counted == [7]
     assert path.read_bytes() == data
 
@@ -998,10 +998,10 @@ def test_distinguished_primes_recount_a_damaged_slot(tmp_path, monkeypatch):
 def test_distinguished_primes_past_the_array_budget(tmp_path, monkeypatch, p, budget):
     # an ell above GRID_BUDGET has no slot, so it is counted on every call;
     # at p = 5 the bad prime 11 = 1 mod 10 sits above the budget 7 and below 1000
-    expected = _distinguished_primes(E99, p, 3000, None, 1)
+    expected = _distinguished_primes(E99, p, 3000, None)
     monkeypatch.setattr(counting, "GRID_BUDGET", budget)
     for _ in ("cold", "warm"):
-        assert _distinguished_primes(E99, p, 3000, TraceCache(tmp_path), 1) == expected
+        assert _distinguished_primes(E99, p, 3000, TraceCache(tmp_path)) == expected
     for path in tmp_path.glob("*.traces"):  # none when no good ell has a slot
         assert len(path.read_bytes()) - 32 <= 2 * (budget // 2 + 1)
 
@@ -1047,13 +1047,13 @@ def _coded_bytes():
 
 
 def _density_scan(tmp_path):
-    _distinguished_primes(E99, 3, CODE_BOUND, TraceCache(tmp_path), 1)
+    _distinguished_primes(E99, 3, CODE_BOUND, TraceCache(tmp_path))
     (path,) = tmp_path.glob("*.traces")
     return path
 
 
 def test_density_scan_stores_codes_and_reads_them_back(tmp_path, monkeypatch):
-    expected = _distinguished_primes(E99, 3, CODE_BOUND, None, 1)
+    expected = _distinguished_primes(E99, 3, CODE_BOUND, None)
     assert expected[0] == [r.ell for r in bulk_classify(E99, 3, CODE_BOUND) if r.in_script_q]
     data = _coded_bytes()
     counted = _count_traces(monkeypatch)
@@ -1070,14 +1070,14 @@ def test_density_scan_stores_codes_and_reads_them_back(tmp_path, monkeypatch):
     assert path.read_bytes() == data
     counted.clear()
     decided.clear()
-    assert _distinguished_primes(E99, 3, CODE_BOUND, TraceCache(tmp_path), 1) == expected
+    assert _distinguished_primes(E99, 3, CODE_BOUND, TraceCache(tmp_path)) == expected
     assert counted == decided == []  # the codes answer the second report
     assert path.read_bytes() == data
 
 
 def test_density_scan_with_two_jobs_stores_the_same_codes(tmp_path):
-    expected = _distinguished_primes(E99, 3, CODE_BOUND, None, 1)
-    assert _distinguished_primes(E99, 3, CODE_BOUND, TraceCache(tmp_path), 2) == expected
+    expected = _distinguished_primes(E99, 3, CODE_BOUND, None)
+    assert _distinguished_primes(E99, 3, CODE_BOUND, TraceCache(tmp_path, jobs=2)) == expected
     (path,) = tmp_path.glob("*.traces")
     assert path.read_bytes() == _coded_bytes()
 
@@ -1109,10 +1109,10 @@ def test_hasse_only_reader_recounts_codes(tmp_path, monkeypatch):
 
 
 def test_density_at_p5_counts_code_slots(tmp_path, monkeypatch):
-    expected = _distinguished_primes(E99, 5, CODE_BOUND, None, 1)
+    expected = _distinguished_primes(E99, 5, CODE_BOUND, None)
     _density_scan(tmp_path)
     counted = _count_traces(monkeypatch)
-    assert _distinguished_primes(E99, 5, CODE_BOUND, TraceCache(tmp_path), 1) == expected
+    assert _distinguished_primes(E99, 5, CODE_BOUND, TraceCache(tmp_path)) == expected
     # the scan stored a_ell at ell = 1 mod 30 through 229 and codes above, which
     # p = 5 counts again with the rest
     assert counted == [ell for ell in sieve_primes(CODE_BOUND)
@@ -1125,7 +1125,7 @@ def test_density_at_p5_counts_code_slots(tmp_path, monkeypatch):
 @pytest.mark.parametrize("first", ["density", "classify"])
 def test_store_merges_traces_over_codes_in_either_order(tmp_path, first):
     runs = {
-        "density": lambda cache: _distinguished_primes(E99, 3, CODE_BOUND, cache, 1),
+        "density": lambda cache: _distinguished_primes(E99, 3, CODE_BOUND, cache),
         "classify": lambda cache: bulk_classify(E99, 3, CODE_BOUND // 2, cache=cache),
     }
     caches = {name: TraceCache(tmp_path) for name in runs}
@@ -1170,10 +1170,30 @@ def test_trace_cache_memory_only():
 
 
 def test_trace_cache_parallel(tmp_path):
-    cache = TraceCache(tmp_path)
-    got = cache.traces(E99, [5, 7, 13, 17], jobs=2)
+    cache = TraceCache(tmp_path, jobs=2)
+    got = cache.traces(E99, [5, 7, 13, 17])
     assert got[7] == -2
     assert set(got) == {5, 7, 13, 17}
+
+
+def test_a_pool_starts_only_for_more_than_one_miss(monkeypatch, pool_sizes):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    one = classify_prime(E99, 3, 467, cache=TraceCache(None, jobs=2))
+    assert one == classify_prime(E99, 3, 467)
+    assert TraceCache(None, jobs=2).trace(E99, 467) == one.a_ell
+    assert pool_sizes == []
+    records = bulk_classify(E99, 3, 2000, cache=TraceCache(None, jobs=2))
+    assert pool_sizes == [2]
+    assert records == bulk_classify(E99, 3, 2000, cache=TraceCache(None, jobs=1))
+    assert pool_sizes == [2]
+
+
+def test_trace_cache_jobs_checked_and_capped(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    assert TraceCache(None, jobs=5).jobs == 2
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            TraceCache(None, jobs=jobs)
 
 
 def test_trace_cache_bad_prime():

@@ -1,6 +1,7 @@
 """Every name a module of the package exports resolves."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -35,3 +36,25 @@ def test_star_import_binds_each_name_to_its_definition():
     # an unknown name is an AttributeError, so `from iwakit import fields`
     # still falls back to importing the submodule
     assert not hasattr(iwakit, "no_such_name")
+
+
+def _functions(module):
+    """Each function and method the module defines, by qualified name."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj.__qualname__, obj
+        elif inspect.isclass(obj):
+            for member in vars(obj).values():
+                member = getattr(member, "__func__", member)  # static and class methods
+                if inspect.isfunction(member):
+                    yield member.__qualname__, member
+
+
+def test_only_the_trace_cache_takes_a_worker_count():
+    # the cache holds the worker count, so no function passes one on
+    takes = [f"{name}.{qualname}" for name in MODULES[1:]
+             for qualname, fn in _functions(importlib.import_module(name))
+             if "jobs" in inspect.signature(fn).parameters]
+    assert takes == ["iwakit.counting.TraceCache.__init__"]

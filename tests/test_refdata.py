@@ -5,6 +5,7 @@ import json
 import pytest
 
 import iwakit.refdata as refdata
+from iwakit.cli import main
 from iwakit.elliptic import WeierstrassModel
 from iwakit.eulerchar import euler_char_factors, mu_lambda_vanish
 from iwakit.refdata import ingest_reference, load_reference, reference_record
@@ -116,6 +117,21 @@ def test_malformed_inputs(tmp_path):
     path = _write(tmp_path, [_record(source_note="")])
     with pytest.raises(ValueError, match="source_note"):
         ingest_reference(path)
+
+
+@pytest.mark.parametrize(("payload", "match"), [
+    ([1], "must be a JSON object"),
+    (["0,0,1,-3,-5"], "must be a JSON object"),
+    ([_record(curve=5)], "'curve' must be a string"),
+    ([_record(curve=[0, 0, 1, -3, -5])], "'curve' must be a string"),
+])
+def test_record_not_an_object_or_curve_not_a_string(tmp_path, capsys, payload, match):
+    path = _write(tmp_path, payload)
+    with pytest.raises(ValueError, match=match):
+        ingest_reference(path)
+    # the CLI reports it as an input error, not a traceback
+    assert main(["euler-char", "--curve", "0,0,1,-3,-5", "--p", "3", "--reference", path]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_unknown_sha_reference_leaves_vanishing_unresolved(monkeypatch):
