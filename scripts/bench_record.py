@@ -9,9 +9,18 @@ Runs, in this order:
   between the checkouts, compiling src/ in every process as the benchmark
   does, and again on both sides with a warm bytecode cache;
 - cold p = 3 density reports on an empty --cache-dir, alternating between
-  the checkouts: three per side to 1e6 and one per side to 1e7, each with its
+  the checkouts: three per side to 1e6 and to 1e7, each with its
   wall time, the peak RSS of its process and whether its stdout is the same
   as every run of the other side's;
+- the peak RSS of a process that drives bench/run.py's Runner of the
+  checkout through a fixed number of density_warm calls after its set-up,
+  keeping every call's outcome as the harness does, at the median call
+  count of each side's density_warm bench runs, the first side alternating
+  per run: a bench run's peak_rss_mb grows with the number of calls it
+  makes in its --seconds, so a faster change reads a higher figure there;
+  at an equal call count it reads the program's memory;
+- the peak RSS of a process that reads one trace file of the size a warm
+  1e7 grid leaves with the checkout's TraceCache._read, alternating;
 - the tier-1 suite once in each checkout, for its wall time.
 
 Each side's runs are then read back from its .bench_out/results.jsonl with
@@ -22,8 +31,8 @@ the pairs the change won, with the environment and the order of the runs.
 The parent commit is read from the base checkout, which must be a git
 checkout; every bench run uses seed 0, whose digests bench/run.py checks.
 
-    python3 scripts/bench_record.py ../parent --pr 21 \\
-        --pairs classify_cold=10 --pairs density_warm=5 --pairs curve_pipeline=5
+    python3 scripts/bench_record.py ../parent --pr 24 \\
+        --pairs classify_cold=6 --pairs density_warm=10 --pairs curve_pipeline=6
 """
 
 from __future__ import annotations
@@ -60,7 +69,52 @@ COLD_ARGV = {
 }
 
 DENSITY_ARGV = ("density", "--curve", E99, "--p", "3", "--jobs", "1")
-COLD_DENSITY = (("1e3,1e4,1e5,1e6", 3), ("1e4,1e5,1e6,1e7", 1))  # grid, runs per side
+# grid, runs per side: one 1e7 run per side read 17.3 s against 21.0 s, and
+# three alternating pairs right after it 11.0 s against 10.9 s
+COLD_DENSITY = (("1e3,1e4,1e5,1e6", 3), ("1e4,1e5,1e6,1e7", 3))
+RSS_WORKLOAD = "density_warm"  # the workload whose calls the harness keeps most of
+RSS_REPS = 3  # fixed-call-count processes per call count and side
+READ_SLOTS = 5 * 10**6  # int16 slots of the trace file of a warm 1e7 grid
+READ_REPS = 5  # trace-file reads per side
+
+# Run in a fresh process with the checkout's bench/ and src/ first on the path:
+# bench/run.py's own set-up, then the workload's calls in pass order, each
+# outcome kept, as Runner.passes keeps them; prints the process's peak RSS.
+_RSS_CHILD = """
+import gc, json, os, resource, sys, tempfile
+from pathlib import Path
+checkout, workload, calls, seed = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+sys.path[:0] = [os.path.join(checkout, "bench"), os.path.join(checkout, "src")]
+import run
+os.environ.pop("IWAKIT_CACHE_DIR", None)
+with tempfile.TemporaryDirectory() as work:
+    runner = run._setup(workload, seed, Path(work))
+    gc.collect()
+    ops = runner.workload.ops
+    kept = [runner.call(i % len(ops), ops[i % len(ops)]) for i in range(calls)]
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+codes = {}
+for c in kept:
+    key = c.error.split(":")[0] if c.error else str(c.code)
+    codes[key] = codes.get(key, 0) + 1
+print(json.dumps({"peak_rss_mb": peak, "outcomes": codes}))
+"""
+
+# Run in a fresh process with the checkout's src/ on the path: the RSS
+# before, and the peak RSS after, one TraceCache._read of the file named in
+# argv; the peak of compiling src/ can hide part of the read, so the RSS
+# before is the resident size of the moment, from /proc/self/statm.
+_READ_CHILD = """
+import gc, json, os, resource, sys
+from pathlib import Path
+from iwakit.counting import TraceCache
+gc.collect()
+with open("/proc/self/statm") as fh:
+    before = int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+slots = len(TraceCache._read(Path(sys.argv[1])))
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"slots": slots, "before_mb": before, "peak_rss_mb": peak}))
+"""
 
 
 def _env(checkout: Path, **extra: str) -> dict[str, str]:
@@ -153,6 +207,62 @@ def cold_starts(base: Path, change: Path) -> dict:
     return out
 
 
+def _rss_run(checkout: Path, workload: str, calls: int) -> dict:
+    proc = subprocess.run([sys.executable, "-c", _RSS_CHILD, str(checkout), workload, str(calls),
+                           str(SEED)], cwd=checkout, check=True, capture_output=True, text=True,
+                          env=_env(checkout, PYTHONDONTWRITEBYTECODE="1"))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def fixed_call_rss(base: Path, change: Path, files: dict[Path, Path]) -> dict:
+    """Peak RSS per side after the same number of RSS_WORKLOAD calls, at the
+    median call count of each side's bench runs of it."""
+    counts = set()
+    for path in files.values():
+        calls = [rec["detail"]["calls"] for rec in map(json.loads, path.read_text(
+            encoding="utf-8").splitlines()) if rec["workload"] == RSS_WORKLOAD]
+        if calls:
+            counts.add(round(quartiles(calls)[1]))
+    out = {}
+    for calls in sorted(counts):
+        runs: dict[str, list[dict]] = {"base": [], "change": []}
+        sides = [("base", base), ("change", change)]
+        for rep in range(RSS_REPS):
+            for name, checkout in sides if rep % 2 == 0 else sides[::-1]:
+                runs[name].append(_rss_run(checkout, RSS_WORKLOAD, calls))
+        # each run's exit codes, or the exception a call raised, by count
+        row = {name: {**_summary([r["peak_rss_mb"] for r in side]),
+                      "outcomes": [r["outcomes"] for r in side]} for name, side in runs.items()}
+        b, c = row["base"]["median"], row["change"]["median"]
+        out[f"{RSS_WORKLOAD}={calls}"] = {**row, "change_pct": 100 * (c - b) / b}
+    return out
+
+
+def trace_read_rss(base: Path, change: Path) -> dict:
+    """Peak RSS per side of a process that reads one READ_SLOTS trace file."""
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "trace.bin"
+        body = bytes(2 * READ_SLOTS)
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        size = path.stat().st_size
+        runs: dict[str, list[dict]] = {"base": [], "change": []}
+        sides = [("base", base), ("change", change)]
+        for rep in range(READ_REPS):
+            for name, checkout in sides if rep % 2 == 0 else sides[::-1]:
+                proc = subprocess.run([sys.executable, "-c", _READ_CHILD, str(path)],
+                                      cwd=checkout, check=True, capture_output=True, text=True,
+                                      env=_env(checkout, PYTHONDONTWRITEBYTECODE="1"))
+                runs[name].append(json.loads(proc.stdout))
+    out = {}
+    for name, side in runs.items():
+        if any(r["slots"] != READ_SLOTS for r in side):
+            raise RuntimeError(f"{name} read a trace file as a miss: {side}")
+        out[name] = {**_summary([r["peak_rss_mb"] for r in side]),
+                     "growth_mb": _summary([r["peak_rss_mb"] - r["before_mb"] for r in side])}
+    b, c = out["base"]["median"], out["change"]["median"]
+    return {"file_bytes": size, **out, "change_pct": 100 * (c - b) / b}
+
+
 def tier1(checkout: Path) -> dict:
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
@@ -235,6 +345,8 @@ def main(argv: list[str] | None = None) -> int:
                 _bench(checkout, workload, seconds)
     cold = cold_starts(base, change)
     density = cold_density(base, change)
+    rss = fixed_call_rss(base, change, files)
+    read = trace_read_rss(base, change)
     tests = {"base": tier1(base), "change": tier1(change)}
 
     record = {
@@ -259,6 +371,8 @@ def main(argv: list[str] | None = None) -> int:
                           "subcommands": cold},
         "cold_density": {"argv": " ".join(DENSITY_ARGV) + " --grid GRID --cache-dir EMPTY",
                          "grids": density},
+        "fixed_call_rss": {"reps": RSS_REPS, "seed": SEED, "workloads": rss},
+        "trace_read_rss": {"reps": READ_REPS, **read},
         "tier1": tests,
     }
     out = ROOT / f"BENCH_{args.pr}.json"

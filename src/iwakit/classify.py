@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .counting import TraceCache, frobenius_data, order_over_extension
 from .elliptic import WeierstrassModel, minimal_model
-from .ntheory import _odd_flags, check_odd_prime, is_prime, padic_valuation, sieve_primes
+from .ntheory import _primes_1_mod_2p, check_odd_prime, is_prime, padic_valuation, sieve_primes
 
 __all__ = [
     "PrimeClass",
@@ -165,11 +165,9 @@ def _distinguished_primes(
     check_odd_prime(p)
     if bound < 2:
         return [], 0
-    flags = _odd_flags(bound)
-    # only the flags of the odd ell = 1 mod 2p are read: no list of all primes is built
+    primes, prime_count = _primes_1_mod_2p(bound, p)
     cache = cache if cache is not None else TraceCache(None)
-    # pi(bound) counts 2 too
-    return cache._distinguished(model, p, flags), 1 + flags.count(1)
+    return cache._distinguished(model, p, primes), prime_count
 
 
 def classification_rows(records: Iterable[PrimeClass]) -> Iterator[str]:

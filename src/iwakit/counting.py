@@ -28,11 +28,11 @@ import tempfile
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, islice
+from itertools import islice
 from pathlib import Path
 
 from .elliptic import BadReductionError, WeierstrassModel, format_model, minimal_model
-from .ntheory import _stride_1_mod_2p, is_prime, sieve_primes
+from .ntheory import is_prime, sieve_primes
 
 __all__ = [
     "FrobeniusData",
@@ -479,15 +479,18 @@ class TraceCache:
     def _read(path: Path) -> array:
         """The trace array in a cache file, or an empty one unless the file's
         digest verifies and its body is whole int16 slots."""
-        arr = array("h")
         try:
-            data = path.read_bytes()
+            fh = open(path, "rb")
         except FileNotFoundError:
-            return arr
-        body = memoryview(data)[:-_DIGEST]
-        if len(body) % 2 or hashlib.sha256(body).digest() != data[-_DIGEST:]:
-            return arr
-        arr.frombytes(body)
+            return array("h")
+        with fh:
+            size = os.fstat(fh.fileno()).st_size - _DIGEST
+            if size < 0 or size % 2:
+                return array("h")
+            # the body is read straight into the array: one buffer per file
+            arr = array("h", [0]) * (size // 2)
+            if fh.readinto(arr) != size or hashlib.sha256(arr).digest() != fh.read():
+                return array("h")
         if sys.byteorder == "big":
             arr.byteswap()
         return arr
@@ -573,22 +576,18 @@ class TraceCache:
         out.update(zip(missing, self._count(key, minimal, missing)))
         return out
 
-    def _distinguished(self, model: WeierstrassModel, p: int, flags: bytearray) -> list[int]:
-        """The good primes ell = 1 mod 2p below 2 len(flags), ascending, at which
-        p does not divide #E(F_ell).  Flag i of the odd sieve flags says whether
-        2i + 1 is prime.
+    def _distinguished(self, model: WeierstrassModel, p: int, ells: tuple[int, ...]) -> list[int]:
+        """The good primes among ells, the ascending primes = 1 mod p that
+        ntheory._primes_1_mod_2p lists, at which p does not divide #E(F_ell).
 
-        The primes are read off the flags with the stride of the odd ell = 1
-        mod 2p, and one loop answers each stored slot ell >> 1: the Hasse check
-        and the Q3 test of classify._verdict, p not dividing ell + 1 - a_ell =
-        2 - a_ell mod p.  At p = 3 a code answers both, and a miss above 229 is
-        stored as a code.
+        One loop answers each stored slot ell >> 1: the Hasse check and the Q3
+        test of classify._verdict, p not dividing ell + 1 - a_ell = 2 - a_ell
+        mod p.  At p = 3 a code answers both, and a miss above 229 is stored
+        as a code.
         """
         minimal, _ = minimal_model(model)
         key = self._key(minimal)
         arr = self._load(key)
-        odd, primes = _stride_1_mod_2p(flags, p)
-        ells = list(compress(odd, primes))
         # ells[:held] have a slot in the array
         held = bisect.bisect_left(ells, min(2 * len(arr), GRID_BUDGET + 1))
         codes = (_THREE_DIVIDES, _THREE_DOES_NOT_DIVIDE) if p == 3 else ()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .classify import _distinguished_primes, cyclotomic_split_count
 from .counting import TraceCache
 from .elliptic import WeierstrassModel
-from .ntheory import _odd_flags, _stride_1_mod_2p, check_odd_prime, iroot, is_prime, primitive_root
+from .ntheory import _primes_1_mod_2p, check_odd_prime, iroot, is_prime, primitive_root
 
 __all__ = [
     "CyclicExtension",
@@ -322,11 +322,6 @@ def _g_weights(model, p, bound, *, cache, method) -> dict[int, int]:
     return build(script_q_primes(model, p, bound, cache=cache), p, bound)
 
 
-def _tame_primes(p: int, bound: int) -> list[int]:
-    """The primes = 1 mod p up to bound: the tame places of degree-p fields."""
-    return list(itertools.compress(*_stride_1_mod_2p(_odd_flags(bound), p))) if bound >= 2 else []
-
-
 def _m_weights(p: int, bound: int, method: str) -> dict[int, int]:
     """Number of degree-p cyclic fields at each conductor, discriminant <= bound."""
     check_odd_prime(p)
@@ -336,7 +331,8 @@ def _m_weights(p: int, bound: int, method: str) -> dict[int, int]:
     max_conductor = iroot(bound, p - 1)
     if max_conductor < 2:
         return {}
-    primes = _tame_primes(p, max_conductor)
+    # the primes = 1 mod p: the tame places of degree-p fields
+    primes = _primes_1_mod_2p(max_conductor, p)[0]
     weights = build(primes, p, max_conductor)
     wild_bound = max_conductor // (p * p)
     if wild_bound >= 1:
@@ -357,7 +353,7 @@ def _m_totals(p: int, bounds: list[int], totals) -> list[int]:
     """
     wild = [b // (p * p) for b in bounds]
     points = sorted(set(bounds).union(wild))
-    tame = dict(zip(points, totals(_tame_primes(p, bounds[-1]), p, points)))
+    tame = dict(zip(points, totals(_primes_1_mod_2p(bounds[-1], p)[0], p, points)))
     return [tame[b] + (1 + (p - 1) * tame[w] if b >= p * p else 0)
             for b, w in zip(bounds, wild)]
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
 __all__ = [
     "sieve_primes",
@@ -90,11 +91,19 @@ def _odd_flags(bound: int) -> bytearray:
     return flags
 
 
-def _stride_1_mod_2p(flags: bytearray, p: int) -> tuple[range, bytearray]:
-    """The odd numbers = 1 mod 2p below 2 len(flags) and their flags, which
-    compress to the primes = 1 mod p: an odd ell = 1 mod p is 1 mod 2p, so
-    its flag index (ell - 1) / 2 is 0 mod p."""
-    return range(1, 2 * len(flags), 2 * p), flags[::p]
+# the keys of a p = 3 and p = 5 density report pair: each grid's top, and
+# the top conductor of each M table
+@lru_cache(maxsize=4)
+def _primes_1_mod_2p(bound: int, p: int) -> tuple[tuple[int, ...], int]:
+    """The primes = 1 mod p up to bound, ascending, and pi(bound); p is an
+    odd prime.  Neither depends on a curve, so a process builds them once per
+    (bound, p), and every caller at that key gets the same tuple."""
+    if bound < 2:
+        return (), 0
+    flags = _odd_flags(bound)
+    # an odd ell = 1 mod p is 1 mod 2p, so its flag index (ell - 1) / 2 is 0
+    # mod p: only every p-th flag is read; pi(bound) counts 2 too
+    return tuple(itertools.compress(range(1, bound + 1, 2 * p), flags[::p])), 1 + flags.count(1)
 
 
 def sieve_primes(bound: int) -> tuple[int, ...]:

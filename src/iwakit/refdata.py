@@ -39,16 +39,17 @@ def _validate_record(rec: dict) -> None:
     if not isinstance(rec["curve"], str):
         raise ValueError(f"field 'curve' must be a string, got {repr(rec['curve'])[:40]}")
     parse_model(rec["curve"])  # must be well-formed and nonsingular
+    # JSON true and false load as bool, a subclass of int: type() keeps them out
     p = rec["p"]
-    if not isinstance(p, int) or not is_prime(p) or p == 2:
+    if type(p) is not int or not is_prime(p) or p == 2:
         raise ValueError(f"field 'p' must be an odd prime, got {p!r}")
     for key in ("analytic_rank", "lambda_base", "mu_base"):
         value = rec[key]
-        if not isinstance(value, int) or value < 0:
+        if type(value) is not int or value < 0:
             raise ValueError(f"field {key!r} must be a nonnegative integer, got {value!r}")
     sha = rec["sha_p_order"]
     if sha != "unknown":
-        if not isinstance(sha, int) or sha < 1:
+        if type(sha) is not int or sha < 1:
             raise ValueError(f"field 'sha_p_order' must be 'unknown' or a positive integer")
         if not _is_p_power(sha, p):
             raise ValueError(f"field 'sha_p_order' must be a power of {p}, got {sha}")

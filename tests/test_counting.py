@@ -1,9 +1,12 @@
 import hashlib
+import io
 import math
 import os
 import random
 import stat
 import struct
+import sys
+from array import array
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -946,6 +949,41 @@ def test_trace_cache_unparseable_body_is_whole_file_miss(tmp_path, monkeypatch, 
     path.write_bytes(body + hashlib.sha256(body).digest())
     counted = _count_traces(monkeypatch)
     _assert_whole_file_miss(tmp_path, path, data, counted, good, body)
+
+
+# files the one-buffer read must miss: shorter than the digest, an empty body
+# with its digest, and the body one byte short with or without its old digest
+SHORT_FILES = {
+    "empty": lambda data: b"",
+    "one-byte": lambda data: data[-32:-31],
+    "31-bytes": lambda data: data[-32:-1],
+    "empty-body": lambda data: hashlib.sha256(b"").digest(),
+    "cut-before-digest": lambda data: data[:-33],
+    "old-digest": lambda data: data[:-33] + data[-32:],
+}
+
+
+@pytest.mark.parametrize("damage", SHORT_FILES)
+def test_trace_cache_short_file_reads_empty_and_misses_whole(tmp_path, monkeypatch, damage):
+    good = TraceCache(None).traces(E99, CACHE_ELLS)
+    path, data = _filled_cache_file(tmp_path)
+    path.write_bytes(SHORT_FILES[damage](data))
+    assert TraceCache._read(path) == array("h")
+    counted = _count_traces(monkeypatch)
+    _assert_whole_file_miss(tmp_path, path, data, counted, good, damage)
+
+
+def test_trace_cache_reads_a_body_larger_than_one_buffer(tmp_path):
+    # about 40 KB of slots: more than two buffers of the buffered reader
+    _distinguished_primes(E99, 3, 40_000, TraceCache(tmp_path))
+    (path,) = tmp_path.glob("*.traces")
+    data = path.read_bytes()
+    assert len(data) - 32 > 2 * io.DEFAULT_BUFFER_SIZE
+    expected = array("h")
+    expected.frombytes(data[:-32])
+    if sys.byteorder == "big":
+        expected.byteswap()
+    assert TraceCache._read(path) == expected
 
 
 def test_trace_cache_old_file_without_trailer_is_rewritten(tmp_path, monkeypatch):

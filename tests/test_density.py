@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from iwakit import counting
+from iwakit import counting, ntheory
 from iwakit.classify import bulk_classify
 from iwakit.counting import TraceCache
 from iwakit.density import (
@@ -27,6 +27,7 @@ from iwakit.fields import M_of_X, g_of_X, g_steps, m_steps
 from iwakit.ntheory import sieve_primes
 
 E99 = WeierstrassModel(0, 0, 1, -3, -5)
+E887 = WeierstrassModel(1, 0, 0, 887, -804)
 
 
 def test_sl2_trace_two_is_p_squared():
@@ -167,6 +168,42 @@ def test_cold_report_counts_only_primes_one_mod_p(monkeypatch, p):
     # at most every prime = 1 mod p, about 1/(p-1) of all primes
     assert 1 <= len(counted) <= sum(1 for ell in sieve_primes(grid[-1]) if ell % p == 1)
     assert report.empirical_density == empirical_density(E99, p, grid[-1])
+
+
+def test_alternating_reports_sieve_once_per_key(monkeypatch):
+    sieved = []
+    odd_flags = ntheory._odd_flags
+
+    def recording(bound):
+        sieved.append(bound)
+        return odd_flags(bound)
+
+    monkeypatch.setattr(ntheory, "_odd_flags", recording)
+    ntheory._primes_1_mod_2p.cache_clear()
+    grid = [100, 1000, 2000, 4000]
+    cache = TraceCache(None)
+    for _ in range(3):
+        for p in (3, 5):
+            asymptotic_report(E99, p, grid, cache=cache)
+    # the keys (4000, 3), (4000, 5) and the M tables' top conductors
+    # (iroot(4000, 2), 3) = (63, 3) and (iroot(4000, 4), 5) = (7, 5)
+    assert sorted(sieved) == [7, 63, 4000, 4000]
+
+
+@pytest.mark.parametrize("method", ["dfs", "sieve"])
+def test_reports_in_one_process_equal_reports_on_a_cleared_cache(method):
+    # the kept primes = 1 mod p carry no curve's or p's answer into another report
+    grid = [100, 1000, 2000, 4000]
+    runs = [(model, p) for model in (E99, E887) for p in (3, 5)] * 2
+    cache = TraceCache(None)
+    shared = [asymptotic_report(model, p, grid, cache=cache, method=method)
+              for model, p in runs]
+    fresh = []
+    for model, p in runs:
+        ntheory._primes_1_mod_2p.cache_clear()
+        fresh.append(asymptotic_report(model, p, grid, cache=TraceCache(None), method=method))
+    assert shared == fresh
+    assert len({report.g_table for report in shared}) == 4
 
 
 def test_asymptotic_report_grid_errors():

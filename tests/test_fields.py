@@ -351,7 +351,7 @@ def test_unknown_method_rejected_before_any_work(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("work started before checking the method")
 
-    monkeypatch.setattr("iwakit.fields._odd_flags", fail)
+    monkeypatch.setattr("iwakit.fields._primes_1_mod_2p", fail)
     monkeypatch.setattr("iwakit.fields._distinguished_primes", fail)
     calls = [
         lambda: g_steps(E99, 3, 600, method="bogus"),

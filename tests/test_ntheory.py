@@ -1,5 +1,4 @@
 import functools
-import itertools
 import math
 import time
 
@@ -18,7 +17,7 @@ from iwakit.ntheory import (
     primitive_root,
     sieve_primes,
 )
-from iwakit.ntheory import _TRIAL_BOUND, _odd_flags, _stride_1_mod_2p
+from iwakit.ntheory import _TRIAL_BOUND, _primes_1_mod_2p
 
 
 def oracle_is_prime(n: int) -> bool:
@@ -63,10 +62,19 @@ def test_odd_flags_give_the_primes_one_mod_p(p):
     # an odd ell = 1 mod p is 1 mod 2p, so every p-th flag is a candidate
     primes = sieve_primes(3000)
     for bound in range(2, 3001):
-        flags = _odd_flags(bound)
-        got = list(itertools.compress(*_stride_1_mod_2p(flags, p)))
-        assert got == [ell for ell in primes if ell <= bound and ell % p == 1], bound
-        assert 1 + flags.count(1) == len(sieve_primes(bound)), bound
+        got, prime_count = _primes_1_mod_2p(bound, p)
+        assert got == tuple(ell for ell in primes if ell <= bound and ell % p == 1), bound
+        assert prime_count == len(sieve_primes(bound)), bound
+    assert _primes_1_mod_2p(1, p) == ((), 0)
+
+
+def test_primes_one_mod_p_are_built_once_per_key():
+    _primes_1_mod_2p.cache_clear()
+    first = _primes_1_mod_2p(3000, 3)
+    assert type(first[0]) is tuple
+    assert _primes_1_mod_2p(3000, 3) is first
+    assert _primes_1_mod_2p(3000, 5) is not first
+    assert _primes_1_mod_2p.cache_info().hits == 1
 
 
 @settings(max_examples=60, deadline=None)

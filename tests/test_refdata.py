@@ -141,3 +141,28 @@ def test_unknown_sha_reference_leaves_vanishing_unresolved(monkeypatch):
     assert ef.sha_p_order is None
     assert ef.analytic_rank_zero is True
     assert mu_lambda_vanish(ef) == "unresolved"
+
+
+@pytest.mark.parametrize(("field", "match"), [
+    ("p", "odd prime"),
+    ("analytic_rank", "nonnegative integer"),
+    ("lambda_base", "nonnegative integer"),
+    ("mu_base", "nonnegative integer"),
+    ("sha_p_order", "positive integer"),
+])
+@pytest.mark.parametrize("value", [True, False])
+def test_json_booleans_are_not_integers(tmp_path, field, match, value):
+    # json.loads gives bool, and isinstance(True, int) holds
+    path = _write(tmp_path, [_record(**{field: value})])
+    with pytest.raises(ValueError, match=match):
+        ingest_reference(path)
+
+
+def test_boolean_record_exits_1_through_the_cli(tmp_path, capsys):
+    path = _write(tmp_path, [_record(analytic_rank=False, sha_p_order=True,
+                                     lambda_base=False, mu_base=False)])
+    assert main(["euler-char", "--curve", "0,0,1,-3,-5", "--p", "3", "--reference", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
