@@ -13,14 +13,19 @@ Runs, in this order:
   wall time, the peak RSS of its process and whether its stdout is the same
   as every run of the other side's;
 - the peak RSS of a process that drives bench/run.py's Runner of the
-  checkout through a fixed number of density_warm calls after its set-up,
-  keeping every call's outcome as the harness does, at the median call
-  count of each side's density_warm bench runs, the first side alternating
-  per run: a bench run's peak_rss_mb grows with the number of calls it
-  makes in its --seconds, so a faster change reads a higher figure there;
-  at an equal call count it reads the program's memory;
+  checkout through a fixed number of classify_cold or density_warm calls
+  after its set-up, keeping every call's outcome as the harness does, at
+  the median call count of each side's bench runs of that workload, the
+  first side alternating per run: a bench run's peak_rss_mb grows with the
+  number of calls it makes in its --seconds, so a faster change reads a
+  higher figure there; at an equal call count it reads the program's
+  memory;
 - the peak RSS of a process that reads one trace file of the size a warm
   1e7 grid leaves with the checkout's TraceCache._read, alternating;
+- scripts/count_bands.py of this checkout against each checkout's src/,
+  alternating, for the time per count in each ell band on the same inputs;
+  then the same inputs counted by both checkouts in one process, alternating
+  pass by pass, since the speed of a shared CPU drifts between processes;
 - the tier-1 suite once in each checkout, for its wall time.
 
 Each side's runs are then read back from its .bench_out/results.jsonl with
@@ -31,8 +36,8 @@ the pairs the change won, with the environment and the order of the runs.
 The parent commit is read from the base checkout, which must be a git
 checkout; every bench run uses seed 0, whose digests bench/run.py checks.
 
-    python3 scripts/bench_record.py ../parent --pr 24 \\
-        --pairs classify_cold=6 --pairs density_warm=10 --pairs curve_pipeline=6
+    python3 scripts/bench_record.py ../parent --pr 25 \\
+        --pairs classify_cold=10 --pairs density_warm=6 --pairs curve_pipeline=6
 """
 
 from __future__ import annotations
@@ -72,10 +77,14 @@ DENSITY_ARGV = ("density", "--curve", E99, "--p", "3", "--jobs", "1")
 # grid, runs per side: one 1e7 run per side read 17.3 s against 21.0 s, and
 # three alternating pairs right after it 11.0 s against 10.9 s
 COLD_DENSITY = (("1e3,1e4,1e5,1e6", 3), ("1e4,1e5,1e6,1e7", 3))
-RSS_WORKLOAD = "density_warm"  # the workload whose calls the harness keeps most of
+# the workloads whose calls the harness keeps most of: classify_cold keeps
+# about 0.93 MB of stdout per call, density_warm makes the most calls
+RSS_WORKLOADS = ("classify_cold", "density_warm")
 RSS_REPS = 3  # fixed-call-count processes per call count and side
 READ_SLOTS = 5 * 10**6  # int16 slots of the trace file of a warm 1e7 grid
 READ_REPS = 5  # trace-file reads per side
+BANDS_REPS = 5  # count_bands.py runs per side
+BANDS_PASSES = 20  # passes per side and band of the interleaved count_bands inputs
 
 # Run in a fresh process with the checkout's bench/ and src/ first on the path:
 # bench/run.py's own set-up, then the workload's calls in pass order, each
@@ -114,6 +123,65 @@ with open("/proc/self/statm") as fh:
 slots = len(TraceCache._read(Path(sys.argv[1])))
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"slots": slots, "before_mb": before, "peak_rss_mb": peak}))
+"""
+
+
+# Run in a fresh process: count_bands.py's count_us and psi3_us inputs,
+# counted by both checkouts in one process, each checkout's src/ imported as a
+# package of its own name, with the side that runs first alternating pass by
+# pass, so that both sides meet the same CPU speed; prints, per figure and
+# band, each side's best pass in microseconds per prime and the quartiles of
+# base/change over the pairs of adjacent passes.  psi3_us times the same
+# kernel on both sides, so its ratios show the method's own spread.
+_BANDS_CHILD = """
+import importlib, importlib.util, json, random, sys, time
+scripts, base_src, change_src, passes = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+sys.path[:0] = [scripts, change_src]
+import count_bands
+from iwakit.ntheory import sieve_primes
+
+def side(name, src):
+    spec = importlib.util.spec_from_file_location(
+        name, f"{src}/iwakit/__init__.py", submodule_search_locations=[f"{src}/iwakit"])
+    sys.modules[name] = module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    counting = importlib.import_module(f"{name}.counting")
+    model = importlib.import_module(f"{name}.elliptic").WeierstrassModel
+    return {"count_us": lambda w, ell: counting.count_points(w, ell),
+            "psi3_us": lambda w, ell: counting._three_divides(*w.short, ell)}, model
+
+sides = {"base": side("iwakit_base", base_src), "change": side("iwakit_change", change_src)}
+# count_bands.py's draws at its defaults: 30 curves, 200 primes per band and curve
+rng, psi3_rng = random.Random(0), random.Random(1)
+curves = count_bands.random_minimal_curves(rng, 30)
+primes = sieve_primes(count_bands.BANDS[-1][1])
+out = {"count_us": {}, "psi3_us": {}}
+for lo, hi in count_bands.BANDS:
+    band = [q for q in primes if lo < q <= hi]
+    draws = {"count_us": [(i, ell) for i, w in enumerate(curves)
+                          for ell in rng.sample(band, min(200, len(band))) if w.disc % ell]}
+    if lo >= 229:
+        band = [q for q in band if q % 6 == 1]
+        draws["psi3_us"] = [(i, ell) for i, w in enumerate(curves)
+                            for ell in psi3_rng.sample(band, min(200, len(band))) if w.disc % ell]
+    for figure, work in draws.items():
+        times = {"base": [], "change": []}
+        for k in range(passes):
+            for name in ("base", "change") if k % 2 == 0 else ("change", "base"):
+                fns, model = sides[name]
+                fn, models = fns[figure], [model(*w.coefficients()) for w in curves]
+                start = time.perf_counter()
+                for i, ell in work:
+                    fn(models[i], ell)
+                times[name].append(time.perf_counter() - start)
+        ratios = sorted(b / c for b, c in zip(times["base"], times["change"]))
+        n = len(ratios)
+        out[figure][f"{lo}-{hi}"] = {
+            **{f"{name}_us": round(1e6 * min(t) / len(work), 2) for name, t in times.items()},
+            "base_over_change": {"q1": ratios[n // 4], "median": ratios[n // 2],
+                                 "q3": ratios[(3 * n) // 4]},
+            "pairs_won": f"{sum(r > 1 for r in ratios)}/{n}"}
+print(json.dumps(out))
 """
 
 
@@ -215,26 +283,28 @@ def _rss_run(checkout: Path, workload: str, calls: int) -> dict:
 
 
 def fixed_call_rss(base: Path, change: Path, files: dict[Path, Path]) -> dict:
-    """Peak RSS per side after the same number of RSS_WORKLOAD calls, at the
-    median call count of each side's bench runs of it."""
-    counts = set()
-    for path in files.values():
-        calls = [rec["detail"]["calls"] for rec in map(json.loads, path.read_text(
-            encoding="utf-8").splitlines()) if rec["workload"] == RSS_WORKLOAD]
-        if calls:
-            counts.add(round(quartiles(calls)[1]))
+    """Peak RSS per side after the same number of calls of each RSS_WORKLOADS
+    workload, at the median call count of each side's bench runs of it."""
     out = {}
-    for calls in sorted(counts):
-        runs: dict[str, list[dict]] = {"base": [], "change": []}
-        sides = [("base", base), ("change", change)]
-        for rep in range(RSS_REPS):
-            for name, checkout in sides if rep % 2 == 0 else sides[::-1]:
-                runs[name].append(_rss_run(checkout, RSS_WORKLOAD, calls))
-        # each run's exit codes, or the exception a call raised, by count
-        row = {name: {**_summary([r["peak_rss_mb"] for r in side]),
-                      "outcomes": [r["outcomes"] for r in side]} for name, side in runs.items()}
-        b, c = row["base"]["median"], row["change"]["median"]
-        out[f"{RSS_WORKLOAD}={calls}"] = {**row, "change_pct": 100 * (c - b) / b}
+    for workload in RSS_WORKLOADS:
+        counts = set()
+        for path in files.values():
+            calls = [rec["detail"]["calls"] for rec in map(json.loads, path.read_text(
+                encoding="utf-8").splitlines()) if rec["workload"] == workload]
+            if calls:
+                counts.add(round(quartiles(calls)[1]))
+        for calls in sorted(counts):
+            runs: dict[str, list[dict]] = {"base": [], "change": []}
+            sides = [("base", base), ("change", change)]
+            for rep in range(RSS_REPS):
+                for name, checkout in sides if rep % 2 == 0 else sides[::-1]:
+                    runs[name].append(_rss_run(checkout, workload, calls))
+            # each run's exit codes, or the exception a call raised, by count
+            row = {name: {**_summary([r["peak_rss_mb"] for r in side]),
+                          "outcomes": [r["outcomes"] for r in side]}
+                   for name, side in runs.items()}
+            b, c = row["base"]["median"], row["change"]["median"]
+            out[f"{workload}={calls}"] = {**row, "change_pct": 100 * (c - b) / b}
     return out
 
 
@@ -261,6 +331,31 @@ def trace_read_rss(base: Path, change: Path) -> dict:
                      "growth_mb": _summary([r["peak_rss_mb"] - r["before_mb"] for r in side])}
     b, c = out["base"]["median"], out["change"]["median"]
     return {"file_bytes": size, **out, "change_pct": 100 * (c - b) / b}
+
+
+def count_bands(base: Path, change: Path) -> dict:
+    """count_bands.py's JSON per run and side, and per figure the change's
+    median against the base's: the same script and inputs on both sides."""
+    runs: dict[str, list[dict]] = {"base": [], "change": []}
+    sides = [("base", base), ("change", change)]
+    for rep in range(BANDS_REPS):
+        for name, checkout in sides if rep % 2 == 0 else sides[::-1]:
+            proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "count_bands.py")],
+                                  cwd=checkout, check=True, capture_output=True, text=True,
+                                  env=_env(checkout, PYTHONDONTWRITEBYTECODE="1"))
+            runs[name].append(json.loads(proc.stdout))
+    change_pct = {}
+    for key in ("count_us", "psi3_us"):
+        for band in runs["base"][0][key]:
+            b = quartiles([r[key][band] for r in runs["base"]])[1]
+            c = quartiles([r[key][band] for r in runs["change"]])[1]
+            change_pct[f"{key}.{band}"] = 100 * (c - b) / b
+    proc = subprocess.run([sys.executable, "-c", _BANDS_CHILD, str(ROOT / "scripts"),
+                           str(base / "src"), str(change / "src"), str(BANDS_PASSES)],
+                          cwd=change, check=True, capture_output=True, text=True,
+                          env=_env(change, PYTHONDONTWRITEBYTECODE="1"))
+    return {**runs, "change_pct": change_pct, "interleaved": {
+        "passes": BANDS_PASSES, **json.loads(proc.stdout)}}
 
 
 def tier1(checkout: Path) -> dict:
@@ -347,6 +442,7 @@ def main(argv: list[str] | None = None) -> int:
     density = cold_density(base, change)
     rss = fixed_call_rss(base, change, files)
     read = trace_read_rss(base, change)
+    bands = count_bands(base, change)
     tests = {"base": tier1(base), "change": tier1(change)}
 
     record = {
@@ -373,6 +469,7 @@ def main(argv: list[str] | None = None) -> int:
                          "grids": density},
         "fixed_call_rss": {"reps": RSS_REPS, "seed": SEED, "workloads": rss},
         "trace_read_rss": {"reps": READ_REPS, **read},
+        "count_bands": {"reps": BANDS_REPS, **bands},
         "tier1": tests,
     }
     out = ROOT / f"BENCH_{args.pr}.json"

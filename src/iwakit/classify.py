@@ -68,12 +68,15 @@ def _check_primes(p: int, ell: int) -> None:
 
 
 def _good_traces(model: WeierstrassModel, ells, cache: TraceCache | None) -> dict[int, int]:
-    """a_ell at the good primes among ells, ascending; a bad prime gets no entry."""
+    """a_ell at the good primes among ells, ascending; a bad prime gets no entry.
+
+    ells are ascending primes, sieved or checked by _check_primes, so the
+    cache's private entry counts them without testing primality again."""
     minimal, _ = minimal_model(model)
     # the global minimal model has bad reduction exactly at the primes of its discriminant
     disc = minimal.disc
     good = [ell for ell in ells if disc % ell]
-    return (cache if cache is not None else TraceCache(None)).traces(minimal, good)
+    return (cache if cache is not None else TraceCache(None))._traces(minimal, good)
 
 
 def _verdict(p: int, ell: int, a: int | None) -> tuple[str, bool]:

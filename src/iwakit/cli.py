@@ -24,8 +24,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 # every subcommand but classify imports what it runs inside its handler, so a
-# call compiles only what it needs; the classify path loads with this module,
-# since the bench's tests expect iwakit.cli.bulk_classify to be bound
+# call compiles only what it needs; the classify path loads with this module.
+# No handler calls bulk_classify: it stays bound here because
+# bench/test_bench.py::test_no_wrapper_is_left_installed asserts that the
+# tracer wraps iwakit.cli.bulk_classify
 from .classify import PrimeClass, _classified, bulk_classify, classification_rows
 from .counting import GRID_BUDGET, TraceCache
 from .elliptic import (
@@ -401,8 +403,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         }
         for local in bad
     ]
-    records = bulk_classify(model, p, args.bound, cache=cache)
-    counts = _class_counts((r.category, r.in_script_q) for r in records)
+    # the class counts need the verdicts alone, so no record is built
+    counts = _class_counts(_classified(model, p, args.bound, cache)[0])
     try:
         euler: dict = euler_factors_record(euler_char_factors(minimal, p))
     except ValueError as exc:

@@ -15,6 +15,16 @@ ell > 229 (Mestre; Schoof 1995, Thm 3.2) the curve or its quadratic twist has
 a point with a single annihilator there, so the candidates come down to one.
 Below 229 the search need not stop, and count_points counts naively.  No
 square root is taken: each draw is a point (xg, g^2) on the twist by g.
+When the discriminant of the cubic is not a square mod ell, the cubic has one
+root, so #E and #E' are both even: a draw P then searches the annihilators of
+2P over the halved Hasse interval and doubles them (Cohen 7.4.3), which keeps
+the list complete.
+
+Primality is checked at the public entries: count_points, count_points_naive,
+count_points_bsgs, trace_of_frobenius and TraceCache.traces raise ValueError
+for an ell that is not prime.  The trace cache counts through the private
+_count_points, which takes ell as proven (a sieved prime, or one classify has
+checked) and checks only for bad reduction.
 """
 
 from __future__ import annotations
@@ -96,6 +106,11 @@ def count_points_naive(model: WeierstrassModel, ell: int) -> int:
     """
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
+    return _count_naive(model, ell)
+
+
+def _count_naive(model: WeierstrassModel, ell: int) -> int:
+    """count_points_naive at an ell the caller knows to be prime."""
     w = _good_model_at(model, ell)
     if ell == 2:
         a1, a2, a3, a4, a6 = w.coefficients()
@@ -244,14 +259,29 @@ def count_points_bsgs(model: WeierstrassModel, ell: int) -> int:
     order.  Mestre's theorem (Schoof 1995, Thm 3.2) makes this terminate:
     above 229, E or E' has a point whose order has exactly one multiple in
     the interval.
+
+    When the discriminant -4A^3 - 27B^2 of the cubic is not a square mod ell,
+    the cubic has exactly one root, so E and E' each have one point of order
+    2 and N and N' are both even.  A draw P then keeps only its even
+    annihilators: twice those of 2P in the halved interval, which is searched
+    in about 1/sqrt(2) of the steps.  The list stays complete and holds N (or
+    N'), so Mestre's lone candidate still ends the search.
     """
     if ell <= _MESTRE_BOUND or not is_prime(ell):
         raise ValueError(f"count_points_bsgs needs a prime ell > {_MESTRE_BOUND}, got {ell}")
+    return _count_bsgs(model, ell)
+
+
+def _count_bsgs(model: WeierstrassModel, ell: int) -> int:
+    """count_points_bsgs at an ell > 229 the caller knows to be prime."""
     A, B = _good_model_at(model, ell).short
     a, b = A % ell, B % ell
     t = math.isqrt(4 * ell)
     lo, hi = ell + 1 - t, ell + 1 + t
     half, mirror = (ell - 1) // 2, 2 * (ell + 1)
+    # Euler's criterion on the cubic's discriminant, nonzero at a good ell
+    even = pow(-4 * a * a * a - 27 * b * b, half, ell) != 1
+    inv2 = (ell + 1) // 2
     cands = None
     for x in range(128):  # distinct x, as ell > 229
         g = ((x * x + a) * x + b) % ell
@@ -259,12 +289,25 @@ def count_points_bsgs(model: WeierstrassModel, ell: int) -> int:
             anns = _bsgs_annihilators((x, 0), a, ell, lo, hi)
         else:
             g2 = g * g % ell
-            anns = _bsgs_annihilators((x * g % ell, g2), a * g2 % ell, ell, lo, hi)
+            px = x * g % ell
+            if even:
+                # 2P by the tangent, of slope (3x^2 g^2 + a g^2) / 2g^2: no inverse
+                lam = (3 * x * x + a) * inv2 % ell
+                qx = (lam * lam - 2 * px) % ell
+                anns = [2 * n for n in _bsgs_annihilators(
+                    (qx, (lam * (px - qx) - g2) % ell), a * g2 % ell, ell, (lo + 1) // 2, hi // 2)]
+            else:
+                anns = _bsgs_annihilators((px, g2), a * g2 % ell, ell, lo, hi)
             if pow(g, half, ell) != 1:  # Euler's criterion: the draw is on E'
                 anns = [mirror - n for n in anns]
-        cands = set(anns) if cands is None else cands.intersection(anns)
-        if len(cands) == 1:
-            return cands.pop()
+        if cands is None:
+            if len(anns) == 1:
+                return anns[0]
+            cands = set(anns)
+        else:
+            cands.intersection_update(anns)
+            if len(cands) == 1:
+                return cands.pop()
     raise AssertionError(f"group order at {ell} not pinned down")
 
 
@@ -367,6 +410,15 @@ def count_points(model: WeierstrassModel, ell: int) -> int:
     return count_points_bsgs(model, ell)
 
 
+def _count_points(model: WeierstrassModel, ell: int) -> int:
+    """count_points at an ell the caller knows to be prime: the trace cache
+    counts through it, so a sieved prime or one classify has checked is not
+    tested again.  Bad reduction at ell still raises BadReductionError."""
+    if ell <= _MESTRE_BOUND:
+        return _count_naive(model, ell)
+    return _count_bsgs(model, ell)
+
+
 def trace_of_frobenius(model: WeierstrassModel, ell: int) -> int:
     return ell + 1 - count_points(model, ell)
 
@@ -425,7 +477,7 @@ def _slot_value(minimal: WeierstrassModel, three: bool, ell: int) -> int:
     whether 3 divides #E(F_ell) (ell = 1 mod 6)."""
     if three and ell > _MESTRE_BOUND:
         return _THREE_DIVIDES if _three_divides(*minimal.short, ell) else _THREE_DOES_NOT_DIVIDE
-    return trace_of_frobenius(minimal, ell)
+    return ell + 1 - _count_points(minimal, ell)
 
 
 def _slot(ell: int) -> int | None:
@@ -456,7 +508,9 @@ class TraceCache:
     it.
 
     Misses are counted by jobs worker processes, capped at the CPU count; a
-    single miss is counted in this process.
+    single miss is counted in this process.  traces tests each requested ell
+    for primality; classify and the density scan, whose primes are sieved or
+    already checked, ask through _traces and _distinguished, which do not.
     """
 
     def __init__(self, directory: str | Path | None = None, jobs: int = 1):
@@ -564,12 +618,21 @@ class TraceCache:
         return self.traces(model, [ell])[ell]
 
     def traces(self, model: WeierstrassModel, ells) -> dict[int, int]:
-        """a_ell for each requested good prime, ascending, computing and caching misses."""
+        """a_ell for each requested good prime, ascending, computing and caching
+        misses; a request that is not prime raises ValueError."""
+        ells = sorted(set(ells))
+        for ell in ells:
+            if not is_prime(ell):
+                raise ValueError(f"{ell} is not prime")
+        return self._traces(model, ells)
+
+    def _traces(self, model: WeierstrassModel, ells) -> dict[int, int]:
+        """traces at ascending distinct ells the caller knows to be prime."""
         minimal, _ = minimal_model(model)
         key = self._key(minimal)
         arr = self._load(key)
         out = {}
-        for ell in sorted(set(ells)):
+        for ell in ells:
             i = _slot(ell)
             out[ell] = arr[i] if i is not None and i < len(arr) else _UNKNOWN
         missing = [ell for ell, a in out.items() if a == _UNKNOWN or a * a > 4 * ell]

@@ -18,10 +18,10 @@ from iwakit.classify import (
 from iwakit.classify import _distinguished_primes
 from iwakit.counting import (
     TraceCache,
+    _count_points,
     count_points_naive,
     frobenius_data,
     order_over_extension,
-    trace_of_frobenius,
 )
 from iwakit.elliptic import SingularCurveError, WeierstrassModel, minimal_model, reduction_type
 from iwakit.ntheory import mult_order, padic_valuation, sieve_primes
@@ -188,9 +188,9 @@ def test_classify_prime_matches_bulk_classify(monkeypatch, p):
 
     def counted(model, ell):
         calls.append(ell)
-        return trace_of_frobenius(model, ell)
+        return _count_points(model, ell)
 
-    monkeypatch.setattr(counting, "trace_of_frobenius", counted)
+    monkeypatch.setattr(counting, "_count_points", counted)
     for rec in records:
         calls.clear()
         assert classify_prime(E99, p, rec.ell) == rec
@@ -219,9 +219,9 @@ def test_classify_prime_above_the_trace_array(tmp_path, monkeypatch, ell, expect
 
     def counted(model, ell):
         calls.append(ell)
-        return trace_of_frobenius(model, ell)
+        return _count_points(model, ell)
 
-    monkeypatch.setattr(counting, "trace_of_frobenius", counted)
+    monkeypatch.setattr(counting, "_count_points", counted)
     assert classify_prime(E99, 3, ell, cache=cache) == expected
     assert classify_prime(E99, 3, ell, cache=cache) == expected
     assert calls == [ell, ell]  # counted on every call, never cached

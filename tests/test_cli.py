@@ -190,6 +190,23 @@ def test_classify_holds_no_record_list(capsys, monkeypatch, fmt):
     assert most <= cli._RECORD_SLICE + 4
 
 
+def test_report_builds_no_record(capsys, monkeypatch):
+    # report takes its class counts from the verdicts alone
+    records = bulk_classify(elliptic.parse_model(E99), 3, 1000)
+    counts = Counter(rec.category for rec in records)
+    expected = {"Q1": counts["Q1"], "Q2": counts["Q2"], "Q3": counts["Q3"],
+                "script_Q": sum(rec.in_script_q for rec in records)}
+
+    def fail(*args, **kwargs):
+        raise AssertionError("report built a PrimeClass")
+
+    monkeypatch.setattr(classify, "PrimeClass", fail)
+    code, payload = _run_json(capsys, ["report", "--curve", E99, "--p", "3", "--bound", "1000",
+                                       "--jobs", "1"])
+    assert code == EXIT_OK
+    assert payload["classification"] == {"bound": 1000, "counts": expected}
+
+
 def test_empty_cache_dir_env_var_is_memory_only(capsys, tmp_path, monkeypatch):
     # an empty IWAKIT_CACHE_DIR is unset, not the working directory
     monkeypatch.setenv("IWAKIT_CACHE_DIR", "")

@@ -9,7 +9,7 @@ import sys
 from array import array
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from iwakit import counting
 from iwakit.classify import _distinguished_primes, bulk_classify, classify_prime
@@ -526,13 +526,38 @@ def _assert_counts_match_naive(model):
 
 @given(st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1),
        st.integers(-300, 300), st.integers(-300, 300))
+@example(0, -1, 1, -10, -20)  # E11
 @settings(deadline=None, max_examples=3)
 def test_bsgs_draws_match_naive_random_curves(a1, a2, a3, a4, a6):
+    # count_points against the naive count at every good ell in (229, 1500);
+    # BSGS searches 2P over the halved Hasse window exactly where the
+    # cubic's discriminant D is not a square mod ell, and both branches run
+    # unless D is a square in Z
     try:
         model = WeierstrassModel(a1, a2, a3, a4, a6)
     except SingularCurveError:
         assume(False)
-    _assert_counts_match_naive(model)
+    A, B = model.short
+    D = -4 * A**3 - 27 * B * B
+    his = []
+
+    def wrapped(p, a, ell, lo, hi):
+        his.append(hi)
+        return _bsgs_annihilators(p, a, ell, lo, hi)
+
+    branches = set()
+    disc = minimal_model(model)[0].disc
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_bsgs_annihilators", wrapped)
+        for ell in _primes_in(229, 1500):
+            if disc % ell:
+                his.clear()
+                assert count_points(model, ell) == count_points_naive(model, ell), (model, ell)
+                halved = any(hi < ell for hi in his)
+                assert halved is (legendre(D, ell) == -1), (model, ell)
+                branches.add(halved)
+    square = D >= 0 and math.isqrt(D) ** 2 == D
+    assert branches == ({False} if square else {False, True})
 
 
 @pytest.mark.parametrize("u", [2, 3])
@@ -553,12 +578,14 @@ def test_bsgs_draws_match_naive_with_two_torsion():
 
 @pytest.mark.parametrize("model", [E11, E32, E99], ids=["E11", "E32", "E99"])
 def test_bsgs_draws_reach_both_twists(monkeypatch, model):
-    # the k-th draw is at x = k: (x g, g^2) on the twist by g = x^3 + Ax + B,
-    # which is E or E' as g is a square or not, or (x, 0) when g = 0
+    # the k-th draw is at x = k: P = (x g, g^2) on the twist by g = x^3 + Ax +
+    # B, which is E or E' as g is a square or not, or (x, 0) when g = 0.  When
+    # the cubic's discriminant is not a square mod ell the search runs on 2P
+    # over the halved Hasse window, so P is checked before the doubling
     calls = []
 
     def wrapped(p, a, ell, lo, hi):
-        calls.append((p, a))
+        calls.append((p, a, (lo, hi)))
         return _bsgs_annihilators(p, a, ell, lo, hi)
 
     monkeypatch.setattr(counting, "_bsgs_annihilators", wrapped)
@@ -567,21 +594,55 @@ def test_bsgs_draws_reach_both_twists(monkeypatch, model):
     for ell in _primes_in(229, 1500):
         if model.disc % ell == 0:
             continue
+        t = math.isqrt(4 * ell)
+        full = (ell + 1 - t, ell + 1 + t)
+        halved = ((full[0] + 1) // 2, full[1] // 2)
+        even = legendre(-4 * A**3 - 27 * B * B, ell) == -1
         calls.clear()
         count_points_bsgs(model, ell)
-        for x, (p, a) in enumerate(calls):
+        for x, (p, a, window) in enumerate(calls):
             g = (x**3 + A * x + B) % ell
             if g == 0:
-                assert (p, a) == ((x, 0), A % ell)
+                assert (p, a, window) == ((x, 0), A % ell, full)
                 sides.add("2-torsion")
                 continue
-            assert (p, a) == ((x * g % ell, g * g % ell), A * g * g % ell)
-            X, Y = p
-            assert (Y * Y - X**3 - a * X - B * g**3) % ell == 0  # on the twist by g
+            drawn = (x * g % ell, g * g % ell)
+            assert a == A * g * g % ell
+            for X, Y in (drawn, p):
+                assert (Y * Y - X**3 - a * X - B * g**3) % ell == 0  # on the twist by g
+            if even:
+                assert (p, window) == (_ec_mul(2, drawn, a, ell), halved)
+                sides.add("2P")
+            else:
+                assert (p, window) == (drawn, full)
             sides.add("E" if legendre(g, ell) == 1 else "E'")
     assert {"E", "E'"} <= sides
+    # y^2 = x^3 - x has all its 2-torsion rational: its discriminant is a square
+    assert ("2P" in sides) is (model is not E32)
     if model is E32:
         assert "2-torsion" in sides
+
+
+def test_bsgs_parity_branch_meets_the_two_torsion_draw(monkeypatch):
+    # y^2 = x^3 + x: at ell = 3 mod 4 the cubic x(x^2 + 1) has the one root 0,
+    # so the first draw is (0, 0) over the whole Hasse window and every later
+    # one searches 2P over the halved window; the curve is supersingular there
+    model = WeierstrassModel(0, 0, 0, 1, 0)
+    assert model.short[1] == 0
+    calls = []
+
+    def wrapped(p, a, ell, lo, hi):
+        calls.append((p, hi))
+        return _bsgs_annihilators(p, a, ell, lo, hi)
+
+    monkeypatch.setattr(counting, "_bsgs_annihilators", wrapped)
+    ells = [ell for ell in _primes_in(229, 1500) if ell % 4 == 3]
+    for ell in ells:
+        calls.clear()
+        assert count_points(model, ell) == ell + 1 == count_points_naive(model, ell)
+        assert calls[0] == ((0, 0), ell + 1 + math.isqrt(4 * ell))
+        assert len(calls) >= 2 and all(hi < ell for _, hi in calls[1:])
+    assert len(ells) == 95
 
 
 def _some_points(a, b, ell, rng, k):
@@ -623,6 +684,37 @@ def test_bsgs_annihilators_complete(seed):
                 for p in base + small:
                     want = [n for n in range(lo, hi + 1) if _ec_mul(n, p, ca, ell) is None]
                     assert _bsgs_annihilators(p, ca, ell, lo, hi) == want, (ell, ca, cb, p)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bsgs_halved_search_finds_the_even_annihilators(seed):
+    # on a curve whose cubic has one root, the annihilators of 2P in the
+    # halved window, doubled, are the even annihilators of P in the Hasse
+    # window: the multiples of P's order, from the _short_order oracle's
+    # group order, that are even
+    rng = random.Random(seed)
+    primes = [q for q in sieve_primes(5000) if q > 229]
+    for ell in rng.sample(primes, 4):
+        t = math.isqrt(4 * ell)
+        lo, hi = ell + 1 - t, ell + 1 + t
+        while True:
+            a, b = rng.randrange(ell), rng.randrange(ell)
+            if legendre(-4 * a**3 - 27 * b * b, ell) == -1:
+                break
+        order = _short_order(a, b, ell)
+        assert order % 2 == 0
+        divisors = [d for d in range(1, order + 1) if order % d == 0]
+        base = _some_points(a, b, ell, rng, 3)
+        # multiples of small order, down to the 2-torsion point (2P = O) and
+        # points of order 4 (2P has y = 0)
+        small = [_ec_mul(order // d, p, a, ell) for p in base for d in range(2, 65)
+                 if order % d == 0]
+        for p in base + small:
+            d = next(d for d in divisors if _ec_mul(d, p, a, ell) is None)
+            want = [n for n in range(lo, hi + 1) if n % 2 == 0 and n % d == 0]
+            got = _bsgs_annihilators(_ec_mul(2, p, a, ell), a, ell, (lo + 1) // 2, hi // 2)
+            assert [2 * n for n in got] == want, (ell, a, b, p)
+            assert order in want
 
 
 def _ec_add(p, q, a, ell):
@@ -835,14 +927,15 @@ def _three_code(ell, a):
 
 
 def _count_traces(monkeypatch):
-    """Wraps trace_of_frobenius; returns the list of ells it computes."""
+    """Wraps the trace cache's counting kernel; returns the list of ells it counts."""
     counted = []
+    count = counting._count_points
 
-    def wrapped(model, ell, **kwargs):
+    def wrapped(model, ell):
         counted.append(ell)
-        return trace_of_frobenius(model, ell, **kwargs)
+        return count(model, ell)
 
-    monkeypatch.setattr(counting, "trace_of_frobenius", wrapped)
+    monkeypatch.setattr(counting, "_count_points", wrapped)
     return counted
 
 
@@ -1232,6 +1325,17 @@ def test_trace_cache_jobs_checked_and_capped(monkeypatch):
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             TraceCache(None, jobs=jobs)
+
+
+def test_trace_cache_traces_checks_its_requests():
+    # the counting kernel behind the cache takes its primes as proven, so the
+    # public entry tests them
+    cache = TraceCache(None)
+    for ells in ([231], [10**7 + 1], [1], [5, 7, 9]):
+        with pytest.raises(ValueError, match="is not prime"):
+            cache.traces(E99, ells)
+    with pytest.raises(BadReductionError):
+        cache.traces(E99, [11])
 
 
 def test_trace_cache_bad_prime():

@@ -154,13 +154,13 @@ def test_asymptotic_report_rejects_unknown_method_before_classifying(monkeypatch
 @pytest.mark.parametrize("p", [3, 5])
 def test_cold_report_counts_only_primes_one_mod_p(monkeypatch, p):
     counted = []
-    trace = counting.trace_of_frobenius
+    count = counting._count_points
 
-    def recording(model, ell, **kwargs):
+    def recording(model, ell):
         counted.append(ell)
-        return trace(model, ell, **kwargs)
+        return count(model, ell)
 
-    monkeypatch.setattr(counting, "trace_of_frobenius", recording)
+    monkeypatch.setattr(counting, "_count_points", recording)
     grid = [100, 1000, 2000, 4000]
     report = asymptotic_report(E99, p, grid, cache=TraceCache(None))
     assert all(ell % p == 1 for ell in counted)
