@@ -22,10 +22,10 @@ Runs, in this order:
   memory;
 - the peak RSS of a process that reads one trace file of the size a warm
   1e7 grid leaves with the checkout's TraceCache._read, alternating;
-- scripts/count_bands.py of this checkout against each checkout's src/,
-  alternating, for the time per count in each ell band on the same inputs;
-  then the same inputs counted by both checkouts in one process, alternating
-  pass by pass, since the speed of a shared CPU drifts between processes;
+- the time per count in each ell band, on scripts/count_bands.py's inputs
+  counted by both checkouts in one process, alternating pass by pass: the
+  speed of a shared CPU drifts between processes, so count_bands.py run as
+  one process per side cannot resolve a 10 % change;
 - the tier-1 suite once in each checkout, for its wall time.
 
 Each side's runs are then read back from its .bench_out/results.jsonl with
@@ -83,7 +83,6 @@ RSS_WORKLOADS = ("classify_cold", "density_warm")
 RSS_REPS = 3  # fixed-call-count processes per call count and side
 READ_SLOTS = 5 * 10**6  # int16 slots of the trace file of a warm 1e7 grid
 READ_REPS = 5  # trace-file reads per side
-BANDS_REPS = 5  # count_bands.py runs per side
 BANDS_PASSES = 20  # passes per side and band of the interleaved count_bands inputs
 
 # Run in a fresh process with the checkout's bench/ and src/ first on the path:
@@ -334,28 +333,14 @@ def trace_read_rss(base: Path, change: Path) -> dict:
 
 
 def count_bands(base: Path, change: Path) -> dict:
-    """count_bands.py's JSON per run and side, and per figure the change's
-    median against the base's: the same script and inputs on both sides."""
-    runs: dict[str, list[dict]] = {"base": [], "change": []}
-    sides = [("base", base), ("change", change)]
-    for rep in range(BANDS_REPS):
-        for name, checkout in sides if rep % 2 == 0 else sides[::-1]:
-            proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "count_bands.py")],
-                                  cwd=checkout, check=True, capture_output=True, text=True,
-                                  env=_env(checkout, PYTHONDONTWRITEBYTECODE="1"))
-            runs[name].append(json.loads(proc.stdout))
-    change_pct = {}
-    for key in ("count_us", "psi3_us"):
-        for band in runs["base"][0][key]:
-            b = quartiles([r[key][band] for r in runs["base"]])[1]
-            c = quartiles([r[key][band] for r in runs["change"]])[1]
-            change_pct[f"{key}.{band}"] = 100 * (c - b) / b
+    """count_bands.py's inputs counted by both checkouts in one process, pass
+    by pass: per figure and band, each side's best pass and the quartiles of
+    base/change."""
     proc = subprocess.run([sys.executable, "-c", _BANDS_CHILD, str(ROOT / "scripts"),
                            str(base / "src"), str(change / "src"), str(BANDS_PASSES)],
                           cwd=change, check=True, capture_output=True, text=True,
                           env=_env(change, PYTHONDONTWRITEBYTECODE="1"))
-    return {**runs, "change_pct": change_pct, "interleaved": {
-        "passes": BANDS_PASSES, **json.loads(proc.stdout)}}
+    return {"passes": BANDS_PASSES, **json.loads(proc.stdout)}
 
 
 def tier1(checkout: Path) -> dict:
@@ -469,7 +454,7 @@ def main(argv: list[str] | None = None) -> int:
                          "grids": density},
         "fixed_call_rss": {"reps": RSS_REPS, "seed": SEED, "workloads": rss},
         "trace_read_rss": {"reps": READ_REPS, **read},
-        "count_bands": {"reps": BANDS_REPS, **bands},
+        "count_bands": bands,
         "tier1": tests,
     }
     out = ROOT / f"BENCH_{args.pr}.json"

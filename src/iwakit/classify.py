@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .counting import TraceCache, frobenius_data, order_over_extension
+from .counting import FrobeniusData, TraceCache, _count_points, order_over_extension
 from .elliptic import WeierstrassModel, minimal_model
 from .ntheory import _primes_1_mod_2p, check_odd_prime, is_prime, padic_valuation, sieve_primes
 
@@ -116,8 +116,10 @@ def p2_membership(model: WeierstrassModel, p: int, ell: int, f: int) -> bool:
     _check_primes(p, ell)
     if f < 1:
         raise ValueError(f"residue degree must be >= 1, got {f}")
-    # point counting minimizes a model that is bad at ell
-    return order_over_extension(frobenius_data(model, ell), f) % p == 0
+    # point counting minimizes a model that is bad at ell; _check_primes has
+    # tested ell, so it is counted without a second primality test
+    a_ell = ell + 1 - _count_points(model, ell)
+    return order_over_extension(FrobeniusData(ell=ell, a_ell=a_ell), f) % p == 0
 
 
 def cyclotomic_split_count(ell: int, p: int) -> CyclotomicSplitting:

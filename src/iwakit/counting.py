@@ -41,7 +41,7 @@ from functools import partial
 from itertools import islice
 from pathlib import Path
 
-from .elliptic import BadReductionError, WeierstrassModel, format_model, minimal_model
+from .elliptic import BadReductionError, WeierstrassModel, _kept, format_model, minimal_model
 from .ntheory import is_prime, sieve_primes
 
 __all__ = [
@@ -114,17 +114,11 @@ def _count_naive(model: WeierstrassModel, ell: int) -> int:
     w = _good_model_at(model, ell)
     if ell == 2:
         a1, a2, a3, a4, a6 = w.coefficients()
-        total = 1
-        for x in (0, 1):
-            for y in (0, 1):
-                if (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % 2 == 0:
-                    total += 1
-        return total
+        return 1 + sum((y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % 2 == 0
+                       for x in (0, 1) for y in (0, 1))
     if ell <= _MESTRE_BOUND:
-        sq = _SQRT_COUNTS.get(ell)
-        if sq is None:
-            sq = _SQRT_COUNTS[ell] = _sqrt_counts(ell)
-        eta = w.__dict__.setdefault("_eta", [])
+        sq = _SQRT_COUNTS.get(ell) or _SQRT_COUNTS.setdefault(ell, _sqrt_counts(ell))
+        eta = _kept(w, "_eta", list)
         if len(eta) < ell:  # grow by doubling: an ascending walk extends it 8 times
             eta += _eta(w, _ETA_MOD, len(eta), min(max(ell, 2 * len(eta)), _MESTRE_BOUND))
         values = eta[:ell]
@@ -439,8 +433,7 @@ class FrobeniusData:
 
 
 def frobenius_data(model: WeierstrassModel, ell: int) -> FrobeniusData:
-    n = count_points(model, ell)
-    return FrobeniusData(ell=ell, a_ell=ell + 1 - n)
+    return FrobeniusData(ell=ell, a_ell=trace_of_frobenius(model, ell))
 
 
 def order_over_extension(fd: FrobeniusData, n: int) -> int:
@@ -591,8 +584,6 @@ class TraceCache:
         self, key: str, minimal: WeierstrassModel, ells: list[int], three: bool = False
     ) -> list[int]:
         """_slot_value at the good primes ells, counted; those the array holds are stored."""
-        if not ells:
-            return []
         answer = partial(_slot_value, minimal, three)
         if self.jobs > 1 and len(ells) > 1:
             from multiprocessing import Pool  # serial runs skip this import

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 
 from ._poly import _gcd, _sub, _x_pow_mod
@@ -123,6 +123,29 @@ class WeierstrassModel:
         return WeierstrassModel(n1, n2, n3, n4, n6)
 
 
+def _kept(model: WeierstrassModel, key: str, build, *args):
+    """build(*args), kept on model under key: each model builds it once.
+
+    Every per-curve result is kept through here, under three rules:
+    - it sits in the instance __dict__, like disc, outside the fields that ==
+      and hash read;
+    - a ValueError from build is kept as partial(its type, *its args) and
+      raised anew on each read: the exception's traceback would hold the model;
+    - no kept value refers to the model it is kept on, so reference counting
+      alone frees a model and all it keeps.  A marker that the reader resolves
+      stands in for the model itself, as minimal_model's () for (itself, 1).
+    """
+    kept = model.__dict__
+    if key not in kept:
+        try:
+            kept[key] = build(*args)
+        except ValueError as exc:
+            kept[key] = partial(type(exc), *exc.args)
+    if type(kept[key]) is partial:
+        raise kept[key]()
+    return kept[key]
+
+
 def parse_model(text: str) -> WeierstrassModel:
     """Parse the curve format "a1,a2,a3,a4,a6"."""
     parts = text.split(",")
@@ -214,31 +237,28 @@ def minimal_model(model: WeierstrassModel) -> tuple[WeierstrassModel, int]:
     ValueError ("cannot factor").
 
     The answer is kept on the model, so each curve is minimized once; the
-    minimal model keeps () for (itself, 1), which leaves no reference cycle
-    to hold it and what is kept on it.  Like disc it sits in the instance
-    __dict__, outside the fields that == and hash read.
+    minimal model keeps () for (itself, 1).
     """
-    if "_minimal" in model.__dict__:
-        return model.__dict__["_minimal"] or (model, 1)
+    return _kept(model, "_minimal", _minimize, model) or (model, 1)
+
+
+def _minimize(model: WeierstrassModel) -> tuple[WeierstrassModel, int]:
     c4, c6, disc = model.c4, model.c6, model.disc
     u = math.prod(q ** _minimality_exponent(c4, c6, disc, q)
                   for q, e in factorize(math.gcd(c4, c6)) if e >= 4)
     minimal = model_from_c4c6(c4 // u**4, c6 // u**6)
-    minimal.__dict__["_minimal"] = ()
-    model.__dict__["_minimal"] = (minimal, u)
+    _kept(minimal, "_minimal", tuple)
     return minimal, u
 
 
 def local_data(model: WeierstrassModel) -> list[LocalReductionData]:
     """Tate's algorithm at each bad prime of the minimal model, in increasing order.
 
-    Kept on the minimal model, as minimal_model keeps its answer, so each
-    curve's discriminant is factored once.
+    Kept on the minimal model, so each curve's discriminant is factored once.
     """
     mm, _ = minimal_model(model)
-    if "_local_data" not in mm.__dict__:
-        mm.__dict__["_local_data"] = tuple(reduction_type(mm, q) for q, _ in factorize(mm.disc))
-    return list(mm.__dict__["_local_data"])
+    return list(_kept(mm, "_local_data", lambda: tuple(
+        reduction_type(mm, q) for q, _ in factorize(mm.disc))))
 
 
 def conductor(model: WeierstrassModel) -> int:

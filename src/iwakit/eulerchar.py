@@ -14,10 +14,11 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from ._poly import _mul, _sub, _value
-from .counting import trace_of_frobenius
+from .counting import _count_points, trace_of_frobenius
 from .elliptic import (
     LocalReductionData,
     WeierstrassModel,
+    _kept,
     has_potential_good_reduction,
     local_data,
     minimal_model,
@@ -105,20 +106,28 @@ def _twist_at_p(
     good at p that it reaches: d = 1 and the curve when it is good at p, else
     d = (-1)^((p-1)/2) p and its minimal twist, or None if that is not good.
 
-    Kept on the minimal model per p, as minimal_model keeps its answer, so
-    the audit and the Euler factors of one curve share one decision."""
-    kept = minimal.__dict__.setdefault("_twist_at_p", {})
-    if p in kept:
-        return kept[p]
+    Kept on the minimal model per p, so the audit and the Euler factors of one
+    curve share one decision; a curve good at p keeps None for itself."""
+    local, potentially_good, d, good = _kept(minimal, f"_twist_at_{p}", _decide_twist, minimal, p)
+    return local, potentially_good, d, minimal if local.is_good else good
+
+
+def _decide_twist(minimal: WeierstrassModel, p: int) -> tuple:
     local = reduction_type(minimal, p)
     potentially_good = has_potential_good_reduction(minimal, p)
     # unit twists are unramified at p, and every d with v_p(d) = 1 is this d times a unit
-    d, good = (1, minimal) if local.is_good else (p if p % 4 == 1 else -p, None)
-    if good is None and potentially_good:
-        twisted = minimal_model(quadratic_twist(minimal, d))[0]
-        good = twisted if reduction_type(twisted, p).is_good else None
-    kept[p] = local, potentially_good, d, good
-    return kept[p]
+    d = 1 if local.is_good else p if p % 4 == 1 else -p
+    good = minimal_model(quadratic_twist(minimal, d))[0] if d != 1 and potentially_good else None
+    if good is not None and not reduction_type(good, p).is_good:
+        good = None
+    return local, potentially_good, d, good
+
+
+def _ordinary_at(good: WeierstrassModel, p: int) -> tuple[int, bool]:
+    """a_p of a model good at p, kept on it per p, and whether it is ordinary
+    there: p does not divide a_p."""
+    a_p = _kept(good, f"_a_{p}", trace_of_frobenius, good, p)
+    return a_p, a_p % p != 0
 
 
 def _ordinary_twist(minimal: WeierstrassModel, p: int) -> OrdinaryTwist:
@@ -134,8 +143,8 @@ def _ordinary_twist(minimal: WeierstrassModel, p: int) -> OrdinaryTwist:
         raise TwistNotGoodError(
             f"twist by {d} is not good at {p}; the quadratic-subfield assumption fails"
         )
-    a_p = trace_of_frobenius(good, p)
-    if a_p % p == 0:
+    a_p, ordinary = _ordinary_at(good, p)
+    if not ordinary:
         raise SupersingularTwistError(f"twist by {d} is supersingular at {p} (a_p = {a_p})")
     return OrdinaryTwist(p=p, d=d, model=good, a_p=a_p)
 
@@ -240,7 +249,7 @@ def _integer_roots(coeffs: list[int]) -> list[int]:
     return sorted(roots)
 
 
-# the primes ell <= 1000 whose counts can certify that E(Q) has no p-torsion
+# the sieved primes ell <= 1000, whose counts can certify that E(Q) has no p-torsion
 _TORSION_PRIMES = sieve_primes(1000)
 
 
@@ -255,11 +264,8 @@ def has_rational_p_torsion(model: WeierstrassModel, p: int) -> bool:
     check_odd_prime(p)
     minimal, _ = minimal_model(model)
     disc = minimal.disc
-    for ell in _TORSION_PRIMES:
-        if ell == p or disc % ell == 0:
-            continue
-        if (ell + 1 - trace_of_frobenius(minimal, ell)) % p != 0:
-            return False
+    if any(_count_points(minimal, ell) % p for ell in _TORSION_PRIMES if ell != p and disc % ell):
+        return False
     return _division_poly_torsion(minimal, p)
 
 
@@ -306,22 +312,10 @@ def euler_char_factors(
 
 
 def _default_euler_factors(minimal: WeierstrassModel, p: int) -> EulerFactors:
-    """_euler_factors on the reference data alone.
-
-    Its outcome, the factors or the type and arguments of the ValueError that
-    stopped the audit (the error's traceback would hold the model), is kept on
-    the minimal model per p, as _twist_at_p keeps its decision, so a report
-    and its hypothesis audit share one run."""
-    kept = minimal.__dict__.setdefault("_euler_factors", {})
-    if p not in kept:
-        try:
-            kept[p] = _euler_factors(minimal, p)
-        except ValueError as exc:
-            kept[p] = (type(exc), exc.args)
-    if isinstance(kept[p], tuple):
-        kind, args = kept[p]
-        raise kind(*args)
-    return kept[p]
+    """_euler_factors on the reference data alone.  Its outcome, the factors or
+    the error that stopped the audit, is kept on the minimal model per p, so a
+    report and its hypothesis audit share one run."""
+    return _kept(minimal, f"_euler_factors_{p}", _euler_factors, minimal, p)
 
 
 def _euler_factors(

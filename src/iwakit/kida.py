@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .classify import classify_prime, p2_membership
-from .counting import TraceCache, trace_of_frobenius
+from .counting import TraceCache
 from .elliptic import WeierstrassModel, format_model, minimal_model, reduction_type
-from .eulerchar import _default_euler_factors, _twist_at_p, mu_lambda_vanish
+from .eulerchar import _default_euler_factors, _ordinary_at, _twist_at_p, mu_lambda_vanish
 from .fields import CyclicExtension, ramified_splitting
 from .ntheory import check_odd_prime
 
@@ -214,8 +214,8 @@ def _require_unblocked(report: HypothesisReport, p: int) -> None:
     elif report.prime_to_p_defect is False:
         reasons.append("no prime-to-p extension restores good reduction at p")
     else:
-        a_p = trace_of_frobenius(report.good_twist[1], p)
-        if a_p % p == 0:
+        a_p, ordinary = _ordinary_at(report.good_twist[1], p)
+        if not ordinary:
             reasons.append(f"the good model at {p} is supersingular (a_p = {a_p})")
     if report.additive_stability == "unresolved":
         reasons.append("additive reduction may degenerate at a ramified prime")
@@ -271,17 +271,10 @@ def lambda_transfer(
             if torsion:
                 bucket = "P2"
                 contribution = 2 * places.w_count * (p - 1)
-        witnesses.append(
-            LocalTerm(
-                ell=ell,
-                reduction=local.type,
-                w_count=places.w_count,
-                ramification=places.e,
-                p_torsion=torsion,
-                bucket=bucket,
-                contribution=contribution,
-            )
-        )
+        witnesses.append(LocalTerm(
+            ell=ell, reduction=local.type, w_count=places.w_count, ramification=places.e,
+            p_torsion=torsion, bucket=bucket, contribution=contribution,
+        ))
     p1 = sum(w.contribution for w in witnesses if w.bucket == "P1")
     p2 = sum(w.contribution for w in witnesses if w.bucket == "P2")
     return KidaResult(

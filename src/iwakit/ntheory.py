@@ -36,14 +36,18 @@ _MR_BOUNDS = tuple((bound, _MR_BASES[:k]) for bound, k in (
     (341_550_071_728_321, 7),
     (3_825_123_056_546_413_051, 9),
 ))
+# psi_12, the least strong pseudoprime to all 12 bases (Sorenson-Webster 2015):
+# from here on a strong Lucas test joins them (BPSW; Baillie-Wagstaff 1980)
+_MR_PROVEN = 318_665_857_834_031_151_167_461
 
 
 def is_prime(n: int) -> bool:
     """Trial division by the primes 2..37, which proves n < 41^2 = 1681; above
     that, Miller-Rabin to the first k bases 2, 3, 5, ..., with k read from the
     proven bounds of ``_MR_BOUNDS`` (Jaeschke 1993; Sorenson-Webster 2015):
-    bases 2 and 3 below 1,373,653, ..., all 12 below 3.18e23, and a strong
-    probable-prime test to all 12 above that."""
+    bases 2 and 3 below 1,373,653, ..., all 12 below 3.18e23.  From 3.18e23
+    on, all 12 bases and a strong Lucas test make a Baillie-PSW test, which
+    no known composite passes: the answer there is probable, not proven."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -70,7 +74,60 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_PROVEN or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 37 with Selfridge's
+    parameters (Baillie-Wagstaff 1980, Math. Comp. 35): D the first of
+    5, -7, 9, -11, ... with (D/n) = -1, P = 1 and Q = (1 - D)/4.  With
+    n + 1 = d 2^s, d odd, n passes when U_d = 0 or V_(d 2^r) = 0 mod n for
+    some 0 <= r < s.  A square n has no such D and is rejected first."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:  # gcd(D, n) > 1, and |D| < n
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # (U, V, Q^k) at k = 1, then k = 2k or 2k + 1 per bit of d below the top
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            # U_(k+1) = (U + V)/2 and V_(k+1) = (D U + V)/2; n is odd, so
+            # adding n to an odd residue makes the halving exact
+            U, V = (U + V) % n, (D * U + V) % n
+            U, V = (U + n * (U & 1)) // 2, (V + n * (V & 1)) // 2
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def check_odd_prime(p: int) -> None:
@@ -184,7 +241,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     cycle search (Brent 1980), whose running time grows with the square root
     of the second-largest prime factor.  A cofactor that rho
     cannot split within _RHO_STEPS steps raises ValueError ("cannot factor").
-    Factors above the proven range of is_prime are strong probable primes.
+    Factors from 3.18e23 on are Baillie-PSW probable primes (is_prime).
     """
     if n == 0:
         raise ValueError("cannot factor 0")

@@ -78,6 +78,19 @@ def test_p2_membership_base_level():
     assert p2_membership(E99, 3, 7, 3) is False
 
 
+def test_p2_membership_tests_ell_for_primality_once(monkeypatch):
+    # _check_primes tests ell, and the count behind the answer does not test it again
+    ells = (7, 13, 233, 997)
+    expected = [order_over_extension(frobenius_data(E99, ell), f) % 3 == 0
+                for ell in ells for f in (1, 2)]
+
+    def fail(n):
+        raise AssertionError(f"counting tested {n} for primality")
+
+    monkeypatch.setattr(counting, "is_prime", fail)
+    assert [p2_membership(E99, 3, ell, f) for ell in ells for f in (1, 2)] == expected
+
+
 def test_p2_membership_from_rational_torsion():
     # the conductor-11 curve has a rational 5-torsion point, so every good
     # residue count is divisible by 5

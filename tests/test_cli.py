@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import gc
 import io
 import json
 import os
@@ -496,6 +497,31 @@ def test_each_curve_minimized_once(capsys, monkeypatch, argv, bound):
     assert 1 <= counts["model_from_c4c6"] <= bound, counts["model_from_c4c6"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "--curve", E99, "--p", "5", "--bound", "100", "--ramified", "11", "--jobs", "1"],
+    ["kida", "--curve", E99, "--p", "5", "--ramified", "11"],
+    ["report", "--curve", E99, "--p", "3", "--bound", "100", "--ramified", "7", "--jobs", "1"],
+    ["kida", "--curve", E99, "--p", "3", "--ramified", "7"],
+])
+def test_kept_results_leave_no_reference_cycle(capsys, argv):
+    # what a curve keeps never refers back to it, so reference counting alone
+    # frees the curve and its minimal model once a call is done, at a p where
+    # E99 is good (5) as at one where it is additive (3)
+    args = build_parser().parse_args(argv)
+    gc.disable()
+    try:
+        try:
+            args.func(args)
+        except ValueError:
+            pass  # kida at 5 is blocked; the handled error holds no frame
+        refs = [weakref.ref(args.curve), weakref.ref(elliptic.minimal_model(args.curve)[0])]
+        del args
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
 # the classify path loads with the CLI: bench/test_bench.py expects
 # iwakit.cli.bulk_classify to be bound
 _CLI_MODULES = {"cli", "classify", "counting", "elliptic", "ntheory", "_poly"}
@@ -570,6 +596,12 @@ def test_usage_errors_exit_two():
      "error: p must be an odd prime, got 0\n"),
     (["kida", "--curve", E99, "--p", "1", "--ramified", "7"], EXIT_FAILURE,
      "error: p must be an odd prime, got 1\n"),
+    # psi_12, the least composite that passes Miller-Rabin to all 12 prime bases
+    (["enumerate-fields", "--p", "3", "--ramified", "318665857834031151167461"], EXIT_FAILURE,
+     "error: no cyclic degree-3 field of Q is tamely ramified exactly at a prime not 1 mod 3: "
+     "318665857834031151167461\n"),
+    (["report", "--curve", E99, "--p", "318665857834031151167461", "--bound", "50"], EXIT_FAILURE,
+     "error: p must be an odd prime, got 318665857834031151167461\n"),
 ])
 def test_rejected_arguments(capsys, argv, code, err):
     try:

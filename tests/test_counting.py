@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import math
@@ -191,24 +192,30 @@ class Ext:
     def pow(self, a, e):
         return _ppow(a, e, self.f, self.ell)
 
-    def inv(self, a):
-        assert a != self.zero
-        return self.pow(a, self.q - 2)
 
-    def trace_to_f2(self, a):
-        # absolute trace for ell = 2
-        t = self.zero
-        frob = a
-        for _ in range(self.n):
-            t = self.add(t, frob)
-            frob = self.mul(frob, frob)
-        assert t in (self.zero, self.one)
-        return 0 if t == self.zero else 1
+@functools.cache
+def _ext_tables(ell, n):
+    """F_{ell^n} and what ext_count looks up in it, built once per field by
+    literal enumeration, as count_points_naive lists its squares once per ell:
+    at odd ell the nonzero squares y*y; at ell = 2 the values z*z + z (the c
+    for which z^2 + z = c has a root) and each inverse, read off the powers
+    g^k of a generator as g^(q-1-k)."""
+    field = Ext(ell, n)
+    if ell != 2:
+        return field, {field.mul(y, y) for y in field.elements()} - {field.zero}, None
+    values = {field.add(field.mul(z, z), z) for z in field.elements()}
+    q1 = field.q - 1
+    g = next(g for g in field.elements() if g != field.zero
+             and all(field.pow(g, q1 // r) != field.one for r, _ in _factor(q1)))
+    powers = [field.one]
+    for _ in range(q1 - 1):
+        powers.append(field.mul(powers[-1], g))
+    return field, values, {powers[k]: powers[-k] for k in range(q1)}
 
 
 def ext_count(model, ell, n):
     """#E(F_{ell^n}) by per-x solution counting in the extension field."""
-    field = Ext(ell, n)
+    field, values, inverses = _ext_tables(ell, n)
     a1, a2, a3, a4, a6 = (field.embed(c) for c in model.coefficients())
     total = 1
     if ell == 2:
@@ -222,8 +229,9 @@ def ext_count(model, ell, n):
             if h == field.zero:
                 total += 1
             else:
-                z = field.mul(rhs, field.inv(field.mul(h, h)))
-                if field.trace_to_f2(z) == 0:
+                # y = h z turns y^2 + h y = rhs into z^2 + z = rhs / h^2
+                inv = inverses[h]
+                if field.mul(rhs, field.mul(inv, inv)) in values:
                     total += 2
         return total
     b2 = field.embed(model.b2)
@@ -239,7 +247,7 @@ def ext_count(model, ell, n):
         )
         if g == field.zero:
             total += 1
-        elif field.pow(g, (field.q - 1) // 2) == field.one:
+        elif g in values:
             total += 2
     return total
 

@@ -25,7 +25,7 @@ from iwakit.elliptic import (
     quadratic_twist,
     reduction_type,
 )
-from iwakit.elliptic import _minimality_exponent
+from iwakit.elliptic import _kept, _minimality_exponent
 from iwakit.eulerchar import HypothesisNotMetError, euler_char_factors
 from iwakit.ntheory import factorize, is_prime, padic_valuation
 
@@ -176,6 +176,29 @@ def test_minimal_model_is_freed_without_the_cyclic_collector():
         local_data(w)
         kept = weakref.ref(mm)
         del w, mm
+        assert kept() is None
+    finally:
+        gc.enable()
+
+
+def test_kept_error_is_raised_anew_without_a_rebuild():
+    # a ValueError outcome is kept as its type and arguments, not as the
+    # exception, whose traceback would hold the model
+    w = WeierstrassModel(0, 0, 1, -3, -5)
+    calls = []
+
+    def build(model, q):
+        calls.append(q)
+        raise NonMinimalModelError(f"model is not minimal at {q}")
+
+    gc.disable()
+    try:
+        for _ in range(2):
+            with pytest.raises(NonMinimalModelError, match="^model is not minimal at 7$"):
+                _kept(w, "_probe", build, w, 7)
+        assert calls == [7]
+        kept = weakref.ref(w)
+        del w
         assert kept() is None
     finally:
         gc.enable()

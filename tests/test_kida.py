@@ -206,6 +206,18 @@ def test_transfer_blocked_on_supersingular():
         lambda_transfer(0, 3, EXT7, g)
 
 
+def test_user_report_twist_gets_its_own_count():
+    # a report built by hand is tested on its own good model: y^2 = x^3 - x
+    # is good and supersingular at 3, while E99's own twist is ordinary there
+    e32 = WeierstrassModel(0, 0, 0, -1, 0)
+    report = HypothesisReport(p=3, additive_at_p=True, potentially_good_at_p=True,
+                              good_twist=(-3, e32), prime_to_p_defect=True,
+                              additive_stability="satisfied", base_mu_lambda_zero=True, note="")
+    assert lambda_transfer(0, 3, EXT7, E99).lambda_L == 0
+    with pytest.raises(HypothesisBlockedError, match=r"supersingular \(a_p = 0\)"):
+        lambda_transfer(0, 3, EXT7, E99, report=report)
+
+
 def test_transfer_wild_only_extension():
     ext = CyclicExtension(p=3, tame_ramified=(), wild_at_p=True, exponents=(), wild_exponent=1)
     kr = lambda_transfer(4, 3, ext, E99)

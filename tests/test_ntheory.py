@@ -17,7 +17,8 @@ from iwakit.ntheory import (
     primitive_root,
     sieve_primes,
 )
-from iwakit.ntheory import _TRIAL_BOUND, _primes_1_mod_2p
+from iwakit import ntheory
+from iwakit.ntheory import _TRIAL_BOUND, _primes_1_mod_2p, _strong_lucas
 
 
 def oracle_is_prime(n: int) -> bool:
@@ -167,6 +168,90 @@ def test_is_prime_near_each_row_bound(bound):
     got = [is_prime(n) for n in window]
     assert got == [n % 2 == 1 and oracle(n) for n in window]
     assert any(got)
+
+
+# psi_12 and psi_13: the least strong pseudoprimes to the first 12 and 13 prime
+# bases (Sorenson-Webster 2015), and their factors
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_psi_12_and_psi_13_pass_every_miller_rabin_base_but_are_composite():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert PSI_13 == 1287836182261 * 2575672364521
+    for n in (PSI_12, PSI_13):
+        assert _strong_probable_prime(n, _PRIME_BASES)
+
+
+@pytest.mark.parametrize("n", [
+    PSI_12,
+    PSI_13,
+    999999999989 * 999999999959,  # two 12-digit primes, past psi_12
+    (2**89 - 1) ** 2,  # a square has no Selfridge D
+])
+def test_is_prime_rejects_composites_past_psi_12(n):
+    assert n >= PSI_12 and not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [
+    1000000000000000000000007,  # 10^24 + 7, 25 digits
+    2**89 - 1,  # the Mersenne prime M89, 27 digits
+    math.factorial(27) + 1,  # a factorial prime, 29 digits
+    100000000000000000000000000319,  # the least prime above 10^29, 30 digits
+    318665857834031151167483,  # the least prime above psi_12
+])
+def test_is_prime_accepts_primes_past_psi_12(n):
+    assert n >= PSI_12 and is_prime(n)
+
+
+def test_factorize_splits_psi_12():
+    assert factorize(11 * PSI_12) == [(11, 1), (399165290221, 1), (798330580441, 1)]
+
+
+def test_strong_lucas_runs_only_from_psi_12(monkeypatch):
+    def fail(n):
+        raise AssertionError(f"strong Lucas test at {n}")
+
+    monkeypatch.setattr(ntheory, "_strong_lucas", fail)
+    # the greatest prime below psi_12, and a sieved range
+    assert is_prime(318665857834031151167441)
+    assert [n for n in range(10**6, 10**6 + 200) if is_prime(n)] == [
+        n for n in range(10**6, 10**6 + 200) if _trial_division_6k(n)]
+
+
+def _strong_lucas_oracle(n: int) -> bool:
+    """The strong Lucas test with Selfridge's parameters read off the definition:
+    U_k and V_k by their recurrences, one index at a time, mod n."""
+    D = 5
+    # the Jacobi symbol (D/n), from the factorization of n
+    while (symbol := math.prod(legendre(D, q) ** e for q, e in factorize(n))) != -1:
+        if symbol == 0:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    us, vs = [0, 1], [2, 1]
+    while len(us) <= n + 1:
+        us.append((us[-1] - Q * us[-2]) % n)
+        vs.append((vs[-1] - Q * vs[-2]) % n)
+    return us[d] == 0 or any(vs[d * 2**r] == 0 for r in range(s))
+
+
+def test_strong_lucas_against_the_definition():
+    odd = [n for n in (*range(41, 2000, 2), *range(5451, 5781, 2)) if math.isqrt(n) ** 2 != n]
+    assert [_strong_lucas(n) for n in odd] == [_strong_lucas_oracle(n) for n in odd]
+
+
+def test_strong_lucas_pseudoprimes_below_1e5():
+    # every odd prime passes, and the composites that pass are the strong Lucas
+    # pseudoprimes of OEIS A217255
+    odd = range(41, 10**5, 2)
+    assert all(_strong_lucas(n) for n in odd if _trial_division_6k(n))
+    assert [n for n in odd if not _trial_division_6k(n) and _strong_lucas(n)] == [
+        5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
 
 
 def test_legendre_against_squares():
