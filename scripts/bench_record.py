@@ -8,10 +8,11 @@ Runs, in this order:
 - fresh-process cold starts of each of the six subcommands, interleaved
   between the checkouts, compiling src/ in every process as the benchmark
   does, and again on both sides with a warm bytecode cache;
-- cold p = 3 density reports on an empty --cache-dir, alternating between
-  the checkouts: three per side to 1e6 and to 1e7, each with its
-  wall time, the peak RSS of its process and whether its stdout is the same
-  as every run of the other side's;
+- cold p = 3 density reports and p = 3 `report` calls on an empty
+  --cache-dir, alternating between the checkouts: three per side of each
+  density grid (to 1e6 and to 1e7) and of each report bound (1e5 and 1e6),
+  each with its wall time, the peak RSS of its process and whether its
+  stdout is the same as every run of the other side's;
 - the peak RSS of a process that drives bench/run.py's Runner of the
   checkout through a fixed number of classify_cold or density_warm calls
   after its set-up, keeping every call's outcome as the harness does, at
@@ -77,6 +78,8 @@ DENSITY_ARGV = ("density", "--curve", E99, "--p", "3", "--jobs", "1")
 # grid, runs per side: one 1e7 run per side read 17.3 s against 21.0 s, and
 # three alternating pairs right after it 11.0 s against 10.9 s
 COLD_DENSITY = (("1e3,1e4,1e5,1e6", 3), ("1e4,1e5,1e6,1e7", 3))
+REPORT_ARGV = ("report", "--curve", E99, "--p", "3", "--jobs", "1")
+COLD_REPORT = (("100000", 3), ("1000000", 3))  # bound, runs per side
 # the workloads whose calls the harness keeps most of: classify_cold keeps
 # about 0.93 MB of stdout per call, density_warm makes the most calls
 RSS_WORKLOADS = ("classify_cold", "density_warm")
@@ -205,13 +208,13 @@ def _cold_ms(checkout: Path, argv: tuple[str, ...], env: dict[str, str]) -> floa
     return 1e3 * scaled
 
 
-def _density_run(checkout: Path, grid: str) -> dict:
-    """One cold density report: wall time, the peak RSS of its process (from
-    the rusage os.wait4 returns for it), exit code and stdout."""
+def _cold_run(checkout: Path, argv: tuple[str, ...]) -> dict:
+    """One cold call on an empty --cache-dir: wall time, the peak RSS of its
+    process (from the rusage os.wait4 returns for it), exit code and stdout."""
     with tempfile.TemporaryDirectory() as cache, tempfile.TemporaryFile() as out:
         start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-m", "iwakit", *DENSITY_ARGV, "--grid", grid,
-                                 "--cache-dir", cache], cwd=checkout, stdout=out,
+        proc = subprocess.Popen([sys.executable, "-m", "iwakit", *argv, "--cache-dir", cache],
+                                cwd=checkout, stdout=out,
                                 env=_env(checkout, PYTHONDONTWRITEBYTECODE="1"))
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
@@ -223,15 +226,17 @@ def _density_run(checkout: Path, grid: str) -> dict:
             "stdout": stdout}
 
 
-def cold_density(base: Path, change: Path) -> dict:
-    """Cold p = 3 density reports per grid, the first side alternating per run."""
+def cold_calls(base: Path, change: Path, argv: tuple[str, ...], flag: str,
+               values: tuple[tuple[str, int], ...]) -> dict:
+    """Cold calls of argv per value of flag (a density grid, a report bound),
+    the first side alternating per run."""
     out = {}
-    for grid, reps in COLD_DENSITY:
+    for value, reps in values:
         runs: dict[str, list[dict]] = {"base": [], "change": []}
         sides = [("base", base), ("change", change)]
         for rep in range(reps):
             for name, checkout in sides if rep % 2 == 0 else sides[::-1]:
-                runs[name].append(_density_run(checkout, grid))
+                runs[name].append(_cold_run(checkout, (*argv, flag, value)))
         for name, other in (("base", "change"), ("change", "base")):
             for run in runs[name]:
                 run["stdout_matches"] = all(run["stdout"] == o["stdout"] for o in runs[other])
@@ -239,7 +244,7 @@ def cold_density(base: Path, change: Path) -> dict:
             run["stdout_sha256"] = hashlib.sha256(run.pop("stdout")).hexdigest()
         b = quartiles([r["wall_s"] for r in runs["base"]])[1]
         c = quartiles([r["wall_s"] for r in runs["change"]])[1]
-        out[grid] = {**runs, "base_over_change": b / c}
+        out[value] = {**runs, "base_over_change": b / c}
     return out
 
 
@@ -424,7 +429,8 @@ def main(argv: list[str] | None = None) -> int:
                 order.append(f"{workload}:{i}:{name}")
                 _bench(checkout, workload, seconds)
     cold = cold_starts(base, change)
-    density = cold_density(base, change)
+    density = cold_calls(base, change, DENSITY_ARGV, "--grid", COLD_DENSITY)
+    report = cold_calls(base, change, REPORT_ARGV, "--bound", COLD_REPORT)
     rss = fixed_call_rss(base, change, files)
     read = trace_read_rss(base, change)
     bands = count_bands(base, change)
@@ -452,6 +458,8 @@ def main(argv: list[str] | None = None) -> int:
                           "subcommands": cold},
         "cold_density": {"argv": " ".join(DENSITY_ARGV) + " --grid GRID --cache-dir EMPTY",
                          "grids": density},
+        "cold_report": {"argv": " ".join(REPORT_ARGV) + " --bound BOUND --cache-dir EMPTY",
+                        "bounds": report},
         "fixed_call_rss": {"reps": RSS_REPS, "seed": SEED, "workloads": rss},
         "trace_read_rss": {"reps": READ_REPS, **read},
         "count_bands": bands,

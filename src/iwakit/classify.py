@@ -11,7 +11,13 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .counting import FrobeniusData, TraceCache, _count_points, order_over_extension
+from .counting import (
+    _THREE_DIVIDES,
+    FrobeniusData,
+    TraceCache,
+    _count_points,
+    order_over_extension,
+)
 from .elliptic import WeierstrassModel, minimal_model
 from .ntheory import _primes_1_mod_2p, check_odd_prime, is_prime, padic_valuation, sieve_primes
 
@@ -67,8 +73,11 @@ def _check_primes(p: int, ell: int) -> None:
         raise ValueError(f"ell = p = {p} is excluded from classification")
 
 
-def _good_traces(model: WeierstrassModel, ells, cache: TraceCache | None) -> dict[int, int]:
+def _good_traces(
+    model: WeierstrassModel, ells, cache: TraceCache | None, three: bool = False
+) -> dict[int, int]:
     """a_ell at the good primes among ells, ascending; a bad prime gets no entry.
+    With three, an ell > 229 may get a trace-cache code instead of a_ell.
 
     ells are ascending primes, sieved or checked by _check_primes, so the
     cache's private entry counts them without testing primality again."""
@@ -76,16 +85,22 @@ def _good_traces(model: WeierstrassModel, ells, cache: TraceCache | None) -> dic
     # the global minimal model has bad reduction exactly at the primes of its discriminant
     disc = minimal.disc
     good = [ell for ell in ells if disc % ell]
-    return (cache if cache is not None else TraceCache(None))._traces(minimal, good)
+    return (cache if cache is not None else TraceCache(None))._traces(minimal, good, three)
 
 
 def _verdict(p: int, ell: int, a: int | None) -> tuple[str, bool]:
-    """The class at ell from a_ell, or from None at a bad prime, and whether ell
-    is distinguished: Q2 when p divides #E(F_ell) = ell + 1 - a_ell, else Q3,
-    distinguished if ell = 1 mod p."""
+    """The class at ell from a_ell, from a trace-cache code at p = 3, or from
+    None at a bad prime, and whether ell is distinguished: Q2 when p divides
+    #E(F_ell) = ell + 1 - a_ell, else Q3, distinguished if ell = 1 mod p."""
     if a is None:
         return "Q1", False
-    if (ell + 1 - a) % p == 0:
+    if a * a > 4 * ell:
+        # a code, which fails the Hasse bound: whether 3 divides #E(F_ell),
+        # read as it is, since (2 - code) % 3 is that test only at ell = 1 mod 3
+        divides = a == _THREE_DIVIDES
+    else:
+        divides = (ell + 1 - a) % p == 0
+    if divides:
         return "Q2", False
     return "Q3", ell % p == 1
 
@@ -139,6 +154,15 @@ def bulk_classify(
     return list(_classified(model, p, bound, cache)[1])
 
 
+def _table(
+    model: WeierstrassModel, p: int, bound: int, cache: TraceCache | None, three: bool
+) -> tuple[list[int], dict[int, int]]:
+    """The primes ell <= bound except p, ascending, and _good_traces at them."""
+    check_odd_prime(p)
+    ells = [ell for ell in sieve_primes(bound) if ell != p] if bound >= 2 else []
+    return ells, _good_traces(model, ells, cache, three) if ells else {}
+
+
 def _classified(
     model: WeierstrassModel,
     p: int,
@@ -148,12 +172,23 @@ def _classified(
     """The (class, distinguished) verdicts of ``bulk_classify``'s records, and
     those records, each made one at a time from one table of traces: a caller
     that writes the records as they come holds no list of them."""
-    check_odd_prime(p)
-    ells = [ell for ell in sieve_primes(bound) if ell != p] if bound >= 2 else []
-    traces = _good_traces(model, ells, cache) if ells else {}
+    ells, traces = _table(model, p, bound, cache, three=False)
     verdicts = (_verdict(p, ell, traces.get(ell)) for ell in ells)
     records = (_prime_class(p, ell, traces.get(ell)) for ell in ells)
     return verdicts, records
+
+
+def _verdicts(
+    model: WeierstrassModel,
+    p: int,
+    bound: int,
+    cache: TraceCache | None,
+) -> Iterator[tuple[str, bool]]:
+    """The verdicts of ``_classified`` alone.  No record needs a_ell, so at
+    p = 3 the trace cache answers each good ell > 229 in three mode: whether 3
+    divides #E(F_ell), from the psi_3 kernel or a stored code."""
+    ells, traces = _table(model, p, bound, cache, three=p == 3)
+    return (_verdict(p, ell, traces.get(ell)) for ell in ells)
 
 
 def _distinguished_primes(

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 # No handler calls bulk_classify: it stays bound here because
 # bench/test_bench.py::test_no_wrapper_is_left_installed asserts that the
 # tracer wraps iwakit.cli.bulk_classify
-from .classify import PrimeClass, _classified, bulk_classify, classification_rows
+from .classify import PrimeClass, _classified, _verdicts, bulk_classify, classification_rows
 from .counting import GRID_BUDGET, TraceCache
 from .elliptic import (
     WeierstrassModel,
@@ -404,7 +404,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         for local in bad
     ]
     # the class counts need the verdicts alone, so no record is built
-    counts = _class_counts(_classified(model, p, args.bound, cache)[0])
+    counts = _class_counts(_verdicts(model, p, args.bound, cache))
     try:
         euler: dict = euler_factors_record(euler_char_factors(minimal, p))
     except ValueError as exc:

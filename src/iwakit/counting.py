@@ -20,6 +20,11 @@ root, so #E and #E' are both even: a draw P then searches the annihilators of
 2P over the halved Hasse interval and doubles them (Cohen 7.4.3), which keeps
 the list complete.
 
+Where only whether 3 divides #E(F_ell) is wanted, as in the density scan and
+report's class counts at p = 3, the trace cache asks _three_divides instead
+at every good ell > 229, in both classes mod 3: Schoof's mod-3 step reads
+the bit off gcd(x^ell - x, psi_3) and stores it as a code, not a_ell.
+
 Primality is checked at the public entries: count_points, count_points_naive,
 count_points_bsgs, trace_of_frobenius and TraceCache.traces raise ValueError
 for an ell that is not prime.  The trace cache counts through the private
@@ -326,12 +331,16 @@ def _mul_mod_quartic(u, v, e0, e1, e2, ell):
 def _three_divides(A: int, B: int, ell: int) -> bool:
     """Whether 3 divides #E(F_ell) for E: y^2 = x^3 + Ax + B, read off the
     3-division polynomial alone (Schoof's mod-l step at l = 3).  ell is a prime
-    = 1 mod 6 at which E has good reduction.
+    >= 5 at which E has good reduction, in either class mod 3.
 
     The roots of psi_3 / 3 = x^4 + 2Ax^2 + 4Bx - A^2/3 are the x of the four
-    pairs +-P of nonzero 3-torsion points.  As ell = 1 mod 3, Frobenius on E[3]
-    lies in SL_2(F_3), and its image in PSL_2(F_3) = A_4 fixes 0, 1 or 4 of
-    the pairs, so gcd(x^ell - x, psi_3) has degree 0, 1 or 4:
+    pairs +-P of nonzero 3-torsion points, one per line of E[3], and
+    gcd(x^ell - x, psi_3) has one root per line that Frobenius fixes.  Its
+    determinant on E[3] is ell mod 3.
+
+    At ell = 1 mod 3, Frobenius lies in SL_2(F_3), and its image in
+    PSL_2(F_3) = A_4 fixes 0, 1 or 4 of the lines, so the gcd has degree 0, 1
+    or 4:
     - 0: no pair is fixed, so no point of order 3 is rational;
     - 1: Frobenius fixes the pair over the root x0.  It is +1 on P = (x0, y0),
       a rational point of order 3, exactly when f(x0) = x0^3 + Ax0 + B is a
@@ -339,8 +348,17 @@ def _three_divides(A: int, B: int, ell: int) -> bool:
       eigenvalue 1;
     - 4: Frobenius is +I or -I, so f^((ell-1)/2) mod psi_3 is the constant +1
       (every point of E[3] is rational) or -1 (none is).
-    Degree 2 or 3, or a degree-4 power that is not +-1, would mean ell breaks
-    these premises, and raises AssertionError.
+
+    At ell = 2 mod 3, Frobenius has determinant -1 and characteristic
+    polynomial x^2 - tx - 1, and #E(F_ell) = det(1 - Frobenius) = -t mod 3.
+    At t = 0 it is x^2 - 1 = (x - 1)(x + 1): Frobenius is diag(1, -1), which
+    fixes its two eigenlines and swaps the other two, so the gcd has degree
+    2 and 3 divides #E(F_ell).  At t = +-1, x^2 -+ x - 1 has no root in F_3:
+    Frobenius fixes no line, the gcd has degree 0 and 3 does not divide
+    #E(F_ell).
+
+    Any other degree, or a degree-4 power that is not +-1, would mean ell
+    breaks these premises, and raises AssertionError.
     """
     a, b = A % ell, B % ell
     # x^4 = e2 x^2 + e1 x + e0 modulo psi_3 / 3
@@ -364,7 +382,28 @@ def _three_divides(A: int, B: int, ell: int) -> bool:
     g = [h0, (h1 - 1) % ell, h2, h3]  # x^ell - x, lowest coefficient first
     while g and not g[-1]:
         g.pop()
-    if not g:  # degree 4
+    if g:  # Euclid on (psi_3 / 3, x^ell - x): r mod g, then swap, until g is zero
+        r = [-e0 % ell, -e1 % ell, -e2 % ell, 0, 1]
+        while g:
+            d = len(g) - 1
+            inv = pow(g[-1], -1, ell)
+            for k in range(len(r) - 1, d - 1, -1):
+                c = r[k] * inv % ell
+                if c:
+                    for j in range(d):
+                        r[k - d + j] = (r[k - d + j] - c * g[j]) % ell
+            del r[d:]
+            while r and not r[-1]:
+                r.pop()
+            r, g = g, r
+        roots = len(r) - 1
+    else:  # x^ell = x modulo psi_3 / 3
+        roots = 4
+    if ell % 3 == 2:  # Frobenius is diag(1, -1) or fixes no line
+        if roots not in (0, 2):
+            raise AssertionError(f"psi_3 has {roots} roots mod {ell}, not 0 or 2")
+        return roots == 2
+    if roots == 4:
         f = (b, a, 0, 1)
         power = f
         for bit in bin((ell - 1) // 2)[3:]:
@@ -374,24 +413,10 @@ def _three_divides(A: int, B: int, ell: int) -> bool:
         if power not in ((1, 0, 0, 0), (ell - 1, 0, 0, 0)):
             raise AssertionError(f"f^((ell-1)/2) mod psi_3 is not +-1 at {ell}")
         return power[0] == 1
-    # Euclid on (psi_3 / 3, x^ell - x): r mod g, then swap, until g is zero
-    r = [-e0 % ell, -e1 % ell, -e2 % ell, 0, 1]
-    while g:
-        d = len(g) - 1
-        inv = pow(g[-1], -1, ell)
-        for k in range(len(r) - 1, d - 1, -1):
-            c = r[k] * inv % ell
-            if c:
-                for j in range(d):
-                    r[k - d + j] = (r[k - d + j] - c * g[j]) % ell
-        del r[d:]
-        while r and not r[-1]:
-            r.pop()
-        r, g = g, r
-    if len(r) == 1:  # degree 0
+    if roots == 0:
         return False
-    if len(r) != 2:
-        raise AssertionError(f"psi_3 has {len(r) - 1} roots mod {ell}, not 0, 1 or 4")
+    if roots != 1:
+        raise AssertionError(f"psi_3 has {roots} roots mod {ell}, not 0, 1 or 4")
     x0 = -r[0] * pow(r[1], -1, ell) % ell
     return pow((x0 * x0 + a) * x0 + b, (ell - 1) // 2, ell) == 1
 
@@ -454,9 +479,11 @@ GRID_BUDGET = 10**7
 # A trace array has slot i for a_{2i+1} and slot 0 for a_2 (1 is never prime).
 # Every |a_ell| <= 2 sqrt(ell) fits in int16 for ell < 2.68e8, so the three
 # lowest values are free.  -32768 marks a slot whose trace is not known.  The
-# density scan at p = 3 stores only whether 3 divides #E(F_ell) at ell > 229,
-# as -32767 (it does) or -32766 (it does not): (2 - code) % 3 is 0 or 2, the
-# Q3 test's value at p = 3, where #E(F_ell) = 2 - a_ell mod 3.  All three
+# density scan and report at p = 3 store only whether 3 divides #E(F_ell) at
+# ell > 229, as -32767 (it does) or -32766 (it does not), and a reader takes
+# a code by that meaning.  At ell = 1 mod 3, where #E(F_ell) = 2 - a_ell mod
+# 3, (2 - code) % 3 is 0 or 2 as the Q3 test of a_ell would be; at ell = 2
+# mod 3 it is not, so classify._verdict reads the code itself.  All three
 # fail the Hasse bound, so a reader that wants a_ell counts the slot again.
 # In a merge an a_ell beats a code and a code beats -32768: the greater value.
 _UNKNOWN = -32768
@@ -466,9 +493,10 @@ _DIGEST = hashlib.sha256().digest_size
 
 
 def _slot_value(minimal: WeierstrassModel, three: bool, ell: int) -> int:
-    """a_ell at a good prime ell; with three, at ell > 229, the code that says
-    whether 3 divides #E(F_ell) (ell = 1 mod 6)."""
-    if three and ell > _MESTRE_BOUND:
+    """a_ell at a good prime ell; with three, at 229 < ell <= GRID_BUDGET, the
+    code that says whether 3 divides #E(F_ell), in either class mod 3.  In that
+    range a code fails the Hasse bound, so no reader takes it for a_ell."""
+    if three and _MESTRE_BOUND < ell <= GRID_BUDGET:
         return _THREE_DIVIDES if _three_divides(*minimal.short, ell) else _THREE_DOES_NOT_DIVIDE
     return ell + 1 - _count_points(minimal, ell)
 
@@ -491,9 +519,11 @@ class TraceCache:
     another format is recomputed and rewritten, never trusted slot by slot.  A
     slot is checked against the Hasse bound when it is read, and one that fails
     is counted again.  A slot may hold one of two codes instead of a_ell:
-    _THREE_DIVIDES or _THREE_DOES_NOT_DIVIDE, which the density scan at p = 3
-    stores at ell > 229 and accepts there.  Both fail the Hasse bound, so every
-    other reader counts such a slot again and stores a_ell over it.  Only
+    _THREE_DIVIDES or _THREE_DOES_NOT_DIVIDE, which readers in three mode (the
+    density scan and report's class counts at p = 3) store at ell > 229 and
+    accept there, whatever ell is mod 3.  Both fail the Hasse bound, so every
+    other reader (classify, p >= 5, traces) counts such a slot again and
+    stores a_ell over it.  Only
     ell <= GRID_BUDGET is stored; a larger ell is counted on every call.  Files
     are replaced whole, through a temporary file, after merging in what is on
     disk (an a_ell over a code, a code over _UNKNOWN), so a reader never sees a
@@ -617,8 +647,10 @@ class TraceCache:
                 raise ValueError(f"{ell} is not prime")
         return self._traces(model, ells)
 
-    def _traces(self, model: WeierstrassModel, ells) -> dict[int, int]:
-        """traces at ascending distinct ells the caller knows to be prime."""
+    def _traces(self, model: WeierstrassModel, ells, three: bool = False) -> dict[int, int]:
+        """traces at ascending distinct ells the caller knows to be prime.  With
+        three, a stored code is accepted as the answer, and a miss at an ell
+        > 229 that the array holds is answered by _three_divides as a code."""
         minimal, _ = minimal_model(model)
         key = self._key(minimal)
         arr = self._load(key)
@@ -626,8 +658,10 @@ class TraceCache:
         for ell in ells:
             i = _slot(ell)
             out[ell] = arr[i] if i is not None and i < len(arr) else _UNKNOWN
-        missing = [ell for ell, a in out.items() if a == _UNKNOWN or a * a > 4 * ell]
-        out.update(zip(missing, self._count(key, minimal, missing)))
+        codes = (_THREE_DIVIDES, _THREE_DOES_NOT_DIVIDE) if three else ()
+        missing = [ell for ell, a in out.items()
+                   if a == _UNKNOWN or a * a > 4 * ell and a not in codes]
+        out.update(zip(missing, self._count(key, minimal, missing, three)))
         return out
 
     def _distinguished(self, model: WeierstrassModel, p: int, ells: tuple[int, ...]) -> list[int]:
@@ -636,8 +670,8 @@ class TraceCache:
 
         One loop answers each stored slot ell >> 1: the Hasse check and the Q3
         test of classify._verdict, p not dividing ell + 1 - a_ell = 2 - a_ell
-        mod p.  At p = 3 a code answers both, and a miss above 229 is stored
-        as a code.
+        mod p.  At p = 3 a code answers both, as every ell here is 1 mod 3,
+        and a miss above 229 is stored as a code.
         """
         minimal, _ = minimal_model(model)
         key = self._key(minimal)

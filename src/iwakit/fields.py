@@ -109,7 +109,9 @@ def _check_ram_set(p: int, ram_set) -> tuple[int, ...]:
     if len(primes) != len(set(primes)):
         raise ValueError("ramified primes must be distinct")
     for ell in primes:
-        if not is_prime(ell) or ell % p != 1:
+        if not is_prime(ell):
+            raise ValueError(f"ramified primes must be prime, got {ell}")
+        if ell % p != 1:
             raise ValueError(
                 f"no cyclic degree-{p} field of Q is tamely ramified exactly at "
                 f"a prime not 1 mod {p}: {ell}"

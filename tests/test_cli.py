@@ -208,6 +208,21 @@ def test_report_builds_no_record(capsys, monkeypatch):
     assert payload["classification"] == {"bound": 1000, "counts": expected}
 
 
+@pytest.mark.parametrize("bound", [1000, 100000])
+@pytest.mark.parametrize("curve", [E99, "1,0,0,887,-804"])
+def test_report_counts_at_p3_match_classify_records(capsys, tmp_path, curve, bound):
+    # report reads whether 3 | #E(F_ell) above 229, classify reads a_ell
+    records = bulk_classify(elliptic.parse_model(curve), 3, bound)
+    counts = Counter(rec.category for rec in records)
+    expected = {"Q1": counts["Q1"], "Q2": counts["Q2"], "Q3": counts["Q3"],
+                "script_Q": sum(rec.in_script_q for rec in records)}
+    for cache in ([], ["--cache-dir", str(tmp_path)], ["--cache-dir", str(tmp_path)]):
+        code, payload = _run_json(capsys, ["report", "--curve", curve, "--p", "3",
+                                           "--bound", str(bound), "--jobs", "1", *cache])
+        assert code == EXIT_OK
+        assert payload["classification"] == {"bound": bound, "counts": expected}
+
+
 def test_empty_cache_dir_env_var_is_memory_only(capsys, tmp_path, monkeypatch):
     # an empty IWAKIT_CACHE_DIR is unset, not the working directory
     monkeypatch.setenv("IWAKIT_CACHE_DIR", "")
@@ -598,8 +613,7 @@ def test_usage_errors_exit_two():
      "error: p must be an odd prime, got 1\n"),
     # psi_12, the least composite that passes Miller-Rabin to all 12 prime bases
     (["enumerate-fields", "--p", "3", "--ramified", "318665857834031151167461"], EXIT_FAILURE,
-     "error: no cyclic degree-3 field of Q is tamely ramified exactly at a prime not 1 mod 3: "
-     "318665857834031151167461\n"),
+     "error: ramified primes must be prime, got 318665857834031151167461\n"),
     (["report", "--curve", E99, "--p", "318665857834031151167461", "--bound", "50"], EXIT_FAILURE,
      "error: p must be an odd prime, got 318665857834031151167461\n"),
 ])

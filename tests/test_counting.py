@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from iwakit import counting
-from iwakit.classify import _distinguished_primes, bulk_classify, classify_prime
+from iwakit.classify import _distinguished_primes, _verdicts, bulk_classify, classify_prime
 from iwakit.counting import (
     FrobeniusData,
     TraceCache,
@@ -867,12 +867,31 @@ def test_three_divides_with_a_rational_three_torsion_point():
     assert all(_three_divides(*E27.short, ell) for ell in PRIMES_1_MOD_6[:40])
 
 
-def test_three_divides_rejects_two_roots():
-    # at ell = 5 mod 6 Frobenius can fix two of the four lines, which the
-    # premise ell = 1 mod 3 rules out
+def test_three_divides_at_two_roots():
+    # at ell = 5 mod 6 Frobenius has determinant -1; it fixes two of the four
+    # lines exactly when it is diag(1, -1), that is when 3 divides #E(F_ell)
     assert _psi3_roots(E99, 233) == 2
-    with pytest.raises(AssertionError, match="2 roots"):
-        _three_divides(*E99.short, 233)
+    assert _three_divides(*E99.short, 233) == (count_points(E99, 233) % 3 == 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_three_divides_matches_naive_count_in_both_classes(seed):
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(4):
+        try:
+            minimal, _ = minimal_model(WeierstrassModel(
+                rng.randint(0, 1), rng.randint(-1, 1), rng.randint(0, 1),
+                rng.randint(-3000, 3000), rng.randint(-3000, 3000)))
+        except SingularCurveError:
+            continue
+        for ell in sieve_primes(2000)[2:]:  # 5 <= ell < 2000
+            if minimal.disc % ell:
+                divides = _three_divides(*minimal.short, ell)
+                assert divides == (count_points_naive(minimal, ell) % 3 == 0), (minimal, ell)
+                seen.add((ell % 3, divides))
+    # both answers occur in both classes mod 3
+    assert seen == {(1, True), (1, False), (2, True), (2, False)}
 
 
 # ---------------------------------------------------------------------------
@@ -1259,6 +1278,58 @@ def test_density_at_p5_counts_code_slots(tmp_path, monkeypatch):
     assert 241 in counted
     a = TraceCache(None).traces(E99, [241])[241]
     assert TraceCache(tmp_path)._load(TraceCache._key(E99))[241 >> 1] == a
+
+
+def _report_counts(tmp_path):
+    """The verdicts of report's class counts at p = 3 to CODE_BOUND on the
+    cache in tmp_path."""
+    return list(_verdicts(E99, 3, CODE_BOUND, TraceCache(tmp_path)))
+
+
+def test_report_stores_codes_in_both_classes_and_classify_counts_over_them(tmp_path, monkeypatch):
+    records = bulk_classify(E99, 3, CODE_BOUND)
+    traces = {r.ell: r.a_ell for r in records if r.a_ell is not None}
+    verdicts = [(r.category, r.in_script_q) for r in records]
+    counted = _count_traces(monkeypatch)
+    decided = []
+
+    def kernel(A, B, ell):
+        decided.append(ell)
+        return _three_divides(A, B, ell)
+
+    monkeypatch.setattr(counting, "_three_divides", kernel)
+    assert _report_counts(tmp_path) == verdicts
+    assert counted == [ell for ell in traces if ell <= 229]  # no BSGS above
+    assert decided == [ell for ell in traces if ell > 229]
+    assert {ell % 6 for ell in decided} == {1, 5}
+    (path,) = tmp_path.glob("*.traces")
+    coded = {ell: a if ell <= 229 else _three_code(ell, a) for ell, a in traces.items()}
+    assert path.read_bytes() == _cache_file_bytes(coded)
+    counted.clear()
+    decided.clear()
+    assert _report_counts(tmp_path) == verdicts
+    assert counted == decided == []  # the codes answer the second report
+    # classify counts every code slot again and stores a_ell over it
+    assert bulk_classify(E99, 3, CODE_BOUND, cache=TraceCache(tmp_path)) == records
+    assert counted == [ell for ell in traces if ell > 229]
+    assert path.read_bytes() == _cache_file_bytes(traces)
+    counted.clear()
+    assert _report_counts(tmp_path) == verdicts
+    assert counted == decided == []
+
+
+def test_three_mode_counts_a_ell_above_the_trace_array():
+    # no slot holds ell > GRID_BUDGET, and past 2.68e8 a code would pass the
+    # Hasse bound, so three mode answers such an ell with a_ell
+    ell = 10000019
+    assert TraceCache(None)._traces(E99, [ell], three=True) == TraceCache(None).traces(E99, [ell])
+
+
+def test_density_at_p5_on_a_report_cache_equals_a_fresh_run(tmp_path):
+    _report_counts(tmp_path / "report")
+    grid = [100, 500, 1000, CODE_BOUND]
+    assert (asymptotic_report(E99, 5, grid, cache=TraceCache(tmp_path / "report"))
+            == asymptotic_report(E99, 5, grid, cache=TraceCache(tmp_path / "fresh")))
 
 
 @pytest.mark.parametrize("first", ["density", "classify"])
