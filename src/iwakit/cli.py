@@ -369,7 +369,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
     from .density import asymptotic_report, density_record, table_csv
 
     cache = _cache_from(args)
-    report = asymptotic_report(args.curve, args.p, args.grid, cache=cache, method=args.method)
+    report = asymptotic_report(args.curve, args.p, args.grid, cache=cache)
     if args.g_csv:
         Path(args.g_csv).write_text(table_csv(report.g_table, "g"), encoding="utf-8")
     if args.m_csv:
@@ -424,13 +424,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
         },
     }
     if args.ramified:
-        from .kida import _BASE_FLAG
-
-        # the Euler audit above already settled the base invariants
-        base = _BASE_FLAG.get(euler.get("mu_lambda_vanish"))
         try:
             ext = _extension_from(args)
-            payload["kida"] = _kida_records(args, ext, minimal, base)
+            # None: the audit reads the base invariants off the Euler audit above,
+            # which the minimal model keeps
+            payload["kida"] = _kida_records(args, ext, minimal, None)
         except ValueError as exc:
             payload["kida"] = _failure(exc)
     _emit(payload, args.out)
@@ -511,7 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache(density)
     density.add_argument("--grid", type=_grid_arg, required=True,
                          help="increasing X grid, e.g. 1e3,1e4,1e5,1e6")
-    density.add_argument("--method", choices=("dfs", "sieve"), default="dfs")
+    density.add_argument("--method", choices=("dfs", "sieve"), default="dfs",
+                         help="kept for old command lines: both count by the DFS "
+                              "walk and print the same output")
     density.add_argument("--g-csv", default=None, help="write the g table as CSV here")
     density.add_argument("--m-csv", default=None, help="write the M table as CSV here")
     density.set_defaults(func=_cmd_density)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .classify import _distinguished_primes
 from .counting import GRID_BUDGET, TraceCache
 from .elliptic import WeierstrassModel
-from .fields import _m_totals, _method
+from .fields import _m_totals, _product_totals_dfs
 from .ntheory import check_odd_prime, iroot
 
 __all__ = [
@@ -159,7 +159,6 @@ def asymptotic_report(
     grid,
     *,
     cache: TraceCache | None = None,
-    method: str = "dfs",
 ) -> DensityReport:
     """Exact g/M tables over the grid plus the fitted log exponent.
 
@@ -184,12 +183,11 @@ def asymptotic_report(
     if grid[-1] > GRID_BUDGET:
         raise ValueError(f"grid max {grid[-1]} exceeds the budget {GRID_BUDGET}")
 
-    _, totals = _method(method)
     alpha = alpha_closed_form(p)
     primes, prime_count = _distinguished_primes(model, p, grid[-1], cache)
     density = Fraction(len(primes), prime_count)
-    g_table = tuple(zip(grid, totals(primes, p, grid)))
-    m_table = tuple(zip(grid, _m_totals(p, [iroot(x, p - 1) for x in grid], totals)))
+    g_table = tuple(zip(grid, _product_totals_dfs(primes, p, grid)))
+    m_table = tuple(zip(grid, _m_totals(p, [iroot(x, p - 1) for x in grid])))
 
     usable = [(x, g) for x, g in g_table if g > 0]
     if len(usable) < 2:

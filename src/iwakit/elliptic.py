@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from ._poly import _gcd, _sub, _x_pow_mod
 from .ntheory import (
-    inv_mod,
     is_prime,
     is_squarefree,
     factorize,
@@ -346,7 +345,7 @@ def _cubic_structure(c2: int, c1: int, c0: int, q: int) -> tuple[int, int | None
         return (len(g) - 1, None, 1)
     if len(rep) == 2:
         return (2, (-rep[0]) % q, 2)
-    return (1, (-rep[1]) * inv_mod(2, q) % q, 3)
+    return (1, (-rep[1]) * pow(2, -1, q) % q, 3)
 
 
 def _quad_split(a: int, b: int, c: int, q: int) -> tuple[str, int | None]:
@@ -361,7 +360,7 @@ def _quad_split(a: int, b: int, c: int, q: int) -> tuple[str, int | None]:
         return ("split", None) if c % 2 == 0 else ("nonsplit", None)
     disc = (b * b - 4 * a * c) % q
     if disc == 0:
-        return ("double", (-b) * inv_mod(2 * a, q) % q)
+        return ("double", (-b) * pow(2 * a, -1, q) % q)
     return ("split", None) if legendre(disc, q) == 1 else ("nonsplit", None)
 
 
@@ -424,8 +423,8 @@ def _singular_point(model: WeierstrassModel, q: int) -> tuple[int, int]:
         raise AssertionError("bad reduction with no singular point")
     # q >= 5, additive: q | c4 and q | disc, so q | c6 and
     # g(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 = 4(x + b2/12)^3 mod q
-    x0 = -model.b2 * inv_mod(12, q) % q
-    y0 = -(a1 * x0 + a3) * inv_mod(2, q) % q
+    x0 = -model.b2 * pow(12, -1, q) % q
+    y0 = -(a1 * x0 + a3) * pow(2, -1, q) % q
     return (x0, y0)
 
 
@@ -436,7 +435,7 @@ def _prepare_step6(model: WeierstrassModel, q: int, v_disc: int) -> WeierstrassM
     are already excluded.
     """
     if q >= 5:
-        half = inv_mod(2, q ** (v_disc + 8))
+        half = pow(2, -1, q ** (v_disc + 8))
         model = model.transform(s=(-model.a1 * half) % q ** (v_disc + 8))
         model = model.transform(t=(-model.a3 * half) % q ** (v_disc + 8))
     else:

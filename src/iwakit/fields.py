@@ -132,26 +132,17 @@ def enumerate_extensions(p: int, ram_set, *, wild_at_p: bool = False) -> list[Cy
     primes = _check_ram_set(p, ram_set)
     if not primes and not wild_at_p:
         return []
-    n_slots = len(primes) + (1 if wild_at_p else 0)
-    out: list[CyclicExtension] = []
-
-    def rec(vector: tuple[int, ...]) -> None:
-        if len(vector) == n_slots:
-            if wild_at_p:
-                tame, wild = vector[:-1], vector[-1]
-            else:
-                tame, wild = vector, None
-            out.append(CyclicExtension(
-                p=p, tame_ramified=primes, wild_at_p=wild_at_p,
-                exponents=tame, wild_exponent=wild,
-            ))
-            return
-        choices = (1,) if not vector else tuple(range(1, p))
-        for e in choices:
-            rec(vector + (e,))
-
-    rec(())
-    return out
+    k = len(primes) + (1 if wild_at_p else 0)
+    # the leading exponent is 1, each later one any of 1..p-1, in lexicographic order
+    vectors = ((1, *rest) for rest in itertools.product(range(1, p), repeat=k - 1))
+    return [
+        CyclicExtension(
+            p=p, tame_ramified=primes, wild_at_p=wild_at_p,
+            exponents=vector[:len(primes)],
+            wild_exponent=vector[-1] if wild_at_p else None,
+        )
+        for vector in vectors
+    ]
 
 
 def discriminant(ext: CyclicExtension) -> int:
@@ -291,36 +282,23 @@ def _product_weights_sieve(primes: list[int], p: int, bound: int) -> dict[int, i
     return weights
 
 
-def _product_totals_sieve(primes: list[int], p: int, bounds: list[int]) -> list[int]:
-    """Same totals as _product_totals_dfs, summed off the sieve counts."""
-    if bounds[-1] < 2:
-        return [0] * len(bounds)
-    c = _sieve_counts(primes, p, bounds[-1])
-    c[1] = 0  # the empty product is no field
-    return [sum(itertools.islice(c, b + 1)) // (p - 1) for b in bounds]
-
-
-# each method: (primes, p, bound) -> {product: weight} for the step tables, and
-# (primes, p, ascending bounds) -> [total weight <= bound] for the counts
-_METHODS = {
-    "dfs": (_product_weights_dfs, _product_totals_dfs),
-    "sieve": (_product_weights_sieve, _product_totals_sieve),
-}
+# the step tables' weight builders: (primes, p, bound) -> {product: weight}
+_METHODS = {"dfs": _product_weights_dfs, "sieve": _product_weights_sieve}
 
 
 def _method(method: str):
-    """The (weight builder, totals) pair named by method."""
-    pair = _METHODS.get(method)
-    if pair is None:
+    """The weight builder named by method."""
+    build = _METHODS.get(method)
+    if build is None:
         raise ValueError(f"unknown method {method!r}")
-    return pair
+    return build
 
 
 def _g_weights(model, p, bound, *, cache, method) -> dict[int, int]:
     """Weight of each squarefree conductor <= bound in g_of_X."""
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    build, _ = _method(method)
+    build = _method(method)
     return build(script_q_primes(model, p, bound, cache=cache), p, bound)
 
 
@@ -329,7 +307,7 @@ def _m_weights(p: int, bound: int, method: str) -> dict[int, int]:
     check_odd_prime(p)
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    build, _ = _method(method)
+    build = _method(method)
     max_conductor = iroot(bound, p - 1)
     if max_conductor < 2:
         return {}
@@ -346,7 +324,7 @@ def _m_weights(p: int, bound: int, method: str) -> dict[int, int]:
     return weights
 
 
-def _m_totals(p: int, bounds: list[int], totals) -> list[int]:
+def _m_totals(p: int, bounds: list[int]) -> list[int]:
     """Degree-p cyclic fields of conductor <= each bound of an ascending list.
 
     With T(b) the tame fields of conductor <= b, the count is T(b) plus, once
@@ -355,7 +333,8 @@ def _m_totals(p: int, bounds: list[int], totals) -> list[int]:
     """
     wild = [b // (p * p) for b in bounds]
     points = sorted(set(bounds).union(wild))
-    tame = dict(zip(points, totals(_primes_1_mod_2p(bounds[-1], p)[0], p, points)))
+    primes = _primes_1_mod_2p(bounds[-1], p)[0]
+    tame = dict(zip(points, _product_totals_dfs(primes, p, points)))
     return [tame[b] + (1 + (p - 1) * tame[w] if b >= p * p else 0)
             for b, w in zip(bounds, wild)]
 
@@ -384,7 +363,7 @@ def M_of_X(p: int, bound: int) -> int:
     check_odd_prime(p)
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    return _m_totals(p, [iroot(bound, p - 1)], _product_totals_dfs)[0]
+    return _m_totals(p, [iroot(bound, p - 1)])[0]
 
 
 def g_steps(

@@ -15,8 +15,6 @@ __all__ = [
     "check_odd_prime",
     "legendre",
     "padic_valuation",
-    "mult_order",
-    "inv_mod",
     "is_squarefree",
     "factorize",
     "iroot",
@@ -204,24 +202,6 @@ def _is_p_power(n: int, p: int) -> bool:
     while n % p == 0:
         n //= p
     return n == 1
-
-
-def mult_order(a: int, m: int) -> int:
-    """Multiplicative order of a modulo m; requires gcd(a, m) = 1."""
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    a %= m
-    if math.gcd(a, m) != 1:
-        raise ValueError(f"{a} is not a unit modulo {m}")
-    k, x = 1, a
-    while x != 1:
-        x = x * a % m
-        k += 1
-    return k
-
-
-def inv_mod(a: int, m: int) -> int:
-    return pow(a, -1, m)
 
 
 # trial division stops here; a cofactor below its square is then 1 or prime

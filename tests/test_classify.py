@@ -24,7 +24,8 @@ from iwakit.counting import (
     order_over_extension,
 )
 from iwakit.elliptic import SingularCurveError, WeierstrassModel, minimal_model, reduction_type
-from iwakit.ntheory import mult_order, padic_valuation, sieve_primes
+from iwakit.ntheory import padic_valuation, sieve_primes
+from test_ntheory import mult_order
 
 E99 = WeierstrassModel(0, 0, 1, -3, -5)
 E11 = WeierstrassModel(0, -1, 1, -10, -20)

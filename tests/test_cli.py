@@ -311,6 +311,18 @@ def test_density_with_csv_outputs(capsys, tmp_path):
     assert m_csv.read_text(encoding="utf-8").startswith("X,M\n")
 
 
+@pytest.mark.parametrize("p", ["3", "5"])
+def test_density_method_choices_print_the_same_bytes(capsys, monkeypatch, p):
+    # --method stays accepted for old command lines; both count by the DFS walk
+    monkeypatch.delenv("IWAKIT_CACHE_DIR", raising=False)
+    argv = ["density", "--curve", E99, "--p", p, "--grid", "1e2,1e3,2e3,4e3", "--jobs", "1"]
+    default = _run(capsys, argv)
+    assert default[0] == EXIT_OK
+    for method in ("dfs", "sieve"):
+        assert _run(capsys, [*argv, "--method", method]) == default, method
+    assert capsys.readouterr().err == ""
+
+
 def test_density_grid_too_small_fails(capsys):
     code = main(["density", "--curve", E99, "--p", "3", "--grid", "1e2,1e3"])
     assert code == EXIT_FAILURE

@@ -1,5 +1,6 @@
 """Density constants, empirical diagnostics, and the asymptotic report."""
 
+import bisect
 import dataclasses
 import json
 from fractions import Fraction
@@ -23,8 +24,9 @@ from iwakit.density import (
     table_csv,
 )
 from iwakit.elliptic import WeierstrassModel
-from iwakit.fields import M_of_X, g_of_X, g_steps, m_steps
-from iwakit.ntheory import sieve_primes
+from iwakit.fields import M_of_X, g_of_X, g_steps, m_steps, script_q_primes
+from iwakit.ntheory import iroot, sieve_primes
+from test_fields import m_totals_sieve, totals_sieve
 
 E99 = WeierstrassModel(0, 0, 1, -3, -5)
 E887 = WeierstrassModel(1, 0, 0, 887, -804)
@@ -129,26 +131,46 @@ def test_asymptotic_report_small_grid():
     assert rep.empirical_density == empirical_density(E99, 3, 10**4, cache=cache)
 
 
+def _sieve_tables(model, p, grid, cache=None):
+    """The g and M tables over the grid from the sieve-totals oracle."""
+    g = totals_sieve(script_q_primes(model, p, grid[-1], cache=cache), p, grid)
+    m = m_totals_sieve(p, [iroot(x, p - 1) for x in grid])
+    return tuple(zip(grid, g)), tuple(zip(grid, m))
+
+
+def _at(steps, x):
+    """The running count of a step table at x."""
+    k = bisect.bisect_right([s for s, _ in steps], x)
+    return steps[k - 1][1] if k else 0
+
+
 @pytest.mark.parametrize("method", ["dfs", "sieve"])
 def test_asymptotic_report_tables_at_and_between_jumps(method):
-    # 7 and 49 are jumps of g and M, 81 = 9^2 brings in the wild conductor 9
+    # 7 and 49 are jumps of g and M, 81 = 9^2 brings in the wild conductor 9;
+    # the step tables of either weight builder pin g and M at every X
     grid = [1, 7, 48, 49, 80, 81, 700]
     cache = TraceCache()
-    rep = asymptotic_report(E99, 3, grid, cache=cache, method=method)
-    # g_of_X and M_of_X count by the DFS, so the sieve report is checked against it
-    assert rep.g_table == tuple((x, g_of_X(E99, 3, x, cache=cache)) for x in grid)
-    assert rep.M_table == tuple((x, M_of_X(3, x)) for x in grid)
+    rep = asymptotic_report(E99, 3, grid, cache=cache)
+    g = g_steps(E99, 3, grid[-1], cache=cache, method=method)
+    m = m_steps(3, grid[-1], method=method)
+    assert rep.g_table == tuple((x, _at(g, x)) for x in grid)
+    assert rep.M_table == tuple((x, _at(m, x)) for x in grid)
+    assert (rep.g_table, rep.M_table) == _sieve_tables(E99, 3, grid, cache)
     assert rep.empirical_density == empirical_density(E99, 3, 700, cache=cache)
 
 
-def test_asymptotic_report_rejects_unknown_method_before_classifying(monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("classified before checking the method")
-
-    monkeypatch.setattr("iwakit.density._distinguished_primes", fail)
-    monkeypatch.setattr("iwakit.fields._distinguished_primes", fail)
-    with pytest.raises(ValueError, match="unknown method"):
-        asymptotic_report(E99, 3, [7, 100, 1000, 10**4], method="bogus")
+@pytest.mark.parametrize("p, grid", [
+    # g jumps at 7, 13 and 7 * 13; M at 7^2, at the wild 9^2, at (9 * 7)^2 and 91^2
+    (3, [6, 7, 12, 13, 48, 49, 80, 81, 90, 91, 3968, 3969, 8280, 8281]),
+    # g jumps at 41, 71 and 41 * 71; M at 11^4 and at the wild 25^4
+    (5, [40, 41, 70, 71, 2910, 2911, 14640, 14641, 390624, 390625]),
+    # g jumps at 29, 43 and 29 * 43; M has no field below 29^6, past the budget
+    (7, [28, 29, 42, 43, 1246, 1247, 2000]),
+], ids=["3", "5", "7"])
+def test_report_tables_equal_the_sieve_totals_oracle(p, grid):
+    cache = TraceCache(None)
+    rep = asymptotic_report(E99, p, grid, cache=cache)
+    assert (rep.g_table, rep.M_table) == _sieve_tables(E99, p, grid, cache)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -190,20 +212,20 @@ def test_alternating_reports_sieve_once_per_key(monkeypatch):
     assert sorted(sieved) == [7, 63, 4000, 4000]
 
 
-@pytest.mark.parametrize("method", ["dfs", "sieve"])
-def test_reports_in_one_process_equal_reports_on_a_cleared_cache(method):
+def test_reports_in_one_process_equal_reports_on_a_cleared_cache():
     # the kept primes = 1 mod p carry no curve's or p's answer into another report
     grid = [100, 1000, 2000, 4000]
     runs = [(model, p) for model in (E99, E887) for p in (3, 5)] * 2
     cache = TraceCache(None)
-    shared = [asymptotic_report(model, p, grid, cache=cache, method=method)
-              for model, p in runs]
+    shared = [asymptotic_report(model, p, grid, cache=cache) for model, p in runs]
     fresh = []
     for model, p in runs:
         ntheory._primes_1_mod_2p.cache_clear()
-        fresh.append(asymptotic_report(model, p, grid, cache=TraceCache(None), method=method))
+        fresh.append(asymptotic_report(model, p, grid, cache=TraceCache(None)))
     assert shared == fresh
     assert len({report.g_table for report in shared}) == 4
+    for (model, p), report in zip(runs[:4], shared):
+        assert (report.g_table, report.M_table) == _sieve_tables(model, p, grid, cache)
 
 
 def test_asymptotic_report_grid_errors():

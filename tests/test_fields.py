@@ -27,13 +27,31 @@ from iwakit.fields import (
     _m_totals,
     _m_weights,
     _product_totals_dfs,
-    _product_totals_sieve,
     _product_weights_dfs,
     _product_weights_sieve,
+    _sieve_counts,
 )
 from iwakit.ntheory import primitive_root, sieve_primes
 
 E99 = WeierstrassModel(0, 0, 1, -3, -5)
+
+
+def totals_sieve(primes, p, bounds):
+    """Total weight of the products <= each bound of an ascending list, summed
+    off the sieve counts.  The oracle for the counting walk _product_totals_dfs."""
+    if bounds[-1] < 2:
+        return [0] * len(bounds)
+    c = _sieve_counts(primes, p, bounds[-1])
+    c[1] = 0  # the empty product is no field
+    return [sum(itertools.islice(c, b + 1)) // (p - 1) for b in bounds]
+
+
+def m_totals_sieve(p, bounds):
+    """Degree-p cyclic fields of conductor <= each bound of an ascending list.
+    The oracle for _m_totals: the wild conductor p^2 enters the sieve as one
+    more place, where _m_totals adds the wild fields by a formula."""
+    tame = [ell for ell in sieve_primes(max(bounds[-1], 2)) if ell % p == 1]
+    return totals_sieve(sorted(tame + [p * p]), p, bounds)
 
 
 def _ext(p, primes, exps, wild=None):
@@ -220,7 +238,7 @@ def test_g_of_x_small():
 def test_g_of_x_dual_algorithms():
     for bound in (7, 50, 100, 300, 600):
         primes = script_q_primes(E99, 3, bound)
-        assert g_of_X(E99, 3, bound) == _product_totals_sieve(primes, 3, [bound])[0]
+        assert g_of_X(E99, 3, bound) == totals_sieve(primes, 3, [bound])[0]
 
 
 def test_g_of_x_brute_subsets():
@@ -320,7 +338,7 @@ def test_walk_totals_match_weight_tables(inputs):
     walk = _product_totals_dfs(primes, p, bounds)
     for build in (_product_weights_dfs, _product_weights_sieve):
         assert walk == _grid_totals(build(primes, p, bounds[-1]), bounds)
-    assert _product_totals_sieve(primes, p, bounds) == walk
+    assert totals_sieve(primes, p, bounds) == walk
 
 
 @st.composite
@@ -342,9 +360,10 @@ def test_m_totals_match_weight_tables(inputs):
     # conductor bounds; the weight tables take the discriminant bound
     p, bounds = inputs
     disc_bound = bounds[-1] ** (p - 1)
-    for method, totals in (("dfs", _product_totals_dfs), ("sieve", _product_totals_sieve)):
-        assert _m_totals(p, bounds, totals) == _grid_totals(
-            _m_weights(p, disc_bound, method), bounds), method
+    totals = _m_totals(p, bounds)
+    for method in ("dfs", "sieve"):
+        assert totals == _grid_totals(_m_weights(p, disc_bound, method), bounds), method
+    assert totals == m_totals_sieve(p, bounds)
 
 
 def test_unknown_method_rejected_before_any_work(monkeypatch):
@@ -387,7 +406,7 @@ def test_m_of_x_smallest_fields():
 def test_m_of_x_conductor_hundred():
     # conductors <= 100: eleven single tame primes, 7*13, plus wild 9 and 9*7
     assert M_of_X(3, 10**4) == 16
-    assert _m_totals(3, [100], _product_totals_sieve) == [16]
+    assert m_totals_sieve(3, [100]) == [16]
 
 
 def test_m_of_x_vs_direct_enumeration():
@@ -406,7 +425,7 @@ def test_m_of_x_vs_direct_enumeration():
                     total += len(enumerate_extensions(p, combo))
                 if prod * p * p <= max_f:
                     total += len(enumerate_extensions(p, combo, wild_at_p=True))
-        sieve = _m_totals(p, [max_f], _product_totals_sieve)[0]
+        sieve = m_totals_sieve(p, [max_f])[0]
         assert M_of_X(p, bound) == total == sieve
 
 

@@ -7,12 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from iwakit.ntheory import (
     factorize,
-    inv_mod,
     iroot,
     is_prime,
     is_squarefree,
     legendre,
-    mult_order,
     padic_valuation,
     primitive_root,
     sieve_primes,
@@ -31,6 +29,22 @@ def oracle_is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def mult_order(a: int, m: int) -> int:
+    """Multiplicative order of a modulo m, by repeated multiplication; requires
+    gcd(a, m) = 1.  The oracle for primitive_root and for the splitting exponent
+    of the cyclotomic tower."""
+    if m < 2:
+        raise ValueError(f"modulus must be >= 2, got {m}")
+    a %= m
+    if math.gcd(a, m) != 1:
+        raise ValueError(f"{a} is not a unit modulo {m}")
+    k, x = 1, a
+    while x != 1:
+        x = x * a % m
+        k += 1
+    return k
 
 
 def test_sieve_small_exact():
@@ -402,12 +416,6 @@ def test_iroot_beyond_float_range():
     r = iroot(10**400, 12)
     assert r**12 <= 10**400 < (r + 1) ** 12
     assert iroot(10**408, 12) == 10**34
-
-
-def test_inv_mod():
-    assert inv_mod(3, 7) * 3 % 7 == 1
-    with pytest.raises(ValueError):
-        inv_mod(6, 9)
 
 
 def test_primitive_root():
