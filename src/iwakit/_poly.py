@@ -1,7 +1,9 @@
 """Dense polynomials as coefficient lists, lowest degree first: product,
-difference and value over Z; trim, remainder, monic gcd and x^e mod m over
-F_q, q prime.  Every name is private, so a tracer that wraps the package's
-public functions adds no spans here."""
+difference and value over Z; trim, remainder, gcd and x^e mod m over F_q, q
+prime.  _gcd is the one Euclid over F_q: the number of distinct roots of f in
+F_q is deg gcd(f, x^q - x) (Cohen, GTM 138, 3.4), which both Tate's cubic and
+the psi_3 kernel read.  Every name is private, so a tracer that wraps the
+package's public functions adds no spans here."""
 
 from __future__ import annotations
 
@@ -58,13 +60,23 @@ def _rem(a: list[int], b: list[int], q: int) -> list[int]:
 
 
 def _gcd(a: list[int], b: list[int], q: int) -> list[int]:
-    """The monic gcd of a and b over F_q ([] when both are zero)."""
-    a, b = _trim(a, q), _trim(b, q)
-    while b:
-        a, b = b, _rem(a, b, q)
-    if a:
-        lead = pow(a[-1], -1, q)
-        a = [c * lead % q for c in a]
+    """A gcd of a and b over F_q, not made monic ([] when both are zero).
+    Both inputs are reduced mod q with no zero leading coefficient, as _trim
+    leaves them.  _gcd owns both lists: it overwrites them with the remainders
+    and returns one of them, a itself when b is zero, so callers pass fresh
+    lists."""
+    while b:  # a mod b in place, then swap, until b is zero
+        d = len(b) - 1
+        inv = pow(b[-1], -1, q)
+        for k in range(len(a) - 1, d - 1, -1):
+            c = a[k] * inv % q
+            if c:
+                for j in range(d):
+                    a[k - d + j] = (a[k - d + j] - c * b[j]) % q
+        del a[d:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
     return a
 
 

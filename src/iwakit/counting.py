@@ -23,7 +23,8 @@ the list complete.
 Where only whether 3 divides #E(F_ell) is wanted, as in the density scan and
 report's class counts at p = 3, the trace cache asks _three_divides instead
 at every good ell > 229, in both classes mod 3: Schoof's mod-3 step reads
-the bit off gcd(x^ell - x, psi_3) and stores it as a code, not a_ell.
+the bit off gcd(x^ell - x, psi_3) and stores it as a code, not a_ell.  That
+gcd is _poly._gcd, the one Euclid over F_q, which Tate's algorithm also runs.
 
 Primality is checked at the public entries: count_points, count_points_naive,
 count_points_bsgs, trace_of_frobenius and TraceCache.traces raise ValueError
@@ -39,13 +40,13 @@ import hashlib
 import math
 import os
 import sys
-import tempfile
 from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from pathlib import Path
 
+from ._poly import _gcd
 from .elliptic import BadReductionError, WeierstrassModel, _kept, format_model, minimal_model
 from .ntheory import is_prime, sieve_primes
 
@@ -382,23 +383,8 @@ def _three_divides(A: int, B: int, ell: int) -> bool:
     g = [h0, (h1 - 1) % ell, h2, h3]  # x^ell - x, lowest coefficient first
     while g and not g[-1]:
         g.pop()
-    if g:  # Euclid on (psi_3 / 3, x^ell - x): r mod g, then swap, until g is zero
-        r = [-e0 % ell, -e1 % ell, -e2 % ell, 0, 1]
-        while g:
-            d = len(g) - 1
-            inv = pow(g[-1], -1, ell)
-            for k in range(len(r) - 1, d - 1, -1):
-                c = r[k] * inv % ell
-                if c:
-                    for j in range(d):
-                        r[k - d + j] = (r[k - d + j] - c * g[j]) % ell
-            del r[d:]
-            while r and not r[-1]:
-                r.pop()
-            r, g = g, r
-        roots = len(r) - 1
-    else:  # x^ell = x modulo psi_3 / 3
-        roots = 4
+    r = _gcd([-e0 % ell, -e1 % ell, -e2 % ell, 0, 1], g, ell)  # psi_3 / 3 itself when g is zero
+    roots = len(r) - 1
     if ell % 3 == 2:  # Frobenius is diag(1, -1) or fixes no line
         if roots not in (0, 2):
             raise AssertionError(f"psi_3 has {roots} roots mod {ell}, not 0 or 2")
@@ -595,16 +581,14 @@ class TraceCache:
         if sys.byteorder == "big":
             body = array("h", arr)
             body.byteswap()
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        # a unique name beside the target, made with mode 0666 so that the
+        # kernel applies the umask, as open(path, "w") does
+        tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(body)
                 fh.write(hashlib.sha256(body).digest())
-            # mkstemp makes the file 0600; give it the mode open(path, "w") would,
-            # reading the umask by setting it and setting it back
-            mask = os.umask(0o077)
-            os.umask(mask)
-            os.chmod(tmp, 0o666 & ~mask)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

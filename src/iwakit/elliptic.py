@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from fractions import Fraction
 
-from ._poly import _gcd, _sub, _x_pow_mod
+from ._poly import _gcd, _sub, _trim, _x_pow_mod
 from .ntheory import (
     is_prime,
     is_squarefree,
@@ -297,55 +297,24 @@ def quadratic_twist(model: WeierstrassModel, d: int) -> WeierstrassModel:
 # ---------------------------------------------------------------------------
 
 
-# _cubic_structure enumerates F_q up to here and takes polynomial gcds above:
-# on random monic cubics the two cost the same near q = 400
-_ENUM_CUTOFF = 400
-
-
 def _cubic_structure(c2: int, c1: int, c0: int, q: int) -> tuple[int, int | None, int]:
-    """Root structure of T^3 + c2 T^2 + c1 T + c0 over F_q.
+    """Root structure of f = T^3 + c2 T^2 + c1 T + c0 over F_q.
 
     Returns (number of distinct roots in F_q, a most-repeated root or None,
-    its multiplicity).
+    its multiplicity).  gcd(f, T^q - T) has one linear factor per distinct root
+    in F_q, at every q.  With two roots r and s, the third, -c2 - (r + s), is
+    the repeated one; with one root r, it is triple exactly when f = (T - r)^3.
     """
-
-    def value(t: int) -> int:
-        return (((t + c2) * t + c1) * t + c0) % q
-
-    if q <= _ENUM_CUTOFF:
-        roots = [t for t in range(q) if value(t) == 0]
-        if len(roots) == 3 or not roots:
-            return (len(roots), None, 1)
-
-        def quotient_at(r: int) -> tuple[int, int]:
-            # synthetic division by (T - r): T^2 + d1 T + d0
-            d1 = (c2 + r) % q
-            d0 = (c1 + r * d1) % q
-            return d1, d0
-
-        if len(roots) == 2:
-            for r in roots:
-                d1, d0 = quotient_at(r)
-                if (r * r + d1 * r + d0) % q == 0:
-                    return (2, r, 2)
-            raise AssertionError("two roots but no double root")
-        r = roots[0]
-        d1, d0 = quotient_at(r)
-        if (r * r + d1 * r + d0) % q == 0:
+    f = [c0 % q, c1 % q, c2 % q, 1]
+    g = _gcd(f, _trim(_sub(_x_pow_mod(q, f, q), [0, 1]), q), q)
+    n = len(g) - 1
+    if n == 2:  # g = g2 (T - r)(T - s), so r + s = -g1 / g2
+        return (2, (g[1] * pow(g[2], -1, q) - c2) % q, 2)
+    if n == 1:
+        r = -g[0] * pow(g[1], -1, q) % q
+        if (c2 + 3 * r) % q == (c1 - 3 * r * r) % q == 0:  # f(r) = 0 gives c0 = -r^3
             return (1, r, 3)
-        return (1, None, 1)
-
-    # q beyond enumeration is coprime to 6, so gcd with the derivative works
-    poly = [c0 % q, c1 % q, c2 % q, 1]
-    deriv = [c1 % q, 2 * c2 % q, 3]
-    rep = _gcd(poly, deriv, q)
-    if len(rep) == 1:
-        # one linear factor of gcd(poly, x^q - x) per root in F_q
-        g = _gcd(poly, _sub(_x_pow_mod(q, poly, q), [0, 1]), q)
-        return (len(g) - 1, None, 1)
-    if len(rep) == 2:
-        return (2, (-rep[0]) % q, 2)
-    return (1, (-rep[1]) * pow(2, -1, q) % q, 3)
+    return (n, None, 1)
 
 
 def _quad_split(a: int, b: int, c: int, q: int) -> tuple[str, int | None]:

@@ -153,21 +153,16 @@ def discriminant(ext: CyclicExtension) -> int:
 def _char_value(ext: CyclicExtension, x: int) -> int:
     """Value in Z/p of the defining character at an integer prime to the conductor."""
     p = ext.p
-    total = 0
-    for ell, exp in zip(ext.tame_ramified, ext.exponents):
-        g = primitive_root(ell)
-        # discrete log mod p via the order-p quotient of (Z/ell)*
-        z = pow(g, (ell - 1) // p, ell)
-        h = pow(x, (ell - 1) // p, ell)
-        t = next(t for t in range(p) if pow(z, t, ell) == h)
-        total += exp * t
+    # (modulus m, exponent, index e): the order-p quotient of the cyclic group
+    # (Z/m)* is its e-th powers, for m each tame ell and, when wild, p^2
+    places = [(ell, exp, (ell - 1) // p) for ell, exp in zip(ext.tame_ramified, ext.exponents)]
     if ext.wild_at_p:
-        p2 = p * p
-        g = primitive_root(p2)
-        z = pow(g, p - 1, p2)
-        h = pow(x, p - 1, p2)
-        t = next(t for t in range(p) if pow(z, t, p2) == h)
-        total += ext.wild_exponent * t
+        places.append((p * p, ext.wild_exponent, p - 1))
+    total = 0
+    for m, exp, e in places:  # the discrete log of x^e to the base g^e
+        z = pow(primitive_root(m), e, m)
+        h = pow(x, e, m)
+        total += exp * next(t for t in range(p) if pow(z, t, m) == h)
     return total % p
 
 

@@ -35,7 +35,6 @@ from iwakit.elliptic import (
     model_from_c4c6,
     quadratic_twist,
 )
-from iwakit._poly import _gcd, _sub, _x_pow_mod
 from iwakit.density import asymptotic_report
 from iwakit.eulerchar import division_polynomial
 from iwakit.ntheory import legendre, sieve_primes
@@ -810,11 +809,16 @@ E27 = WeierstrassModel(0, 0, 1, 0, 0)  # (0, 0) is a rational point of order 3
 
 
 def _psi3_roots(minimal, ell):
-    """The degree of gcd(x^ell - x, psi_3) over F_ell, by the generic _poly
-    routines on eulerchar's psi_3 of the short model."""
+    """The degree of gcd(x^ell - x, psi_3) over F_ell for eulerchar's psi_3 of
+    the short model, by this file's own _ppow and _poly_gcd: the kernel's
+    _poly._gcd is checked against a gcd it does not share."""
     A, B = minimal.short
-    psi3 = [c % ell for c in division_polynomial(WeierstrassModel(0, 0, 0, A, B), 3)]
-    return len(_gcd(psi3, _sub(_x_pow_mod(ell, psi3, ell), [0, 1]), ell)) - 1
+    psi3 = division_polynomial(WeierstrassModel(0, 0, 0, A, B), 3)
+    lead = pow(psi3[-1], -1, ell)
+    monic = [c * lead % ell for c in psi3]
+    x_ell = list(_ppow((0, 1, 0, 0), ell, monic, ell))
+    x_ell[1] -= 1
+    return len(_poly_gcd(x_ell, monic, ell)) - 1
 
 
 @given(st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1),
@@ -1365,6 +1369,25 @@ def test_trace_cache_file_mode_follows_umask(tmp_path, umask, mode):
         os.umask(old)
     (path,) = tmp_path.glob("*.traces")
     assert stat.S_IMODE(path.stat().st_mode) == mode
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+def test_trace_cache_store_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # the store never reads the umask by setting it, which would change it for
+    # a moment under every other thread of the process
+    old = os.umask(0o022)
+
+    def forbidden(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", forbidden)
+    try:
+        TraceCache(tmp_path).traces(E99, [5, 7])
+    finally:
+        monkeypatch.undo()
+        os.umask(old)
+    (path,) = tmp_path.glob("*.traces")
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
 
 def test_trace_cache_isomorphic_models_share_key(tmp_path):

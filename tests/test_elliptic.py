@@ -485,7 +485,7 @@ def test_potential_good_reduction_against_valuations(q):
 
 
 def test_tate_large_prime_paths():
-    # q above _ENUM_CUTOFF exercises the polynomial-gcd branches
+    # Tate's algorithm at a large q agrees with the valuation table
     q = 1009
     for alpha, beta, a, b in [(1, 1, 1, 1), (2, 2, 1, 1), (2, 3, 1, 1), (2, 3, 2, 2),
                               (3, 4, 1, 1), (3, 5, 1, 2), (4, 5, 1, 1), (1, 2, 0, 1)]:
@@ -498,23 +498,39 @@ def test_tate_large_prime_paths():
         assert rd.kodaira == kodaira_from_valuations(rd.v_disc, rd.v_c4)
 
 
-@pytest.mark.parametrize("q", [397, 401])
-def test_cubic_structure_branches_agree(monkeypatch, q):
-    # primes either side of the cutoff; each branch is forced in turn
-    assert 397 <= elliptic._ENUM_CUTOFF < 401
+def cubic_structure_by_enumeration(c2, c1, c0, q):
+    """_cubic_structure's oracle: every t in F_q is tried, and a root r is
+    repeated when the quotient by T - r vanishes at r."""
+    roots = [t for t in range(q) if (((t + c2) * t + c1) * t + c0) % q == 0]
+    if len(roots) == 3 or not roots:
+        return (len(roots), None, 1)
+    for r in roots:
+        d1 = (c2 + r) % q
+        d0 = (c1 + r * d1) % q  # f = (T - r)(T^2 + d1 T + d0)
+        if (r * r + d1 * r + d0) % q == 0:
+            return (len(roots), r, 4 - len(roots))
+    assert len(roots) == 1, "two roots but no double root"
+    return (1, None, 1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+def test_cubic_structure_every_cubic_against_enumeration(q):
+    for c in [(c2, c1, c0) for c2 in range(q) for c1 in range(q) for c0 in range(q)]:
+        assert elliptic._cubic_structure(*c, q) == cubic_structure_by_enumeration(*c, q), c
+
+
+@pytest.mark.parametrize("q", [397, 401, 10007])
+def test_cubic_structure_against_enumeration(q):
     rng = random.Random(q)
-    cubics = [(rng.randrange(q), rng.randrange(q), rng.randrange(q)) for _ in range(200)]
+    cubics = [(rng.randrange(q), rng.randrange(q), rng.randrange(q)) for _ in range(100)]
     for _ in range(20):
         r, s = rng.randrange(q), rng.randrange(q)
         cubics.append(((-2 * r - s) % q, (r * r + 2 * r * s) % q, -r * r * s % q))  # (T-r)^2 (T-s)
         cubics.append((-3 * r % q, 3 * r * r % q, -(r**3) % q))  # (T-r)^3
-    by_branch = []
-    for cutoff in (q, q - 1):  # enumeration, then gcd
-        monkeypatch.setattr(elliptic, "_ENUM_CUTOFF", cutoff)
-        by_branch.append([elliptic._cubic_structure(*c, q) for c in cubics])
-    assert by_branch[0] == by_branch[1]
-    assert {mult for _, _, mult in by_branch[0]} == {1, 2, 3}
-    assert {n for n, _, mult in by_branch[0] if mult == 1} == {0, 1, 3}
+    found = [elliptic._cubic_structure(*c, q) for c in cubics]
+    assert found == [cubic_structure_by_enumeration(*c, q) for c in cubics]
+    assert {mult for _, _, mult in found} == {1, 2, 3}
+    assert {n for n, _, mult in found if mult == 1} == {0, 1, 3}
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Dense polynomial helpers over F_q, checked by evaluation at every x in F_q.
 
-Tate's algorithm reaches these helpers only above its enumeration cutoff, so
-here they run directly on small primes q, where every residue can be tried.
+Tate's algorithm and the psi_3 kernel reach _gcd at large q; here the
+helpers run directly on small primes q, where every residue can be tried.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -46,9 +46,10 @@ def test_rem_gcd_and_x_pow_mod_by_evaluation(inputs, r0):
     r0 = r0[: len(m) - 1]
     assert _rem(_sub(_mul(m, a), [-c for c in r0]), m, q) == _trim(r0, q)
 
-    g = _gcd(a, b, q)
+    # _gcd takes inputs reduced by _trim and overwrites them, so it gets copies
+    g = _gcd(_trim(a, q), _trim(b, q), q)
     if _trim(a, q) or _trim(b, q):
-        assert g and g[-1] == 1
+        assert g == _trim(g, q)  # reduced, with a unit leading coefficient; not made monic
         assert _rem(a, g, q) == [] and _rem(b, g, q) == []
         assert _roots(g, q) == _roots(a, q) & _roots(b, q)
     else:
@@ -58,7 +59,7 @@ def test_rem_gcd_and_x_pow_mod_by_evaluation(inputs, r0):
     assert len(frob) < len(m)
     assert all((_value(frob, x) - x) % q == 0 for x in roots)  # x^q = x on F_q
     # gcd(m, x^q - x) has one linear factor per distinct root of m in F_q
-    assert len(_gcd(m, _sub(frob, [0, 1]), q)) - 1 == len(roots)
+    assert len(_gcd(_trim(m, q), _trim(_sub(frob, [0, 1]), q), q)) - 1 == len(roots)
 
 
 @settings(max_examples=100, deadline=None)
