@@ -309,29 +309,15 @@ def _sharing_count(ext: CyclicExtension) -> int:
 
 
 def _cmd_euler_char(args: argparse.Namespace) -> int:
-    from .eulerchar import euler_char_factors, euler_factors_record
-    from .refdata import ingest_reference, reference_record
+    from .eulerchar import _euler_factors, euler_factors_record
+    from .refdata import ingest_reference
 
     dataset = ingest_reference(args.reference) if args.reference else None
     minimal, _ = minimal_model(args.curve)
-    record = reference_record(minimal, args.p, dataset=dataset)
-    sha_order = None
-    sha_explicit = args.sha is not None
-    if sha_explicit and args.sha != "unknown":
-        sha_order = int(args.sha)
-    rank_zero = args.analytic_rank_zero
-    source_note = None
-    if record is not None:
-        if not sha_explicit and record["sha_p_order"] != "unknown":
-            sha_order = record["sha_p_order"]
-        if rank_zero is None:
-            rank_zero = record["analytic_rank"] == 0
-        source_note = record["source_note"]
-    # reference resolution already happened here, against the chosen dataset
-    factors = euler_char_factors(
-        args.curve, args.p, sha_order=sha_order,
-        analytic_rank_zero=rank_zero, use_reference=False,
-    )
+    sha_order = args.sha if args.sha in (None, "unknown") else int(args.sha)
+    check_odd_prime(args.p)
+    factors, record = _euler_factors(
+        minimal, args.p, sha_order, args.analytic_rank_zero, dataset)
     payload = {
         "subcommand": "euler-char",
         **_curve_keys(args.curve, minimal),
@@ -340,7 +326,7 @@ def _cmd_euler_char(args: argparse.Namespace) -> int:
         "external": {
             "analytic_rank_zero": factors.analytic_rank_zero,
             "sha_p_order": factors.sha_p_order,
-            "source_note": source_note,
+            "source_note": None if record is None else record["source_note"],
         },
     }
     _emit(payload, args.out)

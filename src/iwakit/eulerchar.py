@@ -294,46 +294,48 @@ def euler_char_factors(
     model: WeierstrassModel,
     p: int,
     *,
-    sha_order: int | None = None,
+    sha_order: int | str | None = None,
     analytic_rank_zero: bool | None = None,
-    use_reference: bool = True,
+    dataset: tuple[dict, ...] | None = None,
 ) -> EulerFactors:
     """Assemble the factors of the Euler-characteristic product.
 
-    Analytic inputs default to the bundled reference data unless
-    use_reference is off; the analytic rank is required, the sha order may
-    stay unknown and propagates as such.
+    An analytic input left as None is read from the reference record for the
+    curve and p in dataset: the bundled records when dataset is None, no
+    record when it is ().  The analytic rank is required; sha_order="unknown"
+    keeps the sha order unknown whatever the record holds.
     """
     check_odd_prime(p)
+    if sha_order not in (None, "unknown") and type(sha_order) is not int:
+        raise ValueError(f"sha order must be an integer or 'unknown', got {sha_order!r}")
     minimal, _ = minimal_model(model)
-    if sha_order is None and analytic_rank_zero is None and use_reference:
-        return _default_euler_factors(minimal, p)
-    return _euler_factors(minimal, p, sha_order, analytic_rank_zero, use_reference)
+    if sha_order is None and analytic_rank_zero is None and dataset is None:
+        return _default_euler_factors(minimal, p)[0]
+    if sha_order is not None and analytic_rank_zero is not None:
+        dataset = ()  # no input is left for a record to fill in
+    return _euler_factors(minimal, p, sha_order, analytic_rank_zero, dataset)[0]
 
 
-def _default_euler_factors(minimal: WeierstrassModel, p: int) -> EulerFactors:
-    """_euler_factors on the reference data alone.  Its outcome, the factors or
-    the error that stopped the audit, is kept on the minimal model per p, so a
-    report and its hypothesis audit share one run."""
+def _default_euler_factors(minimal: WeierstrassModel, p: int) -> tuple[EulerFactors, dict | None]:
+    """_euler_factors on the bundled reference data alone.  Its outcome, the
+    factors and record or the error that stopped the audit, is kept on the
+    minimal model per p, so a report and its hypothesis audit share one run."""
     return _kept(minimal, f"_euler_factors_{p}", _euler_factors, minimal, p)
 
 
-def _euler_factors(
-    minimal: WeierstrassModel,
-    p: int,
-    sha_order: int | None = None,
-    analytic_rank_zero: bool | None = None,
-    use_reference: bool = True,
-) -> EulerFactors:
-    """euler_char_factors on a minimal model, past the checks of the public entry."""
+def _euler_factors(minimal: WeierstrassModel, p: int, sha_order: int | str | None = None,
+                   analytic_rank_zero: bool | None = None,
+                   dataset: tuple[dict, ...] | None = None) -> tuple[EulerFactors, dict | None]:
+    """euler_char_factors on a minimal model, past its checks, and the record it
+    read, or None: the one place where a record fills in the inputs left out.
+    The record is read, whatever the inputs, unless dataset is ()."""
     twist = _ordinary_twist(minimal, p)
-    if use_reference and (sha_order is None or analytic_rank_zero is None):
-        rec = reference_record(minimal, p)
-        if rec is not None:
-            if analytic_rank_zero is None:
-                analytic_rank_zero = rec["analytic_rank"] == 0
-            if sha_order is None and rec["sha_p_order"] != "unknown":
-                sha_order = rec["sha_p_order"]
+    rec = None if dataset == () else reference_record(minimal, p, dataset=dataset)
+    if rec is not None:
+        if analytic_rank_zero is None:
+            analytic_rank_zero = rec["analytic_rank"] == 0
+        if sha_order is None:
+            sha_order = rec["sha_p_order"]
     if analytic_rank_zero is None:
         raise HypothesisNotMetError(
             "analytic rank is an external input: none supplied and no reference record"
@@ -346,14 +348,14 @@ def _euler_factors(
     status = "prime_to_p_implied" if count % p != 0 else "unknown"
     return EulerFactors(
         p=p,
-        sha_p_order=sha_order,
+        sha_p_order=None if sha_order == "unknown" else sha_order,
         frak_F_count=count,
         pi_image_status=status,
         tamagawa_product=tamagawa_product_away_from(minimal, p),
         ordinary=True,
         analytic_rank_zero=True,
         torsion_free_at_p=True,
-    )
+    ), rec
 
 
 def mu_lambda_vanish(ef: EulerFactors) -> str:

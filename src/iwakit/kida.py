@@ -192,7 +192,7 @@ def check_hypotheses(
     base = mu_lambda_zero_at_base
     if base is None:
         try:
-            base = _BASE_FLAG.get(mu_lambda_vanish(_default_euler_factors(minimal, p)))
+            base = _BASE_FLAG.get(mu_lambda_vanish(_default_euler_factors(minimal, p)[0]))
         except ValueError:
             pass  # the Euler-characteristic audit does not apply: base stays open
     return HypothesisReport(

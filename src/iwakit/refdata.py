@@ -2,8 +2,8 @@
 
 Each record carries the analytic rank, the p-part of the Tate-Shafarevich
 order, and the base cyclotomic mu/lambda for one (curve, p) pair, together
-with a source note; values are looked up by the minimal model so any
-integral model of the same curve matches.  External values are data, never
+with a source note.  A record is keyed by its curve's minimal model, so any
+integral model of a curve matches.  External values are data, never
 computed, and whoever consumes them should echo the source note.
 """
 
@@ -13,9 +13,13 @@ import json
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .elliptic import WeierstrassModel, format_model, minimal_model, parse_model
 from .ntheory import _is_p_power, is_prime
+
+if TYPE_CHECKING:
+    from importlib.abc import Traversable
 
 __all__ = ["ingest_reference", "load_reference", "reference_record"]
 
@@ -29,6 +33,16 @@ RECORD_FIELDS = (
     "source_note",
 )
 
+_KEYS: dict[str, str] = {}  # curve text -> its minimal model's text, which is its own key
+
+
+def _curve_key(curve: str) -> str:
+    """The minimal model of a record's curve, formatted: what a lookup matches.
+    Raises ValueError if the curve is malformed, singular or cannot be minimized."""
+    if curve not in _KEYS:
+        _KEYS[curve] = format_model(minimal_model(parse_model(curve))[0])
+    return _KEYS[curve]
+
 
 def _validate_record(rec: dict) -> None:
     if not isinstance(rec, dict):
@@ -38,7 +52,7 @@ def _validate_record(rec: dict) -> None:
             raise ValueError(f"reference record missing {key!r}: {rec}")
     if not isinstance(rec["curve"], str):
         raise ValueError(f"field 'curve' must be a string, got {repr(rec['curve'])[:40]}")
-    parse_model(rec["curve"])  # must be well-formed and nonsingular
+    _curve_key(rec["curve"])  # well-formed, nonsingular and minimizable; kept for lookups
     # JSON true and false load as bool, a subclass of int: type() keeps them out
     p = rec["p"]
     if type(p) is not int or not is_prime(p) or p == 2:
@@ -57,32 +71,36 @@ def _validate_record(rec: dict) -> None:
         raise ValueError("field 'source_note' must be a nonempty string")
 
 
-def ingest_reference(path: str | Path) -> tuple[dict, ...]:
-    """Load and validate an external reference dataset."""
-    records = json.loads(Path(path).read_text(encoding="utf-8"))
+def ingest_reference(path: str | Path | Traversable) -> tuple[dict, ...]:
+    """Load and validate a reference dataset, a JSON array of records with at
+    most one record per curve and p."""
+    source = Path(path) if isinstance(path, str) else path
+    records = json.loads(source.read_text(encoding="utf-8"))
     if not isinstance(records, list):
         raise ValueError("reference dataset must be a JSON array of records")
+    seen = set()
     for rec in records:
         _validate_record(rec)
+        if (pair := (_curve_key(rec["curve"]), rec["p"])) in seen:
+            raise ValueError(f"two reference records for curve {pair[0]} at p = {pair[1]}")
+        seen.add(pair)
     return tuple(records)
 
 
 @lru_cache(maxsize=1)
 def load_reference() -> tuple[dict, ...]:
-    path = resources.files("iwakit").joinpath("data/reference_curves.json")
-    records = json.loads(path.read_text(encoding="utf-8"))
-    for rec in records:
-        _validate_record(rec)
-    return tuple(records)
+    """The bundled dataset, ingested once per process."""
+    return ingest_reference(resources.files("iwakit").joinpath("data/reference_curves.json"))
 
 
 def reference_record(
     model: WeierstrassModel, p: int, *, dataset: tuple[dict, ...] | None = None
 ) -> dict | None:
-    """The record for this curve and p, or None; bundled data by default."""
-    minimal, _ = minimal_model(model)
-    key = format_model(minimal)
-    for rec in dataset if dataset is not None else load_reference():
-        if rec["curve"] == key and rec["p"] == p:
+    """The record for this curve and p, or None: the bundled records when
+    dataset is None, no record when it is ()."""
+    key = format_model(minimal_model(model)[0])
+    _KEYS[key] = key  # so a record written as this minimal model is not minimized again
+    for rec in load_reference() if dataset is None else dataset:
+        if rec["p"] == p and _curve_key(rec["curve"]) == key:
             return rec
     return None

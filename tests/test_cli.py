@@ -24,8 +24,11 @@ from iwakit.cli import EXIT_BLOCKED, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, build_pa
 E99 = "0,0,1,-3,-5"
 # stdout, stderr and exit code of kida, report and euler-char on E99, its u = 2
 # rescaling, E11 and the j = 0 curve 0,0,1,0,0 (exit 3), recorded before the
-# per-curve audit was merged into one pass
-GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
+# per-curve audit was merged into one pass; then euler-char's --sha,
+# --analytic-rank-zero and --reference flags, recorded before the CLI's copy
+# of the reference-data rule left it. A --reference path is relative to tests/
+TESTS = Path(__file__).parent
+GOLDEN = json.loads((TESTS / "cli_golden.json").read_text(encoding="utf-8"))
 
 
 def _run(capsys, argv):
@@ -429,7 +432,9 @@ def test_report_unfactorable_discriminant(capsys):
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
 def test_golden_output(capsys, monkeypatch, case):
     monkeypatch.delenv("IWAKIT_CACHE_DIR", raising=False)
-    code = main(case["argv"])
+    argv = case["argv"]
+    code = main([str(TESTS / arg) if flag == "--reference" else arg
+                 for flag, arg in zip([None, *argv], argv)])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])
 
@@ -498,12 +503,16 @@ def _count_calls(monkeypatch, functions) -> Counter:
     (["report", "--curve", "0,0,1,-93,625", "--p", "3", "--ramified", "31", "--jobs", "1",
       "--bound", "50"],
      {"euler_char_factors": 1, "reference_record": 1}),
+    # one read of the record gives the audit its inputs and the handler its note
+    (["euler-char", "--curve", E99, "--p", "3"],
+     {"_euler_factors": 1, "reference_record": 1}),
 ])
 def test_one_audit_per_call(capsys, monkeypatch, argv, bounds):
     # one twist decision and one Euler-characteristic audit per call
     counts = _count_calls(monkeypatch, [
         elliptic.minimal_model, elliptic.reduction_type, elliptic.quadratic_twist,
-        elliptic.local_data, eulerchar.euler_char_factors, refdata.reference_record,
+        elliptic.local_data, eulerchar.euler_char_factors, eulerchar._euler_factors,
+        refdata.reference_record,
         kida.check_hypotheses, kida.lambda_transfer,
     ])
     assert _run(capsys, argv)[0] == EXIT_OK

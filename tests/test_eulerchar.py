@@ -221,6 +221,39 @@ def test_euler_char_factors_hypothesis_errors():
         euler_char_factors(torsion_curve, 3, analytic_rank_zero=True)
 
 
+def test_euler_char_factors_without_records():
+    # dataset=() holds no record, so the bundled one for E99 at 3 is not read
+    with pytest.raises(HypothesisNotMetError, match="no reference record"):
+        euler_char_factors(E99, 3, dataset=())
+    ef = euler_char_factors(E99, 3, analytic_rank_zero=True, dataset=())
+    assert ef.sha_p_order is None
+
+
+def test_unknown_sha_order_overrides_the_record():
+    # the bundled record gives 1; the record format's "unknown" keeps it unknown
+    ef = euler_char_factors(E99, 3, sha_order="unknown")
+    assert ef.sha_p_order is None
+    assert ef.analytic_rank_zero is True
+    assert mu_lambda_vanish(ef) == "unresolved"
+
+
+def test_both_inputs_given_reads_no_record(monkeypatch):
+    def no_lookup(*args, **kwargs):
+        raise AssertionError("reference_record called")
+
+    monkeypatch.setattr(eulerchar, "reference_record", no_lookup)
+    ef = euler_char_factors(E99, 3, sha_order=3, analytic_rank_zero=True)
+    assert ef.sha_p_order == 3
+    assert mu_lambda_vanish(ef) == "nonzero"
+    assert euler_char_factors(E99, 3, sha_order="unknown", analytic_rank_zero=True).sha_p_order is None
+
+
+@pytest.mark.parametrize("sha_order", ["1", "abc", "", 1.0, True])
+def test_sha_order_is_an_integer_or_unknown(sha_order):
+    with pytest.raises(ValueError, match="integer or 'unknown'"):
+        euler_char_factors(E99, 3, sha_order=sha_order)
+
+
 def test_tamagawa_product():
     assert tamagawa_product_away_from(E99, 3) == 1  # c_11 = 1
     assert tamagawa_product_away_from(E11, 3) == 5  # c_11 = 5, p = 3 spectator

@@ -1,6 +1,7 @@
 """Reference dataset loading, validation, and minimal-model lookup."""
 
 import json
+import zipfile
 
 import pytest
 
@@ -48,7 +49,7 @@ def test_bundled_dataset_loads_and_validates():
     assert "LMFDB" in rec["source_note"]
 
 
-def test_lookup_matches_any_integral_model():
+def test_lookup_matches_any_integral_model(tmp_path, capsys):
     direct = reference_record(E99, 3)
     assert direct is not None and direct["curve"] == "0,0,1,-3,-5"
     # same curve scaled by u = 2: a_i -> u^i a_i
@@ -56,6 +57,55 @@ def test_lookup_matches_any_integral_model():
     assert reference_record(scaled, 3) == direct
     assert reference_record(E99, 5) is None
     assert reference_record(E37, 3) is None
+    # a record is keyed by its curve's minimal model, not by its text: E99
+    # written scaled by u = 2, translated by x -> x + 1, and with spaces
+    for curve in ("0,0,8,-48,-320", "0,3,1,0,-7", " 0, 0, 1, -3, -5"):
+        path = _write(tmp_path, [_record(curve=curve)])
+        dataset = ingest_reference(path)
+        assert reference_record(E99, 3, dataset=dataset) == dataset[0]
+        assert reference_record(scaled, 3, dataset=dataset) == dataset[0]
+        assert reference_record(E37, 3, dataset=dataset) is None
+        assert main(["euler-char", "--curve", "0,0,1,-3,-5", "--p", "3", "--reference", path]) == 0
+        assert json.loads(capsys.readouterr().out)["external"]["source_note"] == "test fixture"
+
+
+def test_record_that_cannot_be_minimized_is_an_ingest_error(tmp_path, capsys):
+    # gcd(c4, c6) has two 20-digit prime factors, so no minimal model is found
+    a6 = 10000000000000000051 * 30000000000000000041
+    path = _write(tmp_path, [_record(curve=f"0,0,0,{a6},{a6}")])
+    with pytest.raises(ValueError, match="cannot factor"):
+        ingest_reference(path)
+    assert main(["euler-char", "--curve", "0,0,1,-3,-5", "--p", "3", "--reference", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot factor")
+
+
+def test_two_records_for_one_curve_and_p_are_an_ingest_error(tmp_path, capsys):
+    # E99 and its u = 2 model are one curve: which record a lookup used would
+    # depend on their order in the file
+    path = _write(tmp_path, [
+        _record(source_note="a"),
+        _record(curve="0,0,8,-48,-320", analytic_rank=1, sha_p_order=3, source_note="b"),
+    ])
+    with pytest.raises(ValueError, match="two reference records for curve 0,0,1,-3,-5 at p = 3"):
+        ingest_reference(path)
+    assert main(["euler-char", "--curve", "0,0,8,-48,-320", "--p", "3", "--reference", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: two reference records")
+    # one curve at two primes is two records
+    assert len(ingest_reference(_write(tmp_path, [_record(), _record(p=5)]))) == 2
+
+
+def test_ingest_reads_a_dataset_inside_a_zip(tmp_path):
+    # importlib.resources hands the bundled file over as a Traversable, which
+    # is no filesystem path when the package is imported from a zip
+    archive = tmp_path / "refs.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        zf.writestr("refs.json", json.dumps([_record()]))
+    (rec,) = ingest_reference(zipfile.Path(archive, "refs.json"))
+    assert reference_record(E99, 3, dataset=(rec,)) == rec
 
 
 def test_ingest_and_dataset_lookup(tmp_path):
