@@ -1,8 +1,9 @@
 """Dense polynomials as coefficient lists, lowest degree first: product,
 difference and value over Z; trim, remainder, gcd and x^e mod m over F_q, q
-prime.  _gcd is the one Euclid over F_q: the number of distinct roots of f in
-F_q is deg gcd(f, x^q - x) (Cohen, GTM 138, 3.4), which both Tate's cubic and
-the psi_3 kernel read.  Every name is private, so a tracer that wraps the
+prime.  The number of distinct roots of f in F_q is deg gcd(f, x^q - x)
+(Cohen, GTM 138, 3.4), which Tate's cubic reads through _gcd; the psi_3
+kernel takes its gcd in closed form (counting._quartic_gcd), and the tests
+check that against _gcd.  Every name is private, so a tracer that wraps the
 package's public functions adds no spans here."""
 
 from __future__ import annotations

@@ -12,10 +12,13 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .counting import (
+    _MESTRE_BOUND,
     _THREE_DIVIDES,
     FrobeniusData,
     TraceCache,
     _count_points,
+    _good_model_at,
+    _three_divides,
     order_over_extension,
 )
 from .elliptic import WeierstrassModel, minimal_model
@@ -127,10 +130,18 @@ def p2_membership(model: WeierstrassModel, p: int, ell: int, f: int) -> bool:
     The kernel of reduction at a place over ell is pro-ell, and the orders of
     the Frobenius eigenvalues mod p are prime to p, so torsion growth anywhere
     up the p-tower is already visible at the base residue field F_{ell^f}.
+
+    At p = 3, f = 1 and ell > 229 the bit is read off psi_3 by
+    counting._three_divides, in time polynomial in the digits of ell; every
+    other (p, ell, f) counts #E(F_ell) and takes a_ell through the trace
+    recurrence, by BSGS above 229, which grows as ell^(1/4).
     """
     _check_primes(p, ell)
     if f < 1:
         raise ValueError(f"residue degree must be >= 1, got {f}")
+    if p == 3 and f == 1 and ell > _MESTRE_BOUND:
+        # a model that is bad at ell is minimized, as the count below would
+        return _three_divides(*_good_model_at(model, ell).short, ell)
     # point counting minimizes a model that is bad at ell; _check_primes has
     # tested ell, so it is counted without a second primality test
     a_ell = ell + 1 - _count_points(model, ell)

@@ -207,6 +207,13 @@ def _class_counts(verdicts: Iterable[tuple[str, bool]]) -> dict:
     return counts
 
 
+# the most fields enumerate-fields lists, (p - 1)^(k - 1) over k ramified
+# places with the wild one: 2^17 fields, p = 3 at 18 places, took 5.9-6.8 s,
+# 146 MB of RSS and printed 79 MB on a 2-core box, and twice the fields doubles
+# all three
+FIELD_BUDGET = 2**17
+
+
 def _check_bound(bound: int) -> None:
     # the same budget as a density grid: classification sieves to the bound
     if bound > GRID_BUDGET:
@@ -337,6 +344,10 @@ def _cmd_enumerate_fields(args: argparse.Namespace) -> int:
     from .fields import count_extensions, enumerate_extensions, extension_record
 
     primes = args.ramified or ()
+    tame_count = count_extensions(args.p, primes) if primes else 0  # checks p and the primes
+    places = len(primes) + args.wild
+    if places and (args.p - 1) ** (places - 1) > FIELD_BUDGET:
+        raise ValueError(f"({args.p} - 1)^{places - 1} fields exceed the budget {FIELD_BUDGET}")
     fields = enumerate_extensions(args.p, primes, wild_at_p=args.wild)
     payload = {
         "subcommand": "enumerate-fields",
@@ -344,7 +355,7 @@ def _cmd_enumerate_fields(args: argparse.Namespace) -> int:
         "ramified": list(primes),
         "wild_at_p": args.wild,
         "count": len(fields),
-        "tame_count_formula": count_extensions(args.p, primes) if primes else 0,
+        "tame_count_formula": tame_count,
         "fields": [extension_record(ext) for ext in fields],
     }
     _emit(payload, args.out)
@@ -485,7 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON reference dataset replacing the bundled one")
     euler.set_defaults(func=_cmd_euler_char)
 
-    fields = sub.add_parser("enumerate-fields", help="cyclic degree-p fields by ramification")
+    fields = sub.add_parser(
+        "enumerate-fields", help="cyclic degree-p fields by ramification",
+        description=f"List the (p - 1)^(k - 1) cyclic degree-p fields ramified exactly at "
+                    f"k places, the wild one counted; more than {FIELD_BUDGET} exits 1.")
     _add_common(fields, curve=False)
     _add_extension(fields)
     fields.set_defaults(func=_cmd_enumerate_fields)

@@ -20,11 +20,12 @@ root, so #E and #E' are both even: a draw P then searches the annihilators of
 2P over the halved Hasse interval and doubles them (Cohen 7.4.3), which keeps
 the list complete.
 
-Where only whether 3 divides #E(F_ell) is wanted, as in the density scan and
-report's class counts at p = 3, the trace cache asks _three_divides instead
-at every good ell > 229, in both classes mod 3: Schoof's mod-3 step reads
-the bit off gcd(x^ell - x, psi_3) and stores it as a code, not a_ell.  That
-gcd is _poly._gcd, the one Euclid over F_q, which Tate's algorithm also runs.
+Where only whether 3 divides #E(F_ell) is wanted, as in the density scan,
+report's class counts and the P2 witness of kida at p = 3, _three_divides
+answers at every good ell > 229, in both classes mod 3: Schoof's mod-3 step
+reads the bit off gcd(x^ell - x, psi_3), and the trace cache stores it as a
+code, not a_ell.  _quartic_gcd takes that gcd in straight-line code, Euclid's
+steps in closed form for the depressed quartic psi_3 / 3, with no lists.
 
 Primality is checked at the public entries: count_points, count_points_naive,
 count_points_bsgs, trace_of_frobenius and TraceCache.traces raise ValueError
@@ -46,7 +47,6 @@ from functools import partial
 from itertools import islice
 from pathlib import Path
 
-from ._poly import _gcd
 from .elliptic import BadReductionError, WeierstrassModel, _kept, format_model, minimal_model
 from .ntheory import is_prime, sieve_primes
 
@@ -329,6 +329,50 @@ def _mul_mod_quartic(u, v, e0, e1, e2, ell):
     return (u0 * v0 + e0 * s4) % ell, s1 % ell, s2 % ell, s3 % ell
 
 
+def _quartic_gcd(e0, e1, e2, c0, c1, c2, c3, ell):
+    """(d, x0): d is the degree of gcd(f, c) over F_ell, for the depressed
+    quartic f = x^4 - e2 x^2 - e1 x - e0 and c = c0 + c1 x + c2 x^2 + c3 x^3,
+    all coefficients reduced mod ell; x0 is the root when d = 1, else None.
+    With c = x^ell - x mod f, d counts the distinct roots of f in F_ell.
+
+    Euclid's steps in closed form, each divisor made monic by one inversion:
+    f mod c when c is a cubic or a quadratic, then c mod that remainder when
+    it is a quadratic, until a remainder r1 x + r0 of degree <= 1 is left
+    beside a monic divisor u.  Then the gcd is u when r1 = r0 = 0, 1 when
+    r1 = 0 != r0, and x - x0 with x0 = -r0/r1 exactly when u(x0) = 0.
+    """
+    if c3:  # f mod c by x^3 = -a x^2 - b x - k
+        inv = pow(c3, -1, ell)
+        a, b, k = c2 * inv % ell, c1 * inv % ell, c0 * inv % ell
+        q2, q1, q0 = (a * a - b - e2) % ell, (a * b - k - e1) % ell, (a * k - e0) % ell
+        if q2:  # c mod (f mod c) by x^2 = -s x - t
+            inv = pow(q2, -1, ell)
+            s, t = q1 * inv % ell, q0 * inv % ell
+            r1, r0 = (s * s - t - a * s + b) % ell, (s * t - a * t + k) % ell
+            degree, u = 2, (t, s)
+        else:
+            r1, r0 = q1, q0
+            degree, u = 3, (k, b, a)
+    elif c2:  # f mod c by x^2 = -s x - t, so x^4 = (2st - s^3) x + t^2 - s^2 t
+        inv = pow(c2, -1, ell)
+        s, t = c1 * inv % ell, c0 * inv % ell
+        r1 = (2 * s * t - s * s * s + e2 * s - e1) % ell
+        r0 = (t * t - s * s * t + e2 * t - e0) % ell
+        degree, u = 2, (t, s)
+    elif c1:
+        r1, r0 = c1, c0
+        degree, u = 4, (-e0, -e1, -e2, 0)
+    else:  # c is a constant: f itself when it is 0, else a unit
+        return (0, None) if c0 else (4, None)
+    if not r1:
+        return (0, None) if r0 else (degree, None)
+    x0 = -r0 * pow(r1, -1, ell) % ell
+    value = 1  # u(x0), u monic of the given degree
+    for coeff in reversed(u):
+        value = value * x0 + coeff
+    return (1, x0) if value % ell == 0 else (0, None)
+
+
 def _three_divides(A: int, B: int, ell: int) -> bool:
     """Whether 3 divides #E(F_ell) for E: y^2 = x^3 + Ax + B, read off the
     3-division polynomial alone (Schoof's mod-l step at l = 3).  ell is a prime
@@ -380,11 +424,7 @@ def _three_divides(A: int, B: int, ell: int) -> bool:
             h0, h1, h2, h3 = e0 * s3 % ell, (s0 + e1 * s3) % ell, (s1 + e2 * s3) % ell, s2 % ell
         else:
             h0, h1, h2, h3 = s0 % ell, s1 % ell, s2 % ell, s3 % ell
-    g = [h0, (h1 - 1) % ell, h2, h3]  # x^ell - x, lowest coefficient first
-    while g and not g[-1]:
-        g.pop()
-    r = _gcd([-e0 % ell, -e1 % ell, -e2 % ell, 0, 1], g, ell)  # psi_3 / 3 itself when g is zero
-    roots = len(r) - 1
+    roots, x0 = _quartic_gcd(e0, e1, e2, h0, (h1 - 1) % ell, h2, h3, ell)  # x^ell - x
     if ell % 3 == 2:  # Frobenius is diag(1, -1) or fixes no line
         if roots not in (0, 2):
             raise AssertionError(f"psi_3 has {roots} roots mod {ell}, not 0 or 2")
@@ -403,7 +443,6 @@ def _three_divides(A: int, B: int, ell: int) -> bool:
         return False
     if roots != 1:
         raise AssertionError(f"psi_3 has {roots} roots mod {ell}, not 0, 1 or 4")
-    x0 = -r[0] * pow(r[1], -1, ell) % ell
     return pow((x0 * x0 + a) * x0 + b, (ell - 1) // 2, ell) == 1
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iwakit import counting
+from iwakit import classify, counting
 from iwakit.classify import (
     CyclotomicSplitting,
     PrimeClass,
@@ -19,12 +19,13 @@ from iwakit.classify import _distinguished_primes
 from iwakit.counting import (
     TraceCache,
     _count_points,
+    count_points,
     count_points_naive,
     frobenius_data,
     order_over_extension,
 )
 from iwakit.elliptic import SingularCurveError, WeierstrassModel, minimal_model, reduction_type
-from iwakit.ntheory import padic_valuation, sieve_primes
+from iwakit.ntheory import is_prime, padic_valuation, sieve_primes
 from test_ntheory import mult_order
 
 E99 = WeierstrassModel(0, 0, 1, -3, -5)
@@ -90,6 +91,73 @@ def test_p2_membership_tests_ell_for_primality_once(monkeypatch):
 
     monkeypatch.setattr(counting, "is_prime", fail)
     assert [p2_membership(E99, 3, ell, f) for ell in ells for f in (1, 2)] == expected
+
+
+PRIMES_ABOVE_229 = [ell for ell in sieve_primes(10**5) if ell > 229]
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+# a prime of each of 12 to 15 digits, where BSGS still ends in well under a second
+LARGE_PRIMES = [_next_prime(random.Random(digits).randrange(10 ** (digits - 1), 10**digits))
+                for digits in (12, 13, 14, 15)]
+
+
+@given(st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1),
+       st.integers(-3000, 3000), st.integers(-3000, 3000), st.sampled_from(PRIMES_ABOVE_229))
+@settings(deadline=None, max_examples=150)
+def test_p2_membership_at_p3_equals_the_trace_path(a1, a2, a3, a4, a6, ell):
+    # p = 3, f = 1 and ell > 229 read psi_3; the a_ell path is the oracle
+    try:
+        model = WeierstrassModel(a1, a2, a3, a4, a6)
+    except SingularCurveError:
+        return
+    if minimal_model(model)[0].disc % ell == 0:
+        return
+    expected = order_over_extension(frobenius_data(model, ell), 1) % 3 == 0
+    assert p2_membership(model, 3, ell, 1) is expected
+
+
+@pytest.mark.parametrize("ell", LARGE_PRIMES)
+def test_p2_membership_at_p3_equals_the_trace_path_at_large_ell(ell):
+    rng = random.Random(ell)
+    models = [E99]
+    while len(models) < 3:
+        try:
+            models.append(WeierstrassModel(rng.randint(0, 1), rng.randint(-1, 1), rng.randint(0, 1),
+                                           rng.randint(-3000, 3000), rng.randint(-3000, 3000)))
+        except SingularCurveError:
+            pass
+    for model in models:
+        assert p2_membership(model, 3, ell, 1) is (count_points(model, ell) % 3 == 0), model
+    # (0, 0) has order 3 on y^2 + y = x^3 and reduces to a point of order 3
+    assert p2_membership(WeierstrassModel(0, 0, 1, 0, 0), 3, ell, 1) is True
+
+
+def test_p2_membership_counts_only_off_the_psi3_route(monkeypatch):
+    # p = 3, f = 1 above 229 counts nothing, also on a model that is bad at ell;
+    # every other (p, ell, f) counts #E(F_ell)
+    calls = []
+
+    def counted(model, ell):
+        calls.append(ell)
+        return _count_points(model, ell)
+
+    monkeypatch.setattr(classify, "_count_points", counted)
+    scaled = WeierstrassModel(0, 0, 233**3, -3 * 233**4, -5 * 233**6)  # E99 with u = 233
+    assert p2_membership(scaled, 3, 233, 1) is p2_membership(E99, 3, 233, 1)
+    assert p2_membership(E99, 3, 997, 1) is (count_points(E99, 997) % 3 == 0)
+    assert calls == []
+    p2_membership(E99, 3, 229, 1)
+    p2_membership(E99, 3, 997, 3)
+    p2_membership(E99, 5, 997, 1)
+    assert calls == [229, 997, 997]
+    with pytest.raises(ValueError, match="bad reduction at 233"):
+        p2_membership(WeierstrassModel(0, 0, 0, 233, 233), 3, 233, 1)
 
 
 def test_p2_membership_from_rational_torsion():

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import iwakit
-from iwakit import classify, cli, elliptic, eulerchar, kida, refdata
+from iwakit import classify, cli, elliptic, eulerchar, fields, kida, refdata
 from iwakit.classify import PrimeClass, bulk_classify
 from iwakit.cli import EXIT_BLOCKED, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, build_parser, main
 
@@ -289,6 +289,36 @@ def test_enumerate_fields_count(capsys):
     assert payload["count"] == 2
     assert payload["tame_count_formula"] == 2
     assert all(f["discriminant"] == 91 ** 2 for f in payload["fields"])
+
+
+# 20 tame primes = 1 mod 3 and the wild place: (3 - 1)^20 fields, past the budget
+TWENTY_PRIMES = "7,13,19,31,37,43,61,67,73,79,97,103,109,127,139,151,157,163,181,193"
+
+
+def test_enumerate_fields_budget_counts_the_wild_place(capsys, monkeypatch):
+    # (p - 1)^(k - 1) over k places, the wild one counted, checked before any field is built
+    monkeypatch.setattr(cli, "FIELD_BUDGET", 4)
+    code, payload = _run_json(capsys, ["enumerate-fields", "--p", "3", "--ramified", "7,13",
+                                       "--wild"])
+    assert (code, payload["count"]) == (EXIT_OK, 4)
+
+    def build(*args, **kwargs):
+        raise AssertionError("fields built past the budget")
+
+    monkeypatch.setattr(fields, "enumerate_extensions", build)
+    assert main(["enumerate-fields", "--p", "3", "--ramified", "7,13,19", "--wild"]) == EXIT_FAILURE
+    assert capsys.readouterr().err == "error: (3 - 1)^3 fields exceed the budget 4\n"
+    # an argument error is reported as before, whatever the count
+    assert main(["enumerate-fields", "--p", "3", "--ramified", "7,13,19,4", "--wild"]) == EXIT_FAILURE
+    assert "fields exceed" not in capsys.readouterr().err
+
+
+def test_enumerate_fields_help_states_the_budget(capsys):
+    # a parser of its own: main's is built once per process, maybe under a patched budget
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["enumerate-fields", "--help"])
+    assert exc.value.code == EXIT_OK
+    assert f"more than {cli.FIELD_BUDGET} exits 1" in " ".join(capsys.readouterr().out.split())
 
 
 def test_enumerate_fields_wild_only(capsys):
@@ -563,12 +593,17 @@ def test_kept_results_leave_no_reference_cycle(capsys, argv):
 _CLI_MODULES = {"cli", "classify", "counting", "elliptic", "ntheory", "_poly"}
 
 
-def _imported(args: list[str]) -> set[str]:
-    """The iwakit submodules that a fresh interpreter imports to run args."""
+def _fresh_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this iwakit, with no cache dir."""
     env = {k: v for k, v in os.environ.items() if k != "IWAKIT_CACHE_DIR"}
     src = str(Path(iwakit.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
+    return env
+
+
+def _imported(args: list[str]) -> set[str]:
+    """The iwakit submodules that a fresh interpreter imports to run args."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=_fresh_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     names = (line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
@@ -601,6 +636,29 @@ def _imported(args: list[str]) -> set[str]:
 def test_each_call_imports_only_what_it_runs(args, expected):
     # no case loads iwasawa
     assert _imported(args) == expected
+
+
+# a 30-digit prime = 1 mod 6: BSGS at it took O(ell^(1/4)) steps and memory,
+# and these argv ran past a 60 s timeout
+RAMIFIED_30_DIGITS = "838885184712050487827701509121"
+
+
+def test_thirty_digit_ramified_prime_at_p3_ends_in_a_fresh_process():
+    witnesses = []
+    for argv in (["kida", "--curve", E99, "--p", "3", "--ramified", RAMIFIED_30_DIGITS],
+                 ["report", "--curve", E99, "--p", "3", "--ramified", RAMIFIED_30_DIGITS,
+                  "--bound", "50", "--jobs", "1"]):
+        # each call takes well under a second; the deadline leaves room for a slow runner
+        proc = subprocess.run([sys.executable, "-m", "iwakit", *argv], env=_fresh_env(),
+                              capture_output=True, text=True, timeout=20)
+        assert proc.returncode == EXIT_OK, proc.stderr[-2000:]
+        payload = json.loads(proc.stdout)
+        witnesses.append(payload.get("kida", payload)["transfer"]["witnesses"])
+    (witness,), other = witnesses
+    assert other == [witness]
+    assert witness["ell"] == int(RAMIFIED_30_DIGITS) and witness["reduction"] == "good"
+    # the kernel's answer, which test_classify checks against point counts up to 15 digits
+    assert witness["p_torsion"] is True and witness["bucket"] == "P2"
 
 
 def test_usage_errors_exit_two():
@@ -637,6 +695,11 @@ def test_usage_errors_exit_two():
      "error: ramified primes must be prime, got 318665857834031151167461\n"),
     (["report", "--curve", E99, "--p", "318665857834031151167461", "--bound", "50"], EXIT_FAILURE,
      "error: p must be an odd prime, got 318665857834031151167461\n"),
+    # past the field budget: exit 1 before any field is built, where the list grew without bound
+    (["enumerate-fields", "--p", "3", "--ramified", TWENTY_PRIMES, "--wild"], EXIT_FAILURE,
+     "error: (3 - 1)^20 fields exceed the budget 131072\n"),
+    (["enumerate-fields", "--p", "7", "--ramified", "29,43,71,113,127,197,211,239,281", "--wild"],
+     EXIT_FAILURE, "error: (7 - 1)^9 fields exceed the budget 131072\n"),
 ])
 def test_rejected_arguments(capsys, argv, code, err):
     try:

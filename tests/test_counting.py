@@ -13,12 +13,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from iwakit import counting
+from iwakit._poly import _gcd, _mul, _rem, _sub, _trim, _value, _x_pow_mod
 from iwakit.classify import _distinguished_primes, _verdicts, bulk_classify, classify_prime
 from iwakit.counting import (
     FrobeniusData,
     TraceCache,
     _bsgs_annihilators,
     _ec_mul,
+    _quartic_gcd,
     _three_divides,
     count_points,
     count_points_bsgs,
@@ -811,7 +813,7 @@ E27 = WeierstrassModel(0, 0, 1, 0, 0)  # (0, 0) is a rational point of order 3
 def _psi3_roots(minimal, ell):
     """The degree of gcd(x^ell - x, psi_3) over F_ell for eulerchar's psi_3 of
     the short model, by this file's own _ppow and _poly_gcd: the kernel's
-    _poly._gcd is checked against a gcd it does not share."""
+    root count is checked against a gcd and powering it does not share."""
     A, B = minimal.short
     psi3 = division_polynomial(WeierstrassModel(0, 0, 0, A, B), 3)
     lead = pow(psi3[-1], -1, ell)
@@ -896,6 +898,150 @@ def test_three_divides_matches_naive_count_in_both_classes(seed):
                 seen.add((ell % 3, divides))
     # both answers occur in both classes mod 3
     assert seen == {(1, True), (1, False), (2, True), (2, False)}
+
+
+def test_counts_and_psi3_kernel_on_twenty_seeded_curves():
+    """count_points equals the naive count, _three_divides equals 3 | that
+    count, and both _poly._gcd and _quartic_gcd count the roots of psi_3 / 3
+    found by trying every x, on 20 seeded curves at every good ell in
+    (229, 2000), both classes mod 3."""
+    rng = random.Random(0)
+    curves = []
+    while len(curves) < 20:
+        coeffs = (rng.randint(0, 1), rng.randint(-1, 1), rng.randint(0, 1),
+                  rng.randint(-3000, 3000), rng.randint(-3000, 3000))
+        try:
+            curves.append(WeierstrassModel(*coeffs))
+        except SingularCurveError:
+            pass
+    for w in curves:
+        minimal = minimal_model(w)[0]
+        for ell in sieve_primes(2000):
+            if ell <= 229 or minimal.disc % ell == 0:
+                continue
+            naive = count_points_naive(w, ell)
+            assert count_points(w, ell) == naive, (w.coefficients(), ell)
+            assert _three_divides(*minimal.short, ell) == (naive % 3 == 0), (w.coefficients(), ell)
+            A, B = minimal.short
+            psi = [-A * A * pow(3, -1, ell) % ell, 4 * B % ell, 2 * A % ell, 0, 1]  # psi_3 / 3
+            roots = sum(_value(psi, x) % ell == 0 for x in range(ell))
+            frob = _trim(_sub(_x_pow_mod(ell, psi, ell), [0, 1]), ell)  # x^ell - x mod psi_3 / 3
+            assert len(_gcd(list(psi), list(frob), ell)) - 1 == roots, (w.coefficients(), ell)
+            c0, c1, c2, c3 = frob + [0] * (4 - len(frob))
+            degree, x0 = _quartic_gcd(-psi[0] % ell, -psi[1] % ell, -psi[2] % ell, c0, c1, c2, c3, ell)
+            assert degree == roots, (w.coefficients(), ell)
+            assert (x0 is not None) == (degree == 1)
+            if x0 is not None:
+                assert _value(psi, x0) % ell == 0
+
+
+# ---------------------------------------------------------------------------
+# the straight-line root count behind _three_divides
+# ---------------------------------------------------------------------------
+
+
+def _remainder_degrees(f, c, ell):
+    """The degrees of Euclid's remainders on (f, c), c first, ending in -1 for
+    the zero remainder: the branch of _quartic_gcd that (f, c) takes."""
+    a, b = _trim(f, ell), _trim(c, ell)
+    out = [len(b) - 1]
+    while b:
+        a, b = b, _rem(a, b, ell)
+        out.append(len(b) - 1)
+    return tuple(out)
+
+
+# every path of Euclid on a monic quartic f and a residue c of degree <= 3
+EUCLID_PATHS = {
+    (-1,), (0, -1),
+    (1, -1), (1, 0, -1),
+    (2, -1), (2, 0, -1), (2, 1, -1), (2, 1, 0, -1),
+    (3, -1), (3, 0, -1), (3, 1, -1), (3, 1, 0, -1),
+    (3, 2, -1), (3, 2, 0, -1), (3, 2, 1, -1), (3, 2, 1, 0, -1),
+}
+
+
+def _check_quartic_gcd(e0, e1, e2, c, ell):
+    """_quartic_gcd against _poly._gcd and this file's _poly_gcd, and its root
+    against f and c."""
+    f = [-e0 % ell, -e1 % ell, -e2 % ell, 0, 1]
+    degree, x0 = _quartic_gcd(e0, e1, e2, *c, ell)
+    assert degree == len(_gcd(list(f), _trim(c, ell), ell)) - 1, (e0, e1, e2, c, ell)
+    assert degree == len(_poly_gcd(f, c, ell)) - 1, (e0, e1, e2, c, ell)
+    if degree == 1:
+        assert 0 <= x0 < ell
+        assert _value(f, x0) % ell == 0 and _value(c, x0) % ell == 0
+    else:
+        assert x0 is None
+    return degree
+
+
+def test_quartic_gcd_every_input_over_f5():
+    # all 5^3 depressed quartics against all 5^4 residues: every Euclid path
+    ell, paths = 5, set()
+    for code in range(ell**7):
+        digits = [code // ell**i % ell for i in range(7)]
+        e0, e1, e2, c = *digits[:3], digits[3:]
+        _check_quartic_gcd(e0, e1, e2, c, ell)
+        paths.add(_remainder_degrees([-e0, -e1, -e2, 0, 1], c, ell))
+    assert paths == EUCLID_PATHS
+
+
+def _mul_add(q, u, r, ell):
+    """q u + r over F_ell."""
+    return _trim(_sub(_mul(q, u), [-x for x in r]), ell)
+
+
+@st.composite
+def _quartic_and_residue(draw):
+    """A prime ell, a depressed quartic f = x^4 - e2 x^2 - e1 x - e0 and a
+    residue c that take a drawn Euclid path, built backwards along it: the
+    last nonzero remainder first, then each dividend as quotient * divisor +
+    remainder up to c, and f = q c + (f mod c) with q fixed to leave f monic
+    with no x^3 term.  So every drop in remainder degree is reached at any ell."""
+    ell = draw(st.sampled_from([7, 13, 233, 10007, 2**31 - 1, 2**61 - 1]))
+    path = draw(st.sampled_from(sorted(EUCLID_PATHS)))
+    elem, unit = st.integers(0, ell - 1), st.integers(1, ell - 1)
+
+    def poly(degree):  # exactly this degree
+        return [draw(elem) for _ in range(degree)] + [draw(unit)]
+
+    if path == (-1,):  # c = 0
+        return ell, draw(elem), draw(elem), draw(elem), [0, 0, 0, 0], path
+    rems = [[], poly(path[-2])]  # the zero remainder and the last nonzero one
+    for d in reversed(path[:-2]):
+        rems.append(_mul_add(poly(d - len(rems[-1]) + 1), rems[-1], rems[-2], ell))
+    c, r = rems[-1], rems[-2]
+    inv = pow(c[-1], -1, ell)
+    q = poly(4 - len(c) + 1)
+    q[-1] = inv
+    q[-2] = -inv * (c[-2] if len(c) > 1 else 0) * inv % ell
+    f = _mul_add(q, c, r, ell)
+    assert f[3:] == [0, 1]
+    return ell, -f[0] % ell, -f[1] % ell, -f[2] % ell, c + [0] * (4 - len(c)), path
+
+
+@settings(max_examples=400, deadline=None)
+@given(_quartic_and_residue())
+def test_quartic_gcd_along_every_euclid_path(drawn):
+    ell, e0, e1, e2, c, path = drawn
+    assert _remainder_degrees([-e0, -e1, -e2, 0, 1], c, ell) == path
+    # the last nonzero remainder is the gcd: f itself when c is zero
+    assert _check_quartic_gcd(e0, e1, e2, c, ell) == (4 if path == (-1,) else max(path[-2], 0))
+
+
+@pytest.mark.parametrize(("A", "B", "ell", "roots", "allowed"), [
+    # y^2 = (x - 1)^2 (x + 2): psi_3 / 3 = (x - 1)^3 (x + 3), two roots at 1 mod 3
+    (-3, 2, 7, 2, "not 0, 1 or 4"),
+    (0, 0, 5, 1, "not 0 or 2"),  # y^2 = x^3: psi_3 / 3 = x^4, one root at 2 mod 3
+])
+def test_three_divides_raises_on_a_forbidden_degree(A, B, ell, roots, allowed):
+    # bad reduction at ell breaks the premises, and the gcd has a degree that
+    # no Frobenius on E[3] gives
+    psi = [-A * A * pow(3, -1, ell), 4 * B, 2 * A, 0, 1]
+    assert sum(_value(psi, x) % ell == 0 for x in range(ell)) == roots
+    with pytest.raises(AssertionError, match=f"psi_3 has {roots} roots mod {ell}, {allowed}"):
+        _three_divides(A, B, ell)
 
 
 # ---------------------------------------------------------------------------
