@@ -20,7 +20,7 @@ _EXPORTS = {
         "reduction_type", "local_data", "conductor"),
     "counting": (  # point counting
         "FrobeniusData", "TraceCache", "count_points", "trace_of_frobenius",
-        "frobenius_data", "order_over_extension"),
+        "order_over_extension"),
     "iwasawa": (  # characteristic series
         "CharSeries", "IwasawaInvariants", "PrecisionError",
         "EulerCharUndefinedError", "from_elementary", "iwasawa_invariants",
@@ -29,7 +29,7 @@ _EXPORTS = {
         "PrimeClass", "classify_prime", "bulk_classify", "p2_membership"),
     "fields": (  # cyclic fields and counting functions
         "CyclicExtension", "count_extensions", "enumerate_extensions",
-        "discriminant", "splitting", "script_q_primes", "g_of_X", "M_of_X"),
+        "discriminant", "splitting", "script_q_primes"),
     "eulerchar": (  # Euler characteristic audit
         "EulerFactors", "TwistNotGoodError", "SupersingularTwistError",
         "HypothesisNotMetError", "good_ordinary_twist", "euler_char_factors",
@@ -40,7 +40,7 @@ _EXPORTS = {
         "rank_claim", "stable_extension_test"),
     "density": (  # density
         "DensityReport", "alpha_closed_form", "alpha_brute_force",
-        "delange_exponents", "sl2_trace_count", "empirical_density",
+        "delange_exponents", "empirical_density",
         "asymptotic_report"),
     "refdata": (  # external reference data
         "ingest_reference", "load_reference", "reference_record"),

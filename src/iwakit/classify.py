@@ -26,7 +26,6 @@ from .ntheory import _primes_1_mod_2p, check_odd_prime, is_prime, padic_valuatio
 
 __all__ = [
     "PrimeClass",
-    "CyclotomicSplitting",
     "classify_prime",
     "p2_membership",
     "cyclotomic_split_count",
@@ -51,21 +50,6 @@ class PrimeClass:
             raise ValueError("a_ell is recorded exactly for good-reduction primes")
         if self.in_script_q and self.category != "Q3":
             raise ValueError("the distinguished set is contained in Q3")
-
-
-@dataclass(frozen=True)
-class CyclotomicSplitting:
-    """ell splits into p^m primes in every deep enough layer of the p-tower."""
-
-    ell: int
-    p: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m < 0:
-            raise ValueError("splitting exponent is nonnegative")
-        if self.m != padic_valuation(self.ell ** (self.p - 1) - 1, self.p) - 1:
-            raise ValueError("splitting exponent inconsistent with ell and p")
 
 
 def _check_primes(p: int, ell: int) -> None:
@@ -134,7 +118,8 @@ def p2_membership(model: WeierstrassModel, p: int, ell: int, f: int) -> bool:
     At p = 3, f = 1 and ell > 229 the bit is read off psi_3 by
     counting._three_divides, in time polynomial in the digits of ell; every
     other (p, ell, f) counts #E(F_ell) and takes a_ell through the trace
-    recurrence, by BSGS above 229, which grows as ell^(1/4).
+    recurrence, by BSGS above 229, which grows as ell^(1/4) and refuses an
+    ell past counting.BSGS_BUDGET with ValueError.
     """
     _check_primes(p, ell)
     if f < 1:
@@ -148,10 +133,11 @@ def p2_membership(model: WeierstrassModel, p: int, ell: int, f: int) -> bool:
     return order_over_extension(FrobeniusData(ell=ell, a_ell=a_ell), f) % p == 0
 
 
-def cyclotomic_split_count(ell: int, p: int) -> CyclotomicSplitting:
+def cyclotomic_split_count(ell: int, p: int) -> int:
+    """m >= 0 such that ell splits into p^m primes in every deep enough layer
+    of the cyclotomic Z_p-extension: v_p(ell^(p-1) - 1) - 1."""
     _check_primes(p, ell)
-    m = padic_valuation(ell ** (p - 1) - 1, p) - 1
-    return CyclotomicSplitting(ell=ell, p=p, m=m)
+    return padic_valuation(ell ** (p - 1) - 1, p) - 1
 
 
 def bulk_classify(

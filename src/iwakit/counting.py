@@ -18,7 +18,10 @@ square root is taken: each draw is a point (xg, g^2) on the twist by g.
 When the discriminant of the cubic is not a square mod ell, the cubic has one
 root, so #E and #E' are both even: a draw P then searches the annihilators of
 2P over the halved Hasse interval and doubles them (Cohen 7.4.3), which keeps
-the list complete.
+the answer complete.  Each answer is a range, the multiples of the point's
+order in the interval, so a point of small order d costs no list of its
+about 4 sqrt(ell) / d annihilators: ranges meet, double and mirror by
+arithmetic.  An ell past BSGS_BUDGET is refused before any work.
 
 Where only whether 3 divides #E(F_ell) is wanted, as in the density scan,
 report's class counts and the P2 witness of kida at p = 3, _three_divides
@@ -55,7 +58,6 @@ __all__ = [
     "count_points",
     "count_points_naive",
     "count_points_bsgs",
-    "frobenius_data",
     "order_over_extension",
     "trace_of_frobenius",
     "TraceCache",
@@ -64,6 +66,10 @@ __all__ = [
 # Mestre (Schoof 1995, Thm 3.2): for ell > 229, E or its quadratic twist has a
 # point whose order has exactly one multiple in the Hasse interval
 _MESTRE_BOUND = 229
+# BSGS takes about ell^(1/4) steps and baby-table entries: about 3-5 s and
+# 80 MB below 10^22, and 1.8 times more per digit past it, so a larger ell
+# is refused before any work (README, "Command line", has the timing table)
+BSGS_BUDGET = 10**22
 
 
 def _good_model_at(model: WeierstrassModel, ell: int) -> WeierstrassModel:
@@ -168,11 +174,24 @@ def _ec_mul(n, p, a, ell):
 
 
 def _multiples(d, lo, hi):
-    return list(range(lo + (-lo) % d, hi + 1, d))
+    return range(lo + (-lo) % d, hi + 1, d)
+
+
+def _meet(a, b):
+    """The n in both ranges.  Each holds every n = r mod d in the Hasse
+    interval, d the order of its point, or at most one n: so their common
+    n recur every lcm of the two steps, and the first lies within that
+    many steps of the shorter one's start (Chinese remainders)."""
+    if len(a) > len(b):
+        a, b = b, a
+    k = math.lcm(a.step, b.step) // abs(a.step)
+    i = next((i for i, n in enumerate(a[:k]) if n in b), None)
+    return range(0) if i is None else a[i::k]
 
 
 def _bsgs_annihilators(p, a, ell, lo, hi):
-    """All n in [lo, hi] with n*P = O on y^2 = x^3 + ax + b, ascending.
+    """All n in [lo, hi] with n*P = O on y^2 = x^3 + ax + b, as an ascending
+    range: the multiples of the order of P there.
 
     Baby steps jP (1 <= j <= m) are keyed by x, so one lookup matches +-jP.
     A point of order d <= 2m - 1 shows itself as the first repeated x, jP =
@@ -181,11 +200,12 @@ def _bsgs_annihilators(p, a, ell, lo, hi):
     points +-jP (j < m) are distinct and none has y = 0, so the blocks
     ks - (m-1) .. ks + (m-1) around the giant steps ksP hold one annihilator
     at most, matched by the baby step with x(ksP); an exact (x, y) match
-    proves n*P = O.  So the list is complete, which Mestre's early stop in
-    count_points_bsgs relies on.
+    proves n*P = O.  So the answer is complete, which Mestre's early stop in
+    count_points_bsgs relies on.  As a range it costs no memory when the
+    order is small and there are about 4 sqrt(ell) / d multiples.
     """
     if p is None:
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     px, py = p
     if py == 0:
         return _multiples(2, lo, hi)
@@ -243,11 +263,14 @@ def _bsgs_annihilators(p, a, ell, lo, hi):
             gx, gy = x, (lam * (sx - x) - sy) % ell
         else:  # g = -stride
             gx = -1
-    return out
+    if len(out) < 2:  # at most one multiple of the order lies in [lo, hi]
+        return range(out[0], out[0] + 1) if out else range(0)
+    return range(out[0], out[-1] + 1, out[1] - out[0])
 
 
 def count_points_bsgs(model: WeierstrassModel, ell: int) -> int:
-    """#E(F_ell) by Shanks-Mestre baby-step/giant-step; ell must be a prime > 229.
+    """#E(F_ell) by Shanks-Mestre baby-step/giant-step; ell must be a prime
+    in (229, BSGS_BUDGET].
 
     E is y^2 = x^3 + Ax + B, (A, B) = WeierstrassModel.short.  At x = 0, 1, ...
     with g = x^3 + Ax + B != 0, (xg, g^2) lies on y^2 = X^3 + Ag^2 X + Bg^3,
@@ -274,6 +297,8 @@ def count_points_bsgs(model: WeierstrassModel, ell: int) -> int:
 
 def _count_bsgs(model: WeierstrassModel, ell: int) -> int:
     """count_points_bsgs at an ell > 229 the caller knows to be prime."""
+    if ell > BSGS_BUDGET:
+        raise ValueError(f"ell {ell} exceeds the BSGS budget {BSGS_BUDGET}")
     A, B = _good_model_at(model, ell).short
     a, b = A % ell, B % ell
     t = math.isqrt(4 * ell)
@@ -294,20 +319,16 @@ def _count_bsgs(model: WeierstrassModel, ell: int) -> int:
                 # 2P by the tangent, of slope (3x^2 g^2 + a g^2) / 2g^2: no inverse
                 lam = (3 * x * x + a) * inv2 % ell
                 qx = (lam * lam - 2 * px) % ell
-                anns = [2 * n for n in _bsgs_annihilators(
-                    (qx, (lam * (px - qx) - g2) % ell), a * g2 % ell, ell, (lo + 1) // 2, hi // 2)]
+                halved = _bsgs_annihilators(
+                    (qx, (lam * (px - qx) - g2) % ell), a * g2 % ell, ell, (lo + 1) // 2, hi // 2)
+                anns = range(2 * halved.start, 2 * halved.stop, 2 * halved.step)
             else:
                 anns = _bsgs_annihilators((px, g2), a * g2 % ell, ell, lo, hi)
             if pow(g, half, ell) != 1:  # Euler's criterion: the draw is on E'
-                anns = [mirror - n for n in anns]
-        if cands is None:
-            if len(anns) == 1:
-                return anns[0]
-            cands = set(anns)
-        else:
-            cands.intersection_update(anns)
-            if len(cands) == 1:
-                return cands.pop()
+                anns = range(mirror - anns.start, mirror - anns.stop, -anns.step)
+        cands = anns if cands is None else _meet(cands, anns)
+        if len(cands) == 1:
+            return cands[0]
     raise AssertionError(f"group order at {ell} not pinned down")
 
 
@@ -480,10 +501,6 @@ class FrobeniusData:
     def __post_init__(self) -> None:
         if self.a_ell * self.a_ell > 4 * self.ell:
             raise ValueError(f"Hasse bound violated: a={self.a_ell} at ell={self.ell}")
-
-
-def frobenius_data(model: WeierstrassModel, ell: int) -> FrobeniusData:
-    return FrobeniusData(ell=ell, a_ell=trace_of_frobenius(model, ell))
 
 
 def order_over_extension(fd: FrobeniusData, n: int) -> int:

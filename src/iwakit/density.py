@@ -30,7 +30,6 @@ __all__ = [
     "delange_exponents",
     "density_record",
     "empirical_density",
-    "sl2_trace_count",
     "table_csv",
 ]
 
@@ -51,12 +50,6 @@ def _sl2_trace_histogram(p: int) -> list[int]:
                     if (a * d - b * c) % p == 1:
                         counts[(a + d) % p] += 1
     return counts
-
-
-def sl2_trace_count(p: int, t: int) -> int:
-    """Matrices in SL_2(F_p) of trace t, by exhaustive entry enumeration."""
-    check_odd_prime(p)
-    return _sl2_trace_histogram(p)[t % p]
 
 
 def alpha_closed_form(p: int) -> Fraction:

@@ -27,9 +27,7 @@ __all__ = [
     "splitting",
     "ramified_splitting",
     "script_q_primes",
-    "g_of_X",
     "g_steps",
-    "M_of_X",
     "m_steps",
     "extension_record",
 ]
@@ -183,7 +181,7 @@ def splitting(ext: CyclicExtension, ell: int) -> SplittingRecord:
         raise ValueError(f"{ell} is not unramified here; use ramified_splitting")
     p = ext.p
     f = 1 if _char_value(ext, ell) == 0 else p
-    m = cyclotomic_split_count(ell, p).m
+    m = cyclotomic_split_count(ell, p)
     return SplittingRecord(ell=ell, e=1, f=f, g=p // f, e_cyc=1, w_count=p ** (m + 1))
 
 
@@ -193,7 +191,7 @@ def ramified_splitting(ext: CyclicExtension, ell: int) -> SplittingRecord:
     if ell not in ext.tame_ramified:
         raise ValueError(f"{ell} is not in the tame ramified set {ext.tame_ramified}")
     p = ext.p
-    m = cyclotomic_split_count(ell, p).m
+    m = cyclotomic_split_count(ell, p)
     return SplittingRecord(ell=ell, e=p, f=1, g=1, e_cyc=p, w_count=p**m)
 
 
@@ -290,7 +288,8 @@ def _method(method: str):
 
 
 def _g_weights(model, p, bound, *, cache, method) -> dict[int, int]:
-    """Weight of each squarefree conductor <= bound in g_of_X."""
+    """Weight of each squarefree conductor <= bound in g(X): the distinguished
+    primes it is a product of k of, (p-1)^(k-1)."""
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     build = _method(method)
@@ -339,28 +338,6 @@ def _running_totals(weights: dict[int, int]):
     return zip(keys, itertools.accumulate(weights[k] for k in keys))
 
 
-def g_of_X(
-    model: WeierstrassModel,
-    p: int,
-    bound: int,
-    *,
-    cache: TraceCache | None = None,
-) -> int:
-    """Count of distinguished-set-ramified fields with squarefree conductor <= bound."""
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
-    primes = script_q_primes(model, p, bound, cache=cache)
-    return _product_totals_dfs(primes, p, [bound])[0]
-
-
-def M_of_X(p: int, bound: int) -> int:
-    """Count of all degree-p cyclic fields with discriminant <= bound."""
-    check_odd_prime(p)
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
-    return _m_totals(p, [iroot(bound, p - 1)])[0]
-
-
 def g_steps(
     model: WeierstrassModel,
     p: int,
@@ -369,7 +346,8 @@ def g_steps(
     cache: TraceCache | None = None,
     method: str = "dfs",
 ) -> tuple[tuple[int, int], ...]:
-    """Jump points of X -> g_of_X(X) as (conductor, running count).
+    """Jump points of X -> g(X), the fields ramified only at distinguished
+    primes with squarefree conductor <= X, as (conductor, running count).
 
     The step list pins the function on all of [1, bound]: the count is zero
     before the first jump and constant between consecutive jumps, so two
@@ -380,7 +358,8 @@ def g_steps(
 
 
 def m_steps(p: int, bound: int, *, method: str = "dfs") -> tuple[tuple[int, int], ...]:
-    """Jump points of X -> M_of_X(X) as (discriminant, running count)."""
+    """Jump points of X -> M(X), the degree-p cyclic fields of discriminant
+    <= X, as (discriminant, running count)."""
     weights = _m_weights(p, bound, method)
     return tuple((f ** (p - 1), n) for f, n in _running_totals(weights))
 

@@ -12,19 +12,20 @@ import pytest
 
 from iwakit.classify import classify_prime
 from iwakit.counting import (
+    FrobeniusData,
     TraceCache,
     count_points,
     count_points_bsgs,
     count_points_naive,
-    frobenius_data,
     order_over_extension,
+    trace_of_frobenius,
 )
 from iwakit.density import (
     alpha_brute_force,
     alpha_closed_form,
     asymptotic_report,
     empirical_density,
-    sl2_trace_count,
+    _sl2_trace_histogram,
 )
 from iwakit.elliptic import SingularCurveError, WeierstrassModel, minimal_model, reduction_type
 from iwakit.eulerchar import euler_char_factors, mu_lambda_vanish
@@ -115,7 +116,7 @@ def test_acceptance_03_density_closed_form_vs_brute_force():
 
 def test_acceptance_04_sl2_trace_identity():
     for p in (3, 5, 7, 11):
-        count = sl2_trace_count(p, 2)
+        count = _sl2_trace_histogram(p)[2]  # the table alpha_brute_force reads
         assert count == (p - 1) ** 2 + (2 * p - 1)
         assert count == p * p
 
@@ -137,11 +138,11 @@ def test_acceptance_06_dual_algorithm_counting(shared_cache):
     bound = 10**5
     g_dfs = g_steps(E99, 3, bound, cache=shared_cache, method="dfs")
     g_sieve = g_steps(E99, 3, bound, cache=shared_cache, method="sieve")
-    assert g_dfs == g_sieve  # pins g_of_X for every X <= bound
+    assert g_dfs == g_sieve  # pins g(X) for every X <= bound
     assert g_dfs[0] == (7, 1)
     m_dfs = m_steps(3, bound, method="dfs")
     m_sieve = m_steps(3, bound, method="sieve")
-    assert m_dfs == m_sieve  # pins M_of_X for every X <= bound
+    assert m_dfs == m_sieve  # pins M(X) for every X <= bound
     assert m_dfs[0] == (49, 1)
     assert time.perf_counter() - start < 60.0
 
@@ -160,7 +161,7 @@ def test_acceptance_07_point_counting_oracles():
         for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
             if w.disc % ell == 0:
                 continue
-            fd = frobenius_data(w, ell)
+            fd = FrobeniusData(ell, trace_of_frobenius(w, ell))
             n = 2
             while ell**n <= 2500:
                 assert order_over_extension(fd, n) == ext_count(w, ell, n), (w, ell, n)
@@ -177,7 +178,7 @@ def test_acceptance_08_p2_reduction_property():
         for ell in primes:
             if minimal.disc % ell == 0:
                 continue
-            fd = frobenius_data(minimal, ell)
+            fd = FrobeniusData(ell, trace_of_frobenius(minimal, ell))
             for p in (3, 5):
                 for f in (1, p):
                     base = order_over_extension(fd, f) % p == 0

@@ -7,6 +7,7 @@ import random
 import stat
 import struct
 import sys
+import tracemalloc
 from array import array
 
 import pytest
@@ -16,16 +17,17 @@ from iwakit import counting
 from iwakit._poly import _gcd, _mul, _rem, _sub, _trim, _value, _x_pow_mod
 from iwakit.classify import _distinguished_primes, _verdicts, bulk_classify, classify_prime
 from iwakit.counting import (
+    BSGS_BUDGET,
     FrobeniusData,
     TraceCache,
     _bsgs_annihilators,
     _ec_mul,
+    _meet,
     _quartic_gcd,
     _three_divides,
     count_points,
     count_points_bsgs,
     count_points_naive,
-    frobenius_data,
     order_over_extension,
     trace_of_frobenius,
 )
@@ -39,7 +41,7 @@ from iwakit.elliptic import (
 )
 from iwakit.density import asymptotic_report
 from iwakit.eulerchar import division_polynomial
-from iwakit.ntheory import legendre, sieve_primes
+from iwakit.ntheory import is_prime, legendre, sieve_primes
 
 E99 = WeierstrassModel(0, 0, 1, -3, -5)
 E32 = WeierstrassModel(0, 0, 0, -1, 0)
@@ -462,6 +464,75 @@ def test_bsgs_supersingular():
         assert count_points_bsgs(w, ell) == ell + 1
 
 
+def _prime_in_class(digits, modulus, residue):
+    """A prime of the given digits = residue mod modulus, seeded by digits."""
+    n = random.Random(digits).randrange(10 ** (digits - 1), 10**digits)
+    n += (residue - n) % modulus
+    while not is_prime(n):
+        n += modulus
+    return n
+
+
+SUPERSINGULAR = pytest.mark.parametrize(("model", "modulus", "residue"), [
+    # j = 0: supersingular at ell = 2 mod 3; (0, 0) has order 3 on the first
+    (WeierstrassModel(0, 0, 1, 0, 0), 3, 2),  # y^2 + y = x^3
+    (WeierstrassModel(0, 0, 0, 0, 1), 3, 2),  # y^2 = x^3 + 1
+    # j = 1728: supersingular at ell = 3 mod 4, with all its 2-torsion rational
+    (WeierstrassModel(0, 0, 0, -1, 0), 4, 3),  # y^2 = x^3 - x
+], ids=["y2+y=x3", "y2=x3+1", "y2=x3-x"])
+
+
+@pytest.mark.parametrize("digits", range(10, 16))
+@SUPERSINGULAR
+def test_bsgs_supersingular_at_large_ell(model, modulus, residue, digits):
+    # #E(F_ell) = ell + 1 in closed form
+    ell = _prime_in_class(digits, modulus, residue)
+    assert count_points(model, ell) == ell + 1
+
+
+@SUPERSINGULAR
+def test_bsgs_small_order_draw_lists_no_multiples(model, modulus, residue):
+    # the draw at x = 0 has order 3, 3 and 2, so every third or second n of
+    # the Hasse interval is an annihilator, about 4e5 at this ell: listed,
+    # they peaked at 20-47 MB, where a range and the baby-step table's
+    # 1.4 ell^(1/4) = 800 points peak at 0.1 MB
+    ell = _prime_in_class(11, modulus, residue)
+    tracemalloc.start()
+    try:
+        assert count_points(model, ell) == ell + 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
+def test_meet_is_the_intersection_of_two_answers():
+    # answers as _bsgs_annihilators gives them: every n = r mod d in [lo, hi],
+    # or one n or none; as they are, and mirrored about lo + hi as a draw on
+    # the twist mirrors them
+    lo, hi = 1000, 1130
+    classes = [range(lo + (r - lo) % d, hi + 1, d) for d in range(1, 10) for r in range(d)]
+    answers = [*classes, range(1017, 1018), range(1130, 1131), range(0)]
+    for a in answers:
+        for b in [*answers[::5], *answers[-3:]]:
+            mirrored = range(lo + hi - b.start, lo + hi - b.stop, -b.step)
+            for x, y in ((a, b), (b, a), (a, mirrored)):
+                assert sorted(_meet(x, y)) == sorted(set(x) & set(y)), (x, y)
+
+
+def test_bsgs_refuses_an_ell_past_its_budget(monkeypatch):
+    def fail(*args):
+        raise AssertionError("BSGS started work past its budget")
+
+    monkeypatch.setattr(counting, "_good_model_at", fail)
+    ell = BSGS_BUDGET + 1
+    while not is_prime(ell):
+        ell += 2
+    for count in (count_points, count_points_bsgs, counting._count_points):
+        with pytest.raises(ValueError, match=f"ell {ell} exceeds the BSGS budget {BSGS_BUDGET}"):
+            count(E99, ell)
+
+
 def test_bsgs_rejects_tiny():
     with pytest.raises(ValueError):
         count_points_bsgs(E99, 3)
@@ -692,7 +763,8 @@ def test_bsgs_annihilators_complete(seed):
                          for d in range(2, 65) if order % d == 0]
                 for p in base + small:
                     want = [n for n in range(lo, hi + 1) if _ec_mul(n, p, ca, ell) is None]
-                    assert _bsgs_annihilators(p, ca, ell, lo, hi) == want, (ell, ca, cb, p)
+                    # a point of small order answers with a range, not a list
+                    assert list(_bsgs_annihilators(p, ca, ell, lo, hi)) == want, (ell, ca, cb, p)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -1050,7 +1122,7 @@ def test_three_divides_raises_on_a_forbidden_degree(A, B, ell, roots, allowed):
 
 
 def test_frobenius_data_main_example():
-    fd = frobenius_data(E99, 7)
+    fd = FrobeniusData(7, trace_of_frobenius(E99, 7))
     assert fd.a_ell == -2
     assert order_over_extension(fd, 1) == 10
     assert order_over_extension(fd, 2) == 60
@@ -1076,7 +1148,7 @@ def test_extension_counts_against_oracle():
         for ell, n in cases:
             if w.disc % ell == 0:
                 continue
-            fd = frobenius_data(w, ell)
+            fd = FrobeniusData(ell, trace_of_frobenius(w, ell))
             assert order_over_extension(fd, n) == ext_count(w, ell, n), (w, ell, n)
 
 

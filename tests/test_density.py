@@ -20,11 +20,11 @@ from iwakit.density import (
     delange_exponents,
     density_record,
     empirical_density,
-    sl2_trace_count,
     table_csv,
+    _sl2_trace_histogram,
 )
 from iwakit.elliptic import WeierstrassModel
-from iwakit.fields import M_of_X, g_of_X, g_steps, m_steps, script_q_primes
+from iwakit.fields import g_steps, m_steps, script_q_primes
 from iwakit.ntheory import iroot, sieve_primes
 from test_fields import m_totals_sieve, totals_sieve
 
@@ -33,21 +33,21 @@ E887 = WeierstrassModel(1, 0, 0, 887, -804)
 
 
 def test_sl2_trace_two_is_p_squared():
+    # the trace histogram that alpha_brute_force reads
     for p in (3, 5, 7, 11):
-        assert sl2_trace_count(p, 2) == (p - 1) ** 2 + (2 * p - 1) == p * p
+        assert _sl2_trace_histogram(p)[2] == (p - 1) ** 2 + (2 * p - 1) == p * p
 
 
 def test_sl2_trace_counts_partition_the_group():
     for p in (3, 5):
-        total = sum(sl2_trace_count(p, t) for t in range(p))
-        assert total == p * (p * p - 1)
+        assert sum(_sl2_trace_histogram(p)) == p * (p * p - 1)
 
 
 def test_sl2_rejects_bad_p():
     with pytest.raises(ValueError):
-        sl2_trace_count(2, 0)
+        alpha_brute_force(2)
     with pytest.raises(ValueError):
-        sl2_trace_count(9, 0)
+        alpha_brute_force(9)
 
 
 def test_alpha_closed_form_values():
@@ -118,10 +118,8 @@ def test_asymptotic_report_small_grid():
     rep = asymptotic_report(E99, 3, [7, 100, 1000, 10**4], cache=cache)
     assert rep.alpha == rep.alpha_brute == Fraction(5, 16)
     assert rep.g_table[0] == (7, 1)
-    for x, g in rep.g_table:
-        assert g == g_of_X(E99, 3, x, cache=cache)
-    for x, m in rep.M_table:
-        assert m == M_of_X(3, x)
+    grid = [x for x, _ in rep.g_table]
+    assert (rep.g_table, rep.M_table) == _sieve_tables(E99, 3, grid, cache)
     assert rep.n_lower_table == tuple((x * x, g) for x, g in rep.g_table)
     assert rep.predicted_exponent == Fraction(-3, 8)
     assert rep.beta_proof_consistent == Fraction(3, 8)
@@ -252,8 +250,10 @@ def _weights_from_steps(steps):
 
 def test_restricted_count_is_a_subcount():
     # every field counted by g appears among all fields at discriminant X^(p-1)
-    for x in (7, 50, 100, 600):
-        assert g_of_X(E99, 3, x) <= M_of_X(3, x * x)
+    grid = [7, 50, 100, 600]
+    g = totals_sieve(script_q_primes(E99, 3, grid[-1]), 3, grid)
+    m = m_totals_sieve(3, grid)  # conductor <= X, so discriminant <= X^2
+    assert all(a <= b for a, b in zip(g, m)), (g, m)
     g_weights = _weights_from_steps(g_steps(E99, 3, 600))
     m_weights = _weights_from_steps(m_steps(3, 600 * 600))
     for conductor, gw in g_weights.items():

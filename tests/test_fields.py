@@ -11,14 +11,12 @@ from iwakit.classify import cyclotomic_split_count
 from iwakit.elliptic import WeierstrassModel
 from iwakit.fields import (
     CyclicExtension,
-    M_of_X,
     SplittingRecord,
     _char_value,
     count_extensions,
     discriminant,
     enumerate_extensions,
     extension_record,
-    g_of_X,
     g_steps,
     m_steps,
     ramified_splitting,
@@ -31,7 +29,7 @@ from iwakit.fields import (
     _product_weights_sieve,
     _sieve_counts,
 )
-from iwakit.ntheory import primitive_root, sieve_primes
+from iwakit.ntheory import iroot, primitive_root, sieve_primes
 
 E99 = WeierstrassModel(0, 0, 1, -3, -5)
 
@@ -52,6 +50,28 @@ def m_totals_sieve(p, bounds):
     more place, where _m_totals adds the wild fields by a formula."""
     tame = [ell for ell in sieve_primes(max(bounds[-1], 2)) if ell % p == 1]
     return totals_sieve(sorted(tame + [p * p]), p, bounds)
+
+
+def _last(steps):
+    """The running count at the last jump of a step table: its value at the bound."""
+    return steps[-1][1] if steps else 0
+
+
+def g_sieve(bound):
+    """g(X) for E99 at p = 3 and X = bound, off the sieve step table: an
+    oracle that shares no code with the counting walk _product_totals_dfs."""
+    return _last(g_steps(E99, 3, bound, method="sieve"))
+
+
+def m_sieve(p, bound):
+    """M(X) at X = bound, off the sieve step table."""
+    return _last(m_steps(p, bound, method="sieve"))
+
+
+def g_walk(bounds):
+    """g(X) for E99 at p = 3 at each X of an ascending list, by the counting
+    walk that asymptotic_report runs."""
+    return _product_totals_dfs(script_q_primes(E99, 3, bounds[-1]), 3, bounds)
 
 
 def _ext(p, primes, exps, wild=None):
@@ -190,7 +210,7 @@ def test_splitting_structure_sweep():
             rec = splitting(ext, ell)
             assert rec.e * rec.f * rec.g == p
             assert rec.e == 1
-            m = cyclotomic_split_count(ell, p).m
+            m = cyclotomic_split_count(ell, p)
             assert rec.w_count == p ** (m + 1)
 
 
@@ -231,14 +251,14 @@ def test_splitting_record_validation():
 
 
 def test_g_of_x_small():
-    assert g_of_X(E99, 3, 6) == 0
-    assert g_of_X(E99, 3, 7) == 1
+    assert g_walk([6, 7]) == [0, 1]
+    assert (g_sieve(6), g_sieve(7)) == (0, 1)
 
 
 def test_g_of_x_dual_algorithms():
-    for bound in (7, 50, 100, 300, 600):
-        primes = script_q_primes(E99, 3, bound)
-        assert g_of_X(E99, 3, bound) == totals_sieve(primes, 3, [bound])[0]
+    bounds = [7, 50, 100, 300, 600]
+    primes = script_q_primes(E99, 3, bounds[-1])
+    assert g_walk(bounds) == totals_sieve(primes, 3, bounds) == [g_sieve(b) for b in bounds]
 
 
 def test_g_of_x_brute_subsets():
@@ -253,12 +273,13 @@ def test_g_of_x_brute_subsets():
             if prod <= bound:
                 total += 2**(k - 1)
     # no product of four distinct such primes fits under 600
-    assert g_of_X(E99, 3, bound) == total
+    assert g_walk([bound]) == [total] == [g_sieve(bound)]
 
 
 def test_g_of_x_monotone():
-    values = [g_of_X(E99, 3, x) for x in range(1, 130)]
+    values = g_walk(list(range(1, 130)))
     assert all(a <= b for a, b in zip(values, values[1:]))
+    assert values == [g_sieve(x) for x in range(1, 130)]
 
 
 # the dual-algorithm tests compare these two sums
@@ -383,30 +404,27 @@ def test_unknown_method_rejected_before_any_work(monkeypatch):
 
 
 @pytest.mark.parametrize("count", [
-    lambda: g_of_X(E99, 3, 0),
-    lambda: M_of_X(3, 0),
     lambda: g_steps(E99, 3, 0),
     lambda: m_steps(3, 0),
-], ids=["g_of_X", "M_of_X", "g_steps", "m_steps"])
+], ids=["g_steps", "m_steps"])
 def test_counts_reject_bound_zero(count):
     with pytest.raises(ValueError, match="bound must be >= 1, got 0"):
         count()
 
 
 def test_m_of_x_smallest_fields():
-    assert M_of_X(3, 48) == 0
-    assert M_of_X(3, 49) == 1
-    assert M_of_X(3, 80) == 1
-    assert M_of_X(3, 81) == 2  # the wild field of conductor 9
-    assert M_of_X(5, 14640) == 0
-    assert M_of_X(5, 14641) == 1  # conductor 11
-    assert M_of_X(5, 5**8) == 2  # conductor 25 joins
+    # discriminant bounds, and the conductor bounds that the counting walk takes
+    for p, bound, count in ((3, 48, 0), (3, 49, 1), (3, 80, 1),
+                            (3, 81, 2),  # the wild field of conductor 9
+                            (5, 14640, 0), (5, 14641, 1),  # conductor 11
+                            (5, 5**8, 2)):  # conductor 25 joins
+        assert m_sieve(p, bound) == count == _m_totals(p, [iroot(bound, p - 1)])[0]
 
 
 def test_m_of_x_conductor_hundred():
     # conductors <= 100: eleven single tame primes, 7*13, plus wild 9 and 9*7
-    assert M_of_X(3, 10**4) == 16
-    assert m_totals_sieve(3, [100]) == [16]
+    assert m_sieve(3, 10**4) == 16
+    assert _m_totals(3, [100]) == m_totals_sieve(3, [100]) == [16]
 
 
 def test_m_of_x_vs_direct_enumeration():
@@ -426,35 +444,42 @@ def test_m_of_x_vs_direct_enumeration():
                 if prod * p * p <= max_f:
                     total += len(enumerate_extensions(p, combo, wild_at_p=True))
         sieve = m_totals_sieve(p, [max_f])[0]
-        assert M_of_X(p, bound) == total == sieve
+        assert _m_totals(p, [max_f])[0] == total == sieve == m_sieve(p, bound)
 
 
 def test_m_of_x_monotone():
-    values = [M_of_X(3, x) for x in range(1, 9100, 90)]
+    grid = list(range(1, 9100, 90))
+    values = _m_totals(3, [iroot(x, 2) for x in grid])
     assert all(a <= b for a, b in zip(values, values[1:]))
+    assert values == [m_sieve(3, x) for x in grid]
 
 
 def test_g_steps_pin_the_scalar_function():
+    # the steps of either weight builder against the counting walk at each
+    # jump and just below it
     steps = g_steps(E99, 3, 700)
     assert steps == g_steps(E99, 3, 700, method="sieve")
     assert steps[0] == (7, 1)
+    points = sorted({700, *(x for x, _ in steps), *(x - 1 for x, _ in steps)})
+    at = dict(zip(points, g_walk(points)))
     previous = 0
     for x, running in steps:
-        assert g_of_X(E99, 3, x) == running
-        assert g_of_X(E99, 3, x - 1) == previous
+        assert (at[x], at[x - 1]) == (running, previous)
         previous = running
-    assert g_of_X(E99, 3, 700) == steps[-1][1]
+    assert at[700] == steps[-1][1]
 
 
 def test_m_steps_pin_the_scalar_function():
+    # discriminant f^2 of conductor f, so M just below it counts conductor f - 1
     steps = m_steps(3, 10**4)
     assert steps == m_steps(3, 10**4, method="sieve")
     assert steps[0] == (49, 1)
-    assert steps[-1][1] == 16 == M_of_X(3, 10**4)
+    assert steps[-1][1] == 16 == _m_totals(3, [100])[0]
     previous = 0
     for x, running in steps:
-        assert M_of_X(3, x) == running
-        assert M_of_X(3, x - 1) == previous
+        f = iroot(x, 2)
+        assert f * f == x
+        assert _m_totals(3, [f - 1, f]) == [previous, running]
         previous = running
     assert m_steps(3, 48) == ()
     assert m_steps(5, 100) == ()
