@@ -9,8 +9,8 @@ growth along the cyclotomic tower is decided at the finite residue level.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
+from ._record import _frozen
 from .counting import (
     _MESTRE_BOUND,
     _THREE_DIVIDES,
@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_frozen
 class PrimeClass:
     """Verdict for one prime: Q1 bad, Q2 good with p-torsion mod ell, Q3 rest."""
 
@@ -43,12 +43,15 @@ class PrimeClass:
     a_ell: int | None
     in_script_q: bool
 
-    def __post_init__(self) -> None:
-        if self.category not in ("Q1", "Q2", "Q3"):
-            raise ValueError(f"unknown class {self.category!r}")
-        if (self.category == "Q1") != (self.a_ell is None):
+    # written out, not _frozen's generic __init__: a classify call builds one
+    # per prime, thousands of them
+    def __init__(self, ell: int, category: str, a_ell: int | None, in_script_q: bool) -> None:
+        self.__dict__.update(ell=ell, category=category, a_ell=a_ell, in_script_q=in_script_q)
+        if category not in ("Q1", "Q2", "Q3"):
+            raise ValueError(f"unknown class {category!r}")
+        if (category == "Q1") != (a_ell is None):
             raise ValueError("a_ell is recorded exactly for good-reduction primes")
-        if self.in_script_q and self.category != "Q3":
+        if in_script_q and category != "Q3":
             raise ValueError("the distinguished set is contained in Q3")
 
 

@@ -18,13 +18,15 @@ import re
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
-from fractions import Fraction
 from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 # every subcommand but classify imports what it runs inside its handler, so a
 # call compiles only what it needs; the classify path loads with this module.
+# The stdlib modules that only some calls use load where they are used:
+# fractions in _grid_arg, hashlib in counting once a cache has a directory,
+# statistics with density; the records are built by _record, not dataclasses.
 # No handler calls bulk_classify: it stays bound here because
 # bench/test_bench.py::test_no_wrapper_is_left_installed asserts that the
 # tracer wraps iwakit.cli.bulk_classify
@@ -93,6 +95,8 @@ _GRID_DIGITS = 1000
 def _grid_arg(text: str) -> tuple[int, ...]:
     # exact decimals with scientific notation: "1e3,1e4" -> (1000, 10000), and
     # 2**53 + 1 stays itself; the grid budget is checked by the report
+    from fractions import Fraction  # loaded only by the calls that take a grid
+
     out = []
     for part in text.split(","):
         match = _DECIMAL.fullmatch(part)

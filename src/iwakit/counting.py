@@ -40,16 +40,15 @@ checked) and checks only for bad reduction.
 from __future__ import annotations
 
 import bisect
-import hashlib
 import math
 import os
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from pathlib import Path
 
+from ._record import _frozen
 from .elliptic import BadReductionError, WeierstrassModel, _kept, format_model, minimal_model
 from .ntheory import is_prime, sieve_primes
 
@@ -491,16 +490,18 @@ def trace_of_frobenius(model: WeierstrassModel, ell: int) -> int:
 # -- Frobenius data and extension fields -------------------------------------
 
 
-@dataclass(frozen=True)
+@_frozen
 class FrobeniusData:
     """Trace of Frobenius at a good prime."""
 
     ell: int
     a_ell: int
 
-    def __post_init__(self) -> None:
-        if self.a_ell * self.a_ell > 4 * self.ell:
-            raise ValueError(f"Hasse bound violated: a={self.a_ell} at ell={self.ell}")
+    # written out, not _frozen's generic __init__: p2_membership builds one per prime
+    def __init__(self, ell: int, a_ell: int) -> None:
+        self.__dict__.update(ell=ell, a_ell=a_ell)
+        if a_ell * a_ell > 4 * ell:
+            raise ValueError(f"Hasse bound violated: a={a_ell} at ell={ell}")
 
 
 def order_over_extension(fd: FrobeniusData, n: int) -> int:
@@ -531,7 +532,15 @@ GRID_BUDGET = 10**7
 _UNKNOWN = -32768
 _THREE_DIVIDES = -32767
 _THREE_DOES_NOT_DIVIDE = -32766
-_DIGEST = hashlib.sha256().digest_size
+_DIGEST = 32  # the size of a sha256 digest
+
+
+def _sha256(data):
+    """hashlib.sha256(data), with hashlib loaded on first use: a cache with no
+    directory hashes nothing."""
+    import hashlib
+
+    return hashlib.sha256(data)
 
 
 def _slot_value(minimal: WeierstrassModel, three: bool, ell: int) -> int:
@@ -553,24 +562,24 @@ def _slot(ell: int) -> int | None:
 class TraceCache:
     """a_ell values per curve in one int16 trace array, optionally persisted.
 
-    Files are keyed by a hash of the minimal model, so isomorphic models share
-    an entry.  Stored values must be bit-identical to recomputation.  A file is
-    the array's slots as little-endian int16, then the 32-byte sha256 of those
-    bytes; a file whose digest does not match or whose body is an odd number of
-    bytes is a miss as a whole, so truncation, a flipped byte or a file in
-    another format is recomputed and rewritten, never trusted slot by slot.  A
-    slot is checked against the Hasse bound when it is read, and one that fails
-    is counted again.  A slot may hold one of two codes instead of a_ell:
-    _THREE_DIVIDES or _THREE_DOES_NOT_DIVIDE, which readers in three mode (the
-    density scan and report's class counts at p = 3) store at ell > 229 and
-    accept there, whatever ell is mod 3.  Both fail the Hasse bound, so every
-    other reader (classify, p >= 5, traces) counts such a slot again and
-    stores a_ell over it.  Only
-    ell <= GRID_BUDGET is stored; a larger ell is counted on every call.  Files
-    are replaced whole, through a temporary file, after merging in what is on
-    disk (an a_ell over a code, a code over _UNKNOWN), so a reader never sees a
-    partial write and a writer keeps the entries another process stored before
-    it.
+    Entries are keyed by the minimal model's text, so isomorphic models share
+    an entry, and a file is named by the sha256 of that text.  Stored values
+    must be bit-identical to recomputation.  A file is the array's slots as
+    little-endian int16, then the 32-byte sha256 of those bytes; a file whose
+    digest does not match or whose body is an odd number of bytes is a miss as
+    a whole, so truncation, a flipped byte or a file in another format is
+    recomputed and rewritten, never trusted slot by slot.  A slot is checked
+    against the Hasse bound when it is read, and one that fails is counted
+    again.  A slot may hold one of two codes instead of a_ell: _THREE_DIVIDES
+    or _THREE_DOES_NOT_DIVIDE, which readers in three mode (the density scan
+    and report's class counts at p = 3) store at ell > 229 and accept there,
+    whatever ell is mod 3.  Both fail the Hasse bound, so every other reader
+    (classify, p >= 5, traces) counts such a slot again and stores a_ell over
+    it.  Only ell <= GRID_BUDGET is stored; a larger ell is counted on every
+    call.  Files are replaced whole, through a temporary file, after merging in
+    what is on disk (an a_ell over a code, a code over _UNKNOWN), so a reader
+    never sees a partial write and a writer keeps the entries another process
+    stored before it.
 
     Misses are counted by jobs worker processes, capped at the CPU count; a
     single miss is counted in this process.  traces tests each requested ell
@@ -587,12 +596,10 @@ class TraceCache:
             self.directory.mkdir(parents=True, exist_ok=True)
         self._mem: dict[str, array] = {}
 
-    @staticmethod
-    def _key(minimal: WeierstrassModel) -> str:
-        return hashlib.sha256(format_model(minimal).encode("ascii")).hexdigest()[:24]
-
     def _path(self, key: str) -> Path | None:
-        return None if self.directory is None else self.directory / f"{key}.traces"
+        if self.directory is None:
+            return None
+        return self.directory / f"{_sha256(key.encode('ascii')).hexdigest()[:24]}.traces"
 
     @staticmethod
     def _read(path: Path) -> array:
@@ -608,7 +615,7 @@ class TraceCache:
                 return array("h")
             # the body is read straight into the array: one buffer per file
             arr = array("h", [0]) * (size // 2)
-            if fh.readinto(arr) != size or hashlib.sha256(arr).digest() != fh.read():
+            if fh.readinto(arr) != size or _sha256(arr).digest() != fh.read():
                 return array("h")
         if sys.byteorder == "big":
             arr.byteswap()
@@ -644,7 +651,7 @@ class TraceCache:
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(body)
-                fh.write(hashlib.sha256(body).digest())
+                fh.write(_sha256(body).digest())
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -692,7 +699,7 @@ class TraceCache:
         three, a stored code is accepted as the answer, and a miss at an ell
         > 229 that the array holds is answered by _three_divides as a code."""
         minimal, _ = minimal_model(model)
-        key = self._key(minimal)
+        key = format_model(minimal)
         arr = self._load(key)
         out = {}
         for ell in ells:
@@ -714,7 +721,7 @@ class TraceCache:
         and a miss above 229 is stored as a code.
         """
         minimal, _ = minimal_model(model)
-        key = self._key(minimal)
+        key = format_model(minimal)
         arr = self._load(key)
         # ells[:held] have a slot in the array
         held = bisect.bisect_left(ells, min(2 * len(arr), GRID_BUDGET + 1))

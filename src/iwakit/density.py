@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import _frozen
 from .classify import _distinguished_primes
 from .counting import GRID_BUDGET, TraceCache
 from .elliptic import WeierstrassModel
@@ -102,7 +102,7 @@ def beta_stated_form(p: int) -> Fraction:
     return Fraction(p * p - p + 2, p**3 - p * p - p + 1)
 
 
-@dataclass(frozen=True)
+@_frozen
 class DensityReport:
     """Exact densities, count tables, and the fitted log exponent."""
 

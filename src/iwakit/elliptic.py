@@ -9,11 +9,10 @@ every quantity attached to "the" curve refers to the global minimal model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, partial
-from fractions import Fraction
 
 from ._poly import _gcd, _sub, _trim, _x_pow_mod
+from ._record import _frozen
 from .ntheory import (
     is_prime,
     is_squarefree,
@@ -57,7 +56,7 @@ class BadReductionError(ValueError):
     """Point counts require good reduction at the given prime."""
 
 
-@dataclass(frozen=True)
+@_frozen
 class WeierstrassModel:
     """Integral model y^2 + a1*xy + a3*y = x^3 + a2*x^2 + a4*x + a6."""
 
@@ -67,7 +66,10 @@ class WeierstrassModel:
     a4: int
     a6: int
 
-    def __post_init__(self) -> None:
+    # written out, not _frozen's generic __init__: Tate's algorithm and the
+    # twist search build a model per change of coordinates
+    def __init__(self, a1: int, a2: int, a3: int, a4: int, a6: int) -> None:
+        self.__dict__.update(a1=a1, a2=a2, a3=a3, a4=a4, a6=a6)
         if self.disc == 0:
             raise SingularCurveError(f"discriminant vanishes for {self.coefficients()}")
 
@@ -107,7 +109,7 @@ class WeierstrassModel:
 
     @cached_property
     def disc(self) -> int:
-        # computed once per model, by the singularity check in __post_init__
+        # computed once per model, by the singularity check in __init__
         b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
         return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
@@ -269,7 +271,9 @@ def has_potential_good_reduction(model: WeierstrassModel, q: int) -> bool:
     """True when j = c4^3 / disc is q-integral."""
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
-    return Fraction(model.c4**3, model.disc).denominator % q != 0
+    # the denominator of j in lowest terms, up to sign, is disc / gcd(c4^3, disc)
+    disc = model.disc
+    return (disc // math.gcd(model.c4**3, disc)) % q != 0
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +337,7 @@ def _quad_split(a: int, b: int, c: int, q: int) -> tuple[str, int | None]:
     return ("split", None) if legendre(disc, q) == 1 else ("nonsplit", None)
 
 
-@dataclass(frozen=True)
+@_frozen
 class LocalReductionData:
     """Reduction data of the minimal model at one prime.
 

@@ -10,10 +10,10 @@ is consumed, and Lagrange gives that from the residue count.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from ._poly import _mul, _sub, _value
+from ._record import _asdict, _frozen
 from .counting import _count_points, trace_of_frobenius
 from .elliptic import (
     LocalReductionData,
@@ -56,7 +56,7 @@ class HypothesisNotMetError(ValueError):
     """A stated hypothesis of the Euler-characteristic criterion fails."""
 
 
-@dataclass(frozen=True)
+@_frozen
 class OrdinaryTwist:
     p: int
     d: int
@@ -73,7 +73,7 @@ class OrdinaryTwist:
         return self.p + 1 - self.a_p
 
 
-@dataclass(frozen=True)
+@_frozen
 class EulerFactors:
     p: int
     sha_p_order: int | None
@@ -376,4 +376,4 @@ def mu_lambda_vanish(ef: EulerFactors) -> str:
 
 def euler_factors_record(ef: EulerFactors) -> dict:
     """JSON-ready view of the factors with the vanishing verdict attached."""
-    return {**asdict(ef), "mu_lambda_vanish": mu_lambda_vanish(ef)}
+    return {**_asdict(ef), "mu_lambda_vanish": mu_lambda_vanish(ef)}

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
 
+from ._record import _frozen
 from .classify import _distinguished_primes, cyclotomic_split_count
 from .counting import TraceCache
 from .elliptic import WeierstrassModel
@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_frozen
 class CyclicExtension:
     """Cyclic degree-p field cut out by a product of local characters."""
 
@@ -78,7 +78,7 @@ class CyclicExtension:
         return f
 
 
-@dataclass(frozen=True)
+@_frozen
 class SplittingRecord:
     """Decomposition of a prime in L/Q and above it in L_cyc."""
 

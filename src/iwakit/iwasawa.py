@@ -9,9 +9,8 @@ precision raises PrecisionError instead of being misreported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._poly import _mul
+from ._record import _frozen
 from .ntheory import check_odd_prime, padic_valuation
 
 __all__ = [
@@ -38,7 +37,7 @@ class EulerCharUndefinedError(ValueError):
     """The constant term is exactly zero, so no Euler characteristic exists."""
 
 
-@dataclass(frozen=True)
+@_frozen
 class CharSeries:
     """f(T) = a0 + a1 T + ... + a_d T^d with p-adic integer coefficients.
 
@@ -83,7 +82,7 @@ class CharSeries:
         return padic_valuation(c, self.p)
 
 
-@dataclass(frozen=True)
+@_frozen
 class IwasawaInvariants:
     mu: int
     lambda_: int

@@ -14,8 +14,7 @@ places above them in the cyclotomic tower.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
+from ._record import _asdict, _frozen
 from .classify import classify_prime, p2_membership
 from .counting import TraceCache
 from .elliptic import WeierstrassModel, format_model, minimal_model, reduction_type
@@ -60,7 +59,7 @@ def _check_extension(p: int, ext: CyclicExtension) -> None:
         raise ValueError(f"extension degree {ext.p} does not match p = {p}")
 
 
-@dataclass(frozen=True)
+@_frozen
 class HypothesisReport:
     """Hypothesis audit for one (curve, p, extension) triple.
 
@@ -93,7 +92,7 @@ class HypothesisReport:
             raise ValueError("prime-to-p defect holds exactly when a good twist is recorded")
 
 
-@dataclass(frozen=True)
+@_frozen
 class LocalTerm:
     """Contribution of one ramified tame prime, for auditing the formula."""
 
@@ -116,7 +115,7 @@ class LocalTerm:
             raise ValueError("P2 holds the good primes with residue p-torsion")
 
 
-@dataclass(frozen=True)
+@_frozen
 class KidaResult:
     """Evaluated transfer, with the per-prime breakdown that produced it."""
 
@@ -364,13 +363,13 @@ def hypothesis_record(report: HypothesisReport) -> dict:
     twist = None
     if report.good_twist is not None:
         twist = {"d": report.good_twist[0], "model": format_model(report.good_twist[1])}
-    return {**asdict(report), "good_twist": twist}
+    return {**_asdict(report), "good_twist": twist}
 
 
 def kida_record(kr: KidaResult) -> dict:
     return {
-        **asdict(kr),
+        **_asdict(kr),
         "rank_bound": rank_bound(kr),
         "rank_claim": rank_claim(kr),
-        "witnesses": [asdict(w) for w in kr.witnesses],
+        "witnesses": [_asdict(w) for w in kr.witnesses],
     }

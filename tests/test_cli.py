@@ -590,7 +590,13 @@ def test_kept_results_leave_no_reference_cycle(capsys, argv):
 
 # the classify path loads with the CLI: bench/test_bench.py expects
 # iwakit.cli.bulk_classify to be bound
-_CLI_MODULES = {"cli", "classify", "counting", "elliptic", "ntheory", "_poly"}
+_CLI_MODULES = {"cli", "classify", "counting", "elliptic", "ntheory", "_poly", "_record"}
+# stdlib modules that no call needs at start-up: dataclasses (which loads
+# inspect) is not used at all, and the rest load where a call uses them:
+# hashlib for a cache directory, fractions with decimal for a grid or a
+# density report, statistics for the density fit
+_STDLIB_WATCHED = {"dataclasses", "inspect", "hashlib", "fractions", "decimal", "statistics"}
+_DENSITY_STDLIB = {"fractions", "decimal", "statistics"}
 
 
 def _fresh_env() -> dict[str, str]:
@@ -601,41 +607,59 @@ def _fresh_env() -> dict[str, str]:
     return env
 
 
-def _imported(args: list[str]) -> set[str]:
-    """The iwakit submodules that a fresh interpreter imports to run args."""
+def _loaded(args: list[str]) -> set[str]:
+    """The modules that a fresh interpreter imports to run args."""
     proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=_fresh_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    names = (line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
-             if line.startswith("import time:"))
-    return {name.removeprefix("iwakit.") for name in names if name.startswith("iwakit.")}
+    return {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
 
 
-@pytest.mark.parametrize(("args", "expected"), [
-    (["-c", "import iwakit"], set()),
-    (["-c", "import iwakit.cli"], _CLI_MODULES),
-    (["-m", "iwakit", "classify", "--curve", E99, "--p", "3", "--bound", "100"], _CLI_MODULES),
+@functools.cache
+def _loaded_at_startup() -> frozenset[str]:
+    """What the interpreter loads before any code runs (site and its .pth files)."""
+    return frozenset(_loaded(["-c", "pass"]))
+
+
+def _imported(args: list[str]) -> tuple[set[str], set[str]]:
+    """The iwakit submodules that a fresh interpreter imports to run args, and
+    the watched stdlib modules that it loads beyond start-up."""
+    names = _loaded(args)
+    return ({name.removeprefix("iwakit.") for name in names if name.startswith("iwakit.")},
+            (names & _STDLIB_WATCHED) - _loaded_at_startup())
+
+
+@pytest.mark.parametrize(("args", "expected", "stdlib"), [
+    (["-c", "import iwakit"], set(), set()),
+    (["-c", "import iwakit.cli"], _CLI_MODULES, set()),
+    (["-m", "iwakit", "classify", "--curve", E99, "--p", "3", "--bound", "100"], _CLI_MODULES,
+     set()),
     (["-m", "iwakit", "density", "--curve", E99, "--p", "3", "--grid", "1e2,1e3,2e3,4e3",
-      "--jobs", "1"], _CLI_MODULES | {"density", "fields"}),
+      "--jobs", "1"], _CLI_MODULES | {"density", "fields"}, _DENSITY_STDLIB),
     (["-m", "iwakit", "enumerate-fields", "--p", "3", "--ramified", "7"],
-     _CLI_MODULES | {"fields"}),
+     _CLI_MODULES | {"fields"}, set()),
     (["-m", "iwakit", "euler-char", "--curve", E99, "--p", "3"],
-     _CLI_MODULES | {"eulerchar", "refdata"}),
+     _CLI_MODULES | {"eulerchar", "refdata"}, set()),
     (["-m", "iwakit", "kida", "--curve", E99, "--p", "3", "--ramified", "7"],
-     _CLI_MODULES | {"eulerchar", "fields", "kida", "refdata"}),
+     _CLI_MODULES | {"eulerchar", "fields", "kida", "refdata"}, set()),
     (["-m", "iwakit", "report", "--curve", E99, "--p", "3", "--ramified", "7", "--bound", "100",
-      "--jobs", "1"], _CLI_MODULES | {"density", "eulerchar", "fields", "kida", "refdata"}),
+      "--jobs", "1"], _CLI_MODULES | {"density", "eulerchar", "fields", "kida", "refdata"},
+     _DENSITY_STDLIB),
     (["-m", "iwakit", "report", "--curve", E99, "--p", "3", "--bound", "100", "--jobs", "1"],
-     _CLI_MODULES | {"density", "eulerchar", "fields", "refdata"}),
+     _CLI_MODULES | {"density", "eulerchar", "fields", "refdata"}, _DENSITY_STDLIB),
     # the Euler audit fails at p = 5 (good reduction); _failure looks up the
     # blocked-error classes, which loads kida
     (["-m", "iwakit", "report", "--curve", E99, "--p", "5", "--bound", "100", "--jobs", "1"],
-     _CLI_MODULES | {"density", "eulerchar", "fields", "kida", "refdata"}),
+     _CLI_MODULES | {"density", "eulerchar", "fields", "kida", "refdata"}, _DENSITY_STDLIB),
+    # a cache directory is what loads hashlib
+    (["-m", "iwakit", "classify", "--curve", E99, "--p", "3", "--bound", "100",
+      "--cache-dir", "{tmp}"], _CLI_MODULES, {"hashlib"}),
 ], ids=["import-iwakit", "import-cli", "classify", "density", "enumerate-fields", "euler-char",
-        "kida", "report", "report-unramified", "report-euler-error"])
-def test_each_call_imports_only_what_it_runs(args, expected):
+        "kida", "report", "report-unramified", "report-euler-error", "classify-cache-dir"])
+def test_each_call_imports_only_what_it_runs(args, expected, stdlib, tmp_path):
     # no case loads iwasawa
-    assert _imported(args) == expected
+    assert _imported([arg.format(tmp=tmp_path) for arg in args]) == (expected, stdlib)
 
 
 # a 30-digit prime = 1 mod 6: BSGS at it took O(ell^(1/4)) steps and memory,

@@ -5,13 +5,17 @@ bytes of stderr and no traceback, from `python -m iwakit` with this
 package on PYTHONPATH.
 """
 
+import csv
+import json
 import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import iwakit
 from iwakit.cli import EXIT_BLOCKED, EXIT_FAILURE, EXIT_OK
 from iwakit.counting import BSGS_BUDGET
 from test_cli import RAMIFIED_30_DIGITS, _fresh_env
@@ -116,3 +120,44 @@ def test_help_exits_zero_and_lists_each_subcommand():
     for sub in ("classify", "kida", "euler-char", "enumerate-fields", "density", "report"):
         # a subcommand line: four spaces, the name, spaces, then its help text
         assert re.search(rf"^    {sub} +[a-zA-Z]", proc.stdout, re.M), sub
+
+
+def test_density_csv_tables_equal_the_json_tables(tmp_path):
+    g_csv, m_csv, out = tmp_path / "g.csv", tmp_path / "m.csv", tmp_path / "density.json"
+    proc = _iwakit("density", "--curve", E99, "--p", "3", "--grid", "1e2,1e3,2e3,4e3",
+                   "--jobs", "1", "--g-csv", str(g_csv), "--m-csv", str(m_csv), "--out", str(out))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    for path, column, key in ((g_csv, "g", "g_table"), (m_csv, "M", "M_table")):
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["X", column], rows[0]
+        assert [[int(v) for v in row] for row in rows[1:]] == payload[key], path.name
+
+
+def test_enumerate_fields_and_euler_char_with_a_sha_order_run():
+    proc = _iwakit("enumerate-fields", "--p", "3", "--ramified", "7,13", "--wild")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["count"] == 4
+    proc = _iwakit("euler-char", "--curve", E99, "--p", "3", "--sha", "1")
+    assert proc.returncode == EXIT_OK, proc.stderr
+
+
+def test_euler_char_reads_the_bundled_records_and_a_scaled_model_alike(tmp_path):
+    def euler_char(*argv) -> bytes:
+        proc = subprocess.run([sys.executable, "-m", "iwakit", "euler-char", "--curve", E99,
+                               "--p", "3", *argv], env=_fresh_env(), capture_output=True,
+                              timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        return proc.stdout
+
+    default = euler_char()
+    bundled = Path(iwakit.__file__).parent / "data" / "reference_curves.json"
+    assert euler_char("--reference", str(bundled)) == default
+    # records are matched by the minimal model of their curve, not by its text
+    u2 = tmp_path / "u2.ref"
+    u2.write_text('[{"curve": "0,0,8,-48,-320", "p": 3, "analytic_rank": 0, "sha_p_order": 1, '
+                  '"lambda_base": 0, "mu_base": 0, "source_note": "E99 scaled by u = 2"}]',
+                  encoding="utf-8")
+    scaled = json.loads(euler_char("--reference", str(u2)))
+    assert scaled["factors"] == json.loads(default)["factors"]

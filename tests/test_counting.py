@@ -35,6 +35,7 @@ from iwakit.elliptic import (
     BadReductionError,
     SingularCurveError,
     WeierstrassModel,
+    format_model,
     minimal_model,
     model_from_c4c6,
     quadratic_twist,
@@ -1499,7 +1500,7 @@ def test_density_at_p5_counts_code_slots(tmp_path, monkeypatch):
                        if ell % 10 == 1 and ell != 11 and not (ell % 3 == 1 and ell <= 229)]
     assert 241 in counted
     a = TraceCache(None).traces(E99, [241])[241]
-    assert TraceCache(tmp_path)._load(TraceCache._key(E99))[241 >> 1] == a
+    assert TraceCache(tmp_path)._load(format_model(E99))[241 >> 1] == a
 
 
 def _report_counts(tmp_path):
@@ -1613,6 +1614,38 @@ def test_trace_cache_isomorphic_models_share_key(tmp_path):
     cache.traces(E99, [7])
     cache.traces(E99.transform(r=3, s=-2, t=5), [7, 13])
     assert len(list(tmp_path.glob("*.traces"))) == 1
+
+
+# a trace file of E99 at the good primes below 60, with its name, as
+# TraceCache wrote it when it still keyed its memory by the file's hash
+E99_TRACE_FILE = "20e33d0760b7622b8d018c25.traces"
+E99_TRACE_BYTES = bytes.fromhex(
+    "02000080fffffeff00800080040000800200000000800100008000800000070000800080"
+    "030000800800faff0080f8ff00800080060000800080fbff0c720606fc704aa737838d51"
+    "33592f8c74ed071e4046752ff6fd83209cdcf9a5")
+
+
+def test_trace_cache_reads_and_writes_the_same_files(tmp_path, monkeypatch):
+    ells = [ell for ell in sieve_primes(60) if ell not in (3, 11)]
+    good = TraceCache(None).traces(E99, ells)
+    written = tmp_path / "written"
+    TraceCache(written).traces(E99, ells)
+    assert [(p.name, p.read_bytes()) for p in written.iterdir()] == [
+        (E99_TRACE_FILE, E99_TRACE_BYTES)]
+    stored = tmp_path / "stored"
+    stored.mkdir()
+    (stored / E99_TRACE_FILE).write_bytes(E99_TRACE_BYTES)
+    counted = _count_traces(monkeypatch)
+    # a hit for the model and for an isomorphic one, with nothing counted or rewritten
+    assert TraceCache(stored).traces(E99, ells) == good
+    assert TraceCache(stored).traces(E99.transform(r=1, s=2, t=-3), ells) == good
+    assert counted == []
+    assert [(p.name, p.read_bytes()) for p in stored.iterdir()] == [
+        (E99_TRACE_FILE, E99_TRACE_BYTES)]
+
+
+def test_digest_size_is_sha256():
+    assert counting._DIGEST == hashlib.sha256().digest_size
 
 
 def test_trace_cache_memory_only():

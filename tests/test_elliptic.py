@@ -392,6 +392,37 @@ def test_potential_good_reduction():
     assert has_potential_good_reduction(E32, 2)
 
 
+def _j_is_integral_at(model: WeierstrassModel, q: int) -> bool:
+    """Oracle: q does not divide the denominator of j = c4^3 / disc in lowest terms."""
+    return Fraction(model.c4**3, model.disc).denominator % q != 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 401])
+def test_potential_good_reduction_against_fraction_oracle(q):
+    rng = random.Random(q)
+    # y^2 + xy = x^3 + q^k has c4 = 1 and v_q(disc) = k: j is not q-integral
+    models = [WeierstrassModel(1, 0, 0, 0, q**k) for k in (1, 3)] + [E99, E32]
+    while len(models) < 150:
+        a = [rng.randint(-30, 30) for _ in range(5)]
+        if len(models) % 3 == 0:
+            a[1] = a[3] = 0  # with a1 = 0 as well, c4 = 0 and j = 0
+            a[0] = 0
+        try:
+            models.append(WeierstrassModel(*a))
+        except SingularCurveError:
+            continue
+    # the same j with q-powers in c4 and disc, which cancel in part
+    models += [_rescale(w, u) for w in models[:30] for u in (q, q * q)]
+    assert any(w.c4 == 0 for w in models) and any(w.disc < 0 for w in models)
+    assert any(w.disc % q == 0 for w in models)
+    outcomes = set()
+    for w in models:
+        outcome = has_potential_good_reduction(w, q)
+        assert outcome == _j_is_integral_at(w, q), w
+        outcomes.add(outcome)
+    assert outcomes == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # oracle: Kodaira type from (v_disc, v_c4) valuations, valid for q >= 5
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ def _library_blocks():
 
 def test_library_blocks_print_what_their_comments_say(tmp_path, monkeypatch):
     blocks = _library_blocks()
-    assert len(blocks) == 4
+    assert len(blocks) == 5
     # the trace-cache example writes its directory under the working directory
     monkeypatch.chdir(tmp_path)
     namespace: dict = {}
