@@ -114,9 +114,11 @@ print(json.dumps({"peak_rss_mb": peak, "outcomes": codes}))
 # Run in a fresh process with the checkout's src/ on the path: the RSS
 # before, and the peak RSS after, one TraceCache._read of the file named in
 # argv; the peak of compiling src/ can hide part of the read, so the RSS
-# before is the resident size of the moment, from /proc/self/statm.
+# before is the resident size of the moment, from /proc/self/statm.  hashlib,
+# which _read loads for the digest, is imported before it, so that the growth
+# counts the read and not OpenSSL.
 _READ_CHILD = """
-import gc, json, os, resource, sys
+import gc, hashlib, json, os, resource, sys
 from pathlib import Path
 from iwakit.counting import TraceCache
 gc.collect()

@@ -6,13 +6,13 @@ curve at p = 3, transferred across the cubic field ramified at 7.
 """
 
 import argparse
-import math
 import sys
 
 from iwakit import (
     CyclicExtension,
     check_hypotheses,
     classify_prime,
+    conductor,
     count_points,
     euler_char_factors,
     lambda_transfer,
@@ -38,7 +38,7 @@ def main() -> int:
     minimal, _ = minimal_model(model)
     print(f"curve {args.curve}, minimal model {minimal.coefficients()}")
     bad = local_data(minimal)
-    print(f"conductor {math.prod(local.ell ** local.conductor_exponent for local in bad)}")
+    print(f"conductor {conductor(minimal)}")
 
     for local in bad:
         print(f"  reduction at {local.ell}: {local.type} ({local.kodaira}), "

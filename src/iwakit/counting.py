@@ -497,11 +497,9 @@ class FrobeniusData:
     ell: int
     a_ell: int
 
-    # written out, not _frozen's generic __init__: p2_membership builds one per prime
-    def __init__(self, ell: int, a_ell: int) -> None:
-        self.__dict__.update(ell=ell, a_ell=a_ell)
-        if a_ell * a_ell > 4 * ell:
-            raise ValueError(f"Hasse bound violated: a={a_ell} at ell={ell}")
+    def __post_init__(self) -> None:
+        if self.a_ell * self.a_ell > 4 * self.ell:
+            raise ValueError(f"Hasse bound violated: a={self.a_ell} at ell={self.ell}")
 
 
 def order_over_extension(fd: FrobeniusData, n: int) -> int:

@@ -105,14 +105,20 @@ def test_classify_json_counts(capsys):
     assert seven == {"ell": 7, "class": "Q3", "a_ell": -2, "in_script_Q": True}
 
 
-def test_classify_json_is_one_shot_text(capsys):
+def test_classify_json_is_one_shot_text(capsys, monkeypatch, tmp_path):
     # the records are written by a fixed template in slices of 256 (two slices
-    # here), spliced into the encoder's text of the rest of the payload
-    code, out = _run(capsys, ["classify", "--curve", E99, "--p", "3", "--bound", "3000"])
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    assert len(payload["primes"]) == 429
-    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # at 3000), spliced into the encoder's text of the rest of the payload
+    monkeypatch.delenv("IWAKIT_CACHE_DIR", raising=False)
+    for bound, records in ((3000, 429), (100000, 9591)):
+        argv = ["classify", "--curve", E99, "--p", "3", "--bound", str(bound), "--jobs", "1"]
+        code, out = _run(capsys, argv)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert len(payload["primes"]) == records
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        path = tmp_path / "classify.json"
+        assert _run(capsys, [*argv, "--out", str(path)]) == (EXIT_OK, "")
+        assert path.read_bytes() == out.encode("utf-8")
 
 
 def _record(obj: object) -> dict:

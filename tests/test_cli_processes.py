@@ -1,12 +1,16 @@
-"""Exit codes and stderr of the CLI, each call in a fresh process.
+"""Exit codes, stderr and stdout of the CLI and the scripts, each call in a
+fresh process.
 
 The point of each check is what a shell sees: the exit status, the first
 bytes of stderr and no traceback, from `python -m iwakit` with this
-package on PYTHONPATH.
+package on PYTHONPATH, and stdout bytes that a cache left by earlier
+processes does not change.
 """
 
+import array
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -143,13 +147,97 @@ def test_enumerate_fields_and_euler_char_with_a_sha_order_run():
     assert proc.returncode == EXIT_OK, proc.stderr
 
 
-def test_euler_char_reads_the_bundled_records_and_a_scaled_model_alike(tmp_path):
-    def euler_char(*argv) -> bytes:
-        proc = subprocess.run([sys.executable, "-m", "iwakit", "euler-char", "--curve", E99,
-                               "--p", "3", *argv], env=_fresh_env(), capture_output=True,
-                              timeout=120)
+def _stdout(*argv) -> bytes:
+    """The stdout bytes of a call that exits 0."""
+    proc = subprocess.run([sys.executable, "-m", "iwakit", *argv], env=_fresh_env(),
+                          capture_output=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    return proc.stdout
+
+
+def _codes(cache: Path) -> int:
+    """How many slots of the trace file in cache hold whether 3 | #E(F_ell), as
+    -32767 (it does) or -32766 (it does not), in place of a_ell; the file ends
+    in its 32-byte digest."""
+    (path,) = cache.glob("*.traces")
+    slots = array.array("h", path.read_bytes()[:-32])
+    return sum(v in (-32767, -32766) for v in slots)
+
+
+def test_density_stdout_is_the_same_cold_warm_and_after_the_cache_file_is_cut(tmp_path):
+    argv = ["density", "--curve", E99, "--p", "3", "--grid", "1e2,1e3,2e3,4e3", "--jobs", "1",
+            "--cache-dir", str(tmp_path)]
+    cold = _stdout(*argv)
+    assert _stdout(*argv) == cold
+    (path,) = tmp_path.glob("*.traces")
+    os.truncate(path, path.stat().st_size - 5)
+    assert _stdout(*argv) == cold
+
+
+def test_density_stdout_is_the_same_on_a_cache_that_classify_also_filled(tmp_path):
+    def run(sub, cache, *argv):
+        return _stdout(sub, "--curve", E99, "--jobs", "1", "--cache-dir", str(tmp_path / cache),
+                       *argv)
+
+    p3 = ("--p", "3", "--grid", "1e2,1e3,2e3,4e3")
+    before = run("density", "shared", *p3)
+    run("classify", "shared", "--p", "3", "--bound", "4000")
+    assert run("density", "shared", *p3) == before
+    p5 = ("--p", "5", "--grid", "1e2,1e3,2e3,6e3")
+    assert run("density", "shared", *p5) == run("density", "fresh", *p5)
+    # p = 3 to 1e5: the scan stores whether 3 | #E(F_ell) as a code above 229,
+    # a second report reads the codes, and classify stores a_ell over them
+    to_1e5 = ("--p", "3", "--grid", "1e2,1e3,1e4,1e5")
+    cold = run("density", "codes", *to_1e5)
+    assert _codes(tmp_path / "codes") > 0
+    assert run("density", "codes", *to_1e5) == cold
+    assert run("density", "jobs2", *to_1e5, "--jobs", "2") == cold
+    run("classify", "codes", "--p", "3", "--bound", "100000")
+    assert _codes(tmp_path / "codes") == 0
+    assert run("density", "codes", *to_1e5) == cold
+
+
+def test_report_stdout_is_the_same_on_caches_that_classify_and_report_filled(tmp_path):
+    def run(sub, *argv):
+        return _stdout(sub, "--curve", E99, "--p", "3", *argv)
+
+    report = ("--ramified", "7", "--jobs", "1")
+    nocache = run("report", *report)
+    filled = ("--cache-dir", str(tmp_path / "filled"))
+    run("classify", "--bound", "1000", "--jobs", "2", *filled)
+    assert run("report", *report, *filled) == nocache
+    # the reverse order: report stores whether 3 | #E(F_ell) as a code at each
+    # good ell > 229, in both classes mod 3, and classify stores a_ell over them
+    codes = ("--cache-dir", str(tmp_path / "codes"))
+    assert run("report", *report, *codes) == nocache
+    assert _codes(tmp_path / "codes") > 0
+    assert run("report", *report, *codes) == nocache
+    run("classify", "--bound", "1000", "--jobs", "1", *codes)
+    assert _codes(tmp_path / "codes") == 0
+    assert run("report", *report, *codes) == nocache
+
+
+def test_scripts_run_and_print_their_figures():
+    scripts = Path(__file__).parents[1] / "scripts"
+
+    def script(name, *argv) -> str:
+        proc = subprocess.run([sys.executable, str(scripts / name), *argv], env=_fresh_env(),
+                              capture_output=True, text=True, timeout=120)
         assert proc.returncode == EXIT_OK, proc.stderr
         return proc.stdout
+
+    lines = script("worked_example.py").splitlines()
+    for line in ("conductor 99", "#E(F_7) = 10, class Q3, distinguished set member: True",
+                 "mu/lambda vanishing verdict: zero", "rank E(L) = 0"):
+        assert line in lines, line
+    (line,) = script("count_bands.py", "--curves", "2", "--primes", "5", "--discs", "5",
+                     "--repeats", "1").splitlines()
+    assert {"count_us", "psi3_us", "factorize_us"} <= json.loads(line).keys()
+
+
+def test_euler_char_reads_the_bundled_records_and_a_scaled_model_alike(tmp_path):
+    def euler_char(*argv) -> bytes:
+        return _stdout("euler-char", "--curve", E99, "--p", "3", *argv)
 
     default = euler_char()
     bundled = Path(iwakit.__file__).parent / "data" / "reference_curves.json"

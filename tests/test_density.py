@@ -2,11 +2,14 @@
 
 import bisect
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from iwakit import counting, ntheory
+from iwakit import cli, counting, ntheory
+from iwakit.cli import EXIT_OK
 from iwakit.classify import bulk_classify
 from iwakit.counting import TraceCache
 from iwakit.density import (
@@ -22,9 +25,10 @@ from iwakit.density import (
     table_csv,
     _sl2_trace_histogram,
 )
-from iwakit.elliptic import WeierstrassModel
+from iwakit.elliptic import WeierstrassModel, format_model
 from iwakit.fields import g_steps, m_steps, script_q_primes
 from iwakit.ntheory import iroot, sieve_primes
+from test_cli import _fresh_env
 from test_fields import m_totals_sieve, totals_sieve
 
 E99 = WeierstrassModel(0, 0, 1, -3, -5)
@@ -209,7 +213,7 @@ def test_alternating_reports_sieve_once_per_key(monkeypatch):
     assert sorted(sieved) == [7, 63, 4000, 4000]
 
 
-def test_reports_in_one_process_equal_reports_on_a_cleared_cache():
+def test_reports_in_one_process_equal_reports_on_a_cleared_cache(capsys, tmp_path):
     # the kept primes = 1 mod p carry no curve's or p's answer into another report
     grid = [100, 1000, 2000, 4000]
     runs = [(model, p) for model in (E99, E887) for p in (3, 5)] * 2
@@ -223,6 +227,18 @@ def test_reports_in_one_process_equal_reports_on_a_cleared_cache():
     assert len({report.g_table for report in shared}) == 4
     for (model, p), report in zip(runs[:4], shared):
         assert (report.g_table, report.M_table) == _sieve_tables(model, p, grid, cache)
+    # the same two passes through cli.main on one cache directory, against
+    # one fresh process per (curve, p)
+    stdout = []
+    for model, p in runs:
+        argv = ["density", f"--curve={format_model(model)}", "--p", str(p),
+                "--grid", "1e2,1e3,2e3,4e3", "--jobs", "1"]
+        assert cli.main([*argv, "--cache-dir", str(tmp_path)]) == EXIT_OK
+        stdout.append(capsys.readouterr().out.encode("utf-8"))
+        if len(stdout) > 4:
+            own = subprocess.run([sys.executable, "-m", "iwakit", *argv], env=_fresh_env(),
+                                 capture_output=True, check=True, timeout=120).stdout
+            assert stdout[-5] == stdout[-1] == own, argv
 
 
 def test_asymptotic_report_grid_errors():

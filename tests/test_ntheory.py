@@ -3,7 +3,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from iwakit.ntheory import (
     factorize,
@@ -94,6 +94,7 @@ def test_primes_one_mod_p_are_built_once_per_key():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 6000))
+@example(2_000_000)  # is_prime's Miller-Rabin bases against every n below 2*10^6
 def test_segmented_sieve_matches_flat_and_is_prime(bound):
     assert sieve_primes(bound) == tuple(n for n in range(bound + 1) if is_prime(n))
 

@@ -142,7 +142,7 @@ def test_defaults_and_keyword_construction():
     assert (series.precision, series.exact) == (DEFAULT_PRECISION, True)
     assert CharSeries(3, (3, 1), exact=False, precision=4) == CharSeries(3, (3, 1), 4, False)
     assert CharSeries(3, coeffs=(3, 1, 0)).coeffs == (3, 1)
-    # the records built in hot loops write their own __init__
+    # PrimeClass and WeierstrassModel write their own __init__, FrobeniusData takes _frozen's
     assert PrimeClass(ell=7, category="Q3", a_ell=-2, in_script_q=True) == _samples()[PrimeClass]
     assert FrobeniusData(ell=7, a_ell=-2) == FrobeniusData(7, -2)
     assert WeierstrassModel(a6=-5, a4=-3, a3=1, a2=0, a1=0) == E99
