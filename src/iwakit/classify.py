@@ -10,17 +10,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
+from . import counting
 from ._record import _frozen
-from .counting import (
-    _MESTRE_BOUND,
-    _THREE_DIVIDES,
-    FrobeniusData,
-    TraceCache,
-    _count_points,
-    _good_model_at,
-    _three_divides,
-    order_over_extension,
-)
+from .counting import FrobeniusData, TraceCache, _p_divides, _slot_divides, order_over_extension
 from .elliptic import WeierstrassModel, minimal_model
 from .ntheory import _primes_1_mod_2p, check_odd_prime, is_prime, padic_valuation, sieve_primes
 
@@ -64,10 +56,10 @@ def _check_primes(p: int, ell: int) -> None:
 
 
 def _good_traces(
-    model: WeierstrassModel, ells, cache: TraceCache | None, three: bool = False
+    model: WeierstrassModel, ells, cache: TraceCache | None, verdict: int | None = None
 ) -> dict[int, int]:
     """a_ell at the good primes among ells, ascending; a bad prime gets no entry.
-    With three, an ell > 229 may get a trace-cache code instead of a_ell.
+    Asked for the verdict of a p, an ell may get a trace-cache code instead.
 
     ells are ascending primes, sieved or checked by _check_primes, so the
     cache's private entry counts them without testing primality again."""
@@ -75,24 +67,16 @@ def _good_traces(
     # the global minimal model has bad reduction exactly at the primes of its discriminant
     disc = minimal.disc
     good = [ell for ell in ells if disc % ell]
-    return (cache if cache is not None else TraceCache(None))._traces(minimal, good, three)
+    return (cache if cache is not None else TraceCache(None))._traces(minimal, good, verdict)
 
 
 def _verdict(p: int, ell: int, a: int | None) -> tuple[str, bool]:
-    """The class at ell from a_ell, from a trace-cache code at p = 3, or from
-    None at a bad prime, and whether ell is distinguished: Q2 when p divides
-    #E(F_ell) = ell + 1 - a_ell, else Q3, distinguished if ell = 1 mod p."""
+    """The class at ell from _good_traces there, a_ell or a trace-cache code
+    for p, or from None at a bad prime, and whether ell is distinguished: Q2
+    when p divides #E(F_ell), else Q3, distinguished if ell = 1 mod p."""
     if a is None:
         return "Q1", False
-    if a * a > 4 * ell:
-        # a code, which fails the Hasse bound: whether 3 divides #E(F_ell),
-        # read as it is, since (2 - code) % 3 is that test only at ell = 1 mod 3
-        divides = a == _THREE_DIVIDES
-    else:
-        divides = (ell + 1 - a) % p == 0
-    if divides:
-        return "Q2", False
-    return "Q3", ell % p == 1
+    return ("Q2", False) if _slot_divides(p, ell, a) else ("Q3", ell % p == 1)
 
 
 def _prime_class(p: int, ell: int, a: int | None) -> PrimeClass:
@@ -118,21 +102,19 @@ def p2_membership(model: WeierstrassModel, p: int, ell: int, f: int) -> bool:
     the Frobenius eigenvalues mod p are prime to p, so torsion growth anywhere
     up the p-tower is already visible at the base residue field F_{ell^f}.
 
-    At p = 3, f = 1 and ell > 229 the bit is read off psi_3 by
-    counting._three_divides, in time polynomial in the digits of ell; every
-    other (p, ell, f) counts #E(F_ell) and takes a_ell through the trace
-    recurrence, by BSGS above 229, which grows as ell^(1/4) and refuses an
-    ell past counting.BSGS_BUDGET with ValueError.
+    At f = 1 counting._p_divides answers, in time polynomial in the digits of
+    ell at p = 3; BSGS at p >= 5 refuses an ell past counting.BSGS_BUDGET with
+    ValueError.  A larger f counts a_ell as p >= 5 does and takes
+    #E(F_{ell^f}) through the trace recurrence.
     """
     _check_primes(p, ell)
     if f < 1:
         raise ValueError(f"residue degree must be >= 1, got {f}")
-    if p == 3 and f == 1 and ell > _MESTRE_BOUND:
-        # a model that is bad at ell is minimized, as the count below would
-        return _three_divides(*_good_model_at(model, ell).short, ell)
-    # point counting minimizes a model that is bad at ell; _check_primes has
-    # tested ell, so it is counted without a second primality test
-    a_ell = ell + 1 - _count_points(model, ell)
+    # both minimize a model bad at ell, and take ell as tested by _check_primes;
+    # the count is looked up in counting at call time, as _p_divides looks it up
+    if f == 1:
+        return _p_divides(model, p, ell)
+    a_ell = ell + 1 - counting._count_points(model, ell)
     return order_over_extension(FrobeniusData(ell=ell, a_ell=a_ell), f) % p == 0
 
 
@@ -155,12 +137,12 @@ def bulk_classify(
 
 
 def _table(
-    model: WeierstrassModel, p: int, bound: int, cache: TraceCache | None, three: bool
+    model: WeierstrassModel, p: int, bound: int, cache: TraceCache | None, verdict: int | None
 ) -> tuple[list[int], dict[int, int]]:
     """The primes ell <= bound except p, ascending, and _good_traces at them."""
     check_odd_prime(p)
     ells = [ell for ell in sieve_primes(bound) if ell != p] if bound >= 2 else []
-    return ells, _good_traces(model, ells, cache, three) if ells else {}
+    return ells, _good_traces(model, ells, cache, verdict) if ells else {}
 
 
 def _classified(
@@ -172,7 +154,7 @@ def _classified(
     """The (class, distinguished) verdicts of ``bulk_classify``'s records, and
     those records, each made one at a time from one table of traces: a caller
     that writes the records as they come holds no list of them."""
-    ells, traces = _table(model, p, bound, cache, three=False)
+    ells, traces = _table(model, p, bound, cache, None)
     verdicts = (_verdict(p, ell, traces.get(ell)) for ell in ells)
     records = (_prime_class(p, ell, traces.get(ell)) for ell in ells)
     return verdicts, records
@@ -184,10 +166,10 @@ def _verdicts(
     bound: int,
     cache: TraceCache | None,
 ) -> Iterator[tuple[str, bool]]:
-    """The verdicts of ``_classified`` alone.  No record needs a_ell, so at
-    p = 3 the trace cache answers each good ell > 229 in three mode: whether 3
-    divides #E(F_ell), from the psi_3 kernel or a stored code."""
-    ells, traces = _table(model, p, bound, cache, three=p == 3)
+    """The verdicts of ``_classified`` alone.  No record needs a_ell, so the
+    trace cache is asked for p's verdict, which it may answer with a code:
+    at p = 3 each good ell > 229 is, from counting._p_divides or the file."""
+    ells, traces = _table(model, p, bound, cache, p)
     return (_verdict(p, ell, traces.get(ell)) for ell in ells)
 
 

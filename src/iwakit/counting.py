@@ -23,12 +23,12 @@ order in the interval, so a point of small order d costs no list of its
 about 4 sqrt(ell) / d annihilators: ranges meet, double and mirror by
 arithmetic.  An ell past BSGS_BUDGET is refused before any work.
 
-Where only whether 3 divides #E(F_ell) is wanted, as in the density scan,
-report's class counts and the P2 witness of kida at p = 3, _three_divides
-answers at every good ell > 229, in both classes mod 3: Schoof's mod-3 step
-reads the bit off gcd(x^ell - x, psi_3), and the trace cache stores it as a
-code, not a_ell.  _quartic_gcd takes that gcd in straight-line code, Euclid's
-steps in closed form for the depressed quartic psi_3 / 3, with no lists.
+Whether p divides #E(F_ell) has one entry, _p_divides, which holds the kernel
+table: the naive count through ell = 229, above it the psi_3 kernel
+_three_divides at p = 3 and BSGS at p >= 5.  The psi_3 kernel is Schoof's
+mod-3 step: it reads the bit off gcd(x^ell - x, psi_3), which _quartic_gcd
+takes in straight-line code.  A trace cache asked for p's verdict, as the
+density scan and report's class counts ask, stores it as a code for p.
 
 Primality is checked at the public entries: count_points, count_points_naive,
 count_points_bsgs, trace_of_frobenius and TraceCache.traces raise ValueError
@@ -483,6 +483,17 @@ def _count_points(model: WeierstrassModel, ell: int) -> int:
     return _count_bsgs(model, ell)
 
 
+def _p_divides(model: WeierstrassModel, p: int, ell: int) -> bool:
+    """Whether p divides #E(F_ell) at an ell the caller knows to be prime, by
+    the kernel table: the naive count through 229, then the psi_3 kernel at
+    p = 3, polynomial in the digits of ell, and at p >= 5 BSGS, which refuses
+    an ell past BSGS_BUDGET with ValueError.  A model bad at ell is minimized;
+    bad reduction there raises BadReductionError."""
+    if p == 3 and ell > _MESTRE_BOUND:
+        return _three_divides(*_good_model_at(model, ell).short, ell)
+    return _count_points(model, ell) % p == 0
+
+
 def trace_of_frobenius(model: WeierstrassModel, ell: int) -> int:
     return ell + 1 - count_points(model, ell)
 
@@ -519,17 +530,18 @@ def order_over_extension(fd: FrobeniusData, n: int) -> int:
 GRID_BUDGET = 10**7
 # A trace array has slot i for a_{2i+1} and slot 0 for a_2 (1 is never prime).
 # Every |a_ell| <= 2 sqrt(ell) fits in int16 for ell < 2.68e8, so the three
-# lowest values are free.  -32768 marks a slot whose trace is not known.  The
-# density scan and report at p = 3 store only whether 3 divides #E(F_ell) at
-# ell > 229, as -32767 (it does) or -32766 (it does not), and a reader takes
-# a code by that meaning.  At ell = 1 mod 3, where #E(F_ell) = 2 - a_ell mod
-# 3, (2 - code) % 3 is 0 or 2 as the Q3 test of a_ell would be; at ell = 2
-# mod 3 it is not, so classify._verdict reads the code itself.  All three
-# fail the Hasse bound, so a reader that wants a_ell counts the slot again.
-# In a merge an a_ell beats a code and a code beats -32768: the greater value.
+# lowest values are free.  -32768 marks a slot whose trace is not known.  A
+# reader asked for 3's verdict (_VERDICT_CODES, by p) stores only whether 3
+# divides #E(F_ell) at ell > 229, as -32767 (it does) or -32766 (it does
+# not).  At ell = 1 mod 3, where #E(F_ell) = 2 - a_ell mod 3, (2 - code) % 3
+# is 0 or 2 as the Q3 test of a_ell would be; at ell = 2 mod 3 it is not, so
+# _slot_divides reads the code itself.  All three fail the Hasse bound, so a
+# reader that wants a_ell counts the slot again.  In a merge an a_ell beats a
+# code and a code beats -32768: the greater value.
 _UNKNOWN = -32768
 _THREE_DIVIDES = -32767
 _THREE_DOES_NOT_DIVIDE = -32766
+_VERDICT_CODES = {3: (_THREE_DIVIDES, _THREE_DOES_NOT_DIVIDE)}
 _DIGEST = 32  # the size of a sha256 digest
 
 
@@ -541,12 +553,19 @@ def _sha256(data):
     return hashlib.sha256(data)
 
 
-def _slot_value(minimal: WeierstrassModel, three: bool, ell: int) -> int:
-    """a_ell at a good prime ell; with three, at 229 < ell <= GRID_BUDGET, the
-    code that says whether 3 divides #E(F_ell), in either class mod 3.  In that
-    range a code fails the Hasse bound, so no reader takes it for a_ell."""
-    if three and _MESTRE_BOUND < ell <= GRID_BUDGET:
-        return _THREE_DIVIDES if _three_divides(*minimal.short, ell) else _THREE_DOES_NOT_DIVIDE
+def _slot_divides(p: int, ell: int, a: int) -> bool:
+    """Whether p divides #E(F_ell), from what _traces answers at ell when
+    asked for p's verdict: a_ell, or a code, which fails the Hasse bound."""
+    return a == _VERDICT_CODES[p][0] if a * a > 4 * ell else (ell + 1 - a) % p == 0
+
+
+def _slot_value(minimal: WeierstrassModel, verdict: int | None, ell: int) -> int:
+    """a_ell at a good prime ell; asked for the verdict of a p with codes, at
+    229 < ell <= GRID_BUDGET, p's code for _p_divides.  In that range a code
+    fails the Hasse bound, so no reader takes it for a_ell."""
+    codes = _VERDICT_CODES.get(verdict)
+    if codes and _MESTRE_BOUND < ell <= GRID_BUDGET:
+        return codes[0] if _p_divides(minimal, verdict, ell) else codes[1]
     return ell + 1 - _count_points(minimal, ell)
 
 
@@ -568,16 +587,15 @@ class TraceCache:
     a whole, so truncation, a flipped byte or a file in another format is
     recomputed and rewritten, never trusted slot by slot.  A slot is checked
     against the Hasse bound when it is read, and one that fails is counted
-    again.  A slot may hold one of two codes instead of a_ell: _THREE_DIVIDES
-    or _THREE_DOES_NOT_DIVIDE, which readers in three mode (the density scan
-    and report's class counts at p = 3) store at ell > 229 and accept there,
-    whatever ell is mod 3.  Both fail the Hasse bound, so every other reader
-    (classify, p >= 5, traces) counts such a slot again and stores a_ell over
-    it.  Only ell <= GRID_BUDGET is stored; a larger ell is counted on every
-    call.  Files are replaced whole, through a temporary file, after merging in
-    what is on disk (an a_ell over a code, a code over _UNKNOWN), so a reader
-    never sees a partial write and a writer keeps the entries another process
-    stored before it.
+    again.  A slot may hold p's code of _VERDICT_CODES instead of a_ell, which
+    a reader asked for p's verdict (the density scan and report's class
+    counts) stores at ell > 229 and accepts.  Codes fail the Hasse bound, so
+    every other reader (classify, another p, traces) counts such a slot again
+    and stores a_ell over it.  Only ell <= GRID_BUDGET is stored; a larger ell
+    is counted on every call.  Files are replaced whole, through a temporary
+    file, after merging in what is on disk (an a_ell over a code, a code over
+    _UNKNOWN), so a reader never sees a partial write and a writer keeps the
+    entries another process stored before it.
 
     Misses are counted by jobs worker processes, capped at the CPU count; a
     single miss is counted in this process.  traces tests each requested ell
@@ -655,11 +673,9 @@ class TraceCache:
             os.unlink(tmp)
             raise
 
-    def _count(
-        self, key: str, minimal: WeierstrassModel, ells: list[int], three: bool = False
-    ) -> list[int]:
+    def _count(self, key: str, minimal: WeierstrassModel, ells: list[int], verdict) -> list[int]:
         """_slot_value at the good primes ells, counted; those the array holds are stored."""
-        answer = partial(_slot_value, minimal, three)
+        answer = partial(_slot_value, minimal, verdict)
         if self.jobs > 1 and len(ells) > 1:
             from multiprocessing import Pool  # serial runs skip this import
 
@@ -692,10 +708,10 @@ class TraceCache:
                 raise ValueError(f"{ell} is not prime")
         return self._traces(model, ells)
 
-    def _traces(self, model: WeierstrassModel, ells, three: bool = False) -> dict[int, int]:
-        """traces at ascending distinct ells the caller knows to be prime.  With
-        three, a stored code is accepted as the answer, and a miss at an ell
-        > 229 that the array holds is answered by _three_divides as a code."""
+    def _traces(self, model: WeierstrassModel, ells, verdict: int | None = None) -> dict[int, int]:
+        """traces at ascending distinct ells the caller knows to be prime.  Asked
+        for the verdict of a p, a stored code of p's is accepted as the answer,
+        and _slot_value answers a miss, as a code where p has one."""
         minimal, _ = minimal_model(model)
         key = format_model(minimal)
         arr = self._load(key)
@@ -703,10 +719,10 @@ class TraceCache:
         for ell in ells:
             i = _slot(ell)
             out[ell] = arr[i] if i is not None and i < len(arr) else _UNKNOWN
-        codes = (_THREE_DIVIDES, _THREE_DOES_NOT_DIVIDE) if three else ()
+        codes = _VERDICT_CODES.get(verdict, ())
         missing = [ell for ell, a in out.items()
                    if a == _UNKNOWN or a * a > 4 * ell and a not in codes]
-        out.update(zip(missing, self._count(key, minimal, missing, three)))
+        out.update(zip(missing, self._count(key, minimal, missing, verdict)))
         return out
 
     def _distinguished(self, model: WeierstrassModel, p: int, ells: tuple[int, ...]) -> list[int]:
@@ -714,16 +730,16 @@ class TraceCache:
         ntheory._primes_1_mod_2p lists, at which p does not divide #E(F_ell).
 
         One loop answers each stored slot ell >> 1: the Hasse check and the Q3
-        test of classify._verdict, p not dividing ell + 1 - a_ell = 2 - a_ell
-        mod p.  At p = 3 a code answers both, as every ell here is 1 mod 3,
-        and a miss above 229 is stored as a code.
+        test of _slot_divides, p not dividing ell + 1 - a_ell = 2 - a_ell mod
+        p.  A code of p's answers both, as every ell here is 1 mod p, and a
+        miss is answered by _slot_value, asked for p's verdict.
         """
         minimal, _ = minimal_model(model)
         key = format_model(minimal)
         arr = self._load(key)
         # ells[:held] have a slot in the array
         held = bisect.bisect_left(ells, min(2 * len(arr), GRID_BUDGET + 1))
-        codes = (_THREE_DIVIDES, _THREE_DOES_NOT_DIVIDE) if p == 3 else ()
+        codes = _VERDICT_CODES.get(p, ())
         out: list[int] = []
         missing: list[int] = []
         for ell in islice(ells, held):
@@ -731,7 +747,7 @@ class TraceCache:
             if a * a <= 4 * ell or a in codes:
                 if (2 - a) % p:
                     out.append(ell)
-            else:  # _UNKNOWN, a code at p >= 5, or a damaged slot
+            else:  # _UNKNOWN, another p's code, or a damaged slot
                 missing.append(ell)
         missing += ells[held:]
         if missing:
@@ -739,7 +755,7 @@ class TraceCache:
             # discriminant, and a bad prime has no trace
             disc = minimal.disc
             good = [ell for ell in missing if disc % ell]
-            answers = self._count(key, minimal, good, three=p == 3)
+            answers = self._count(key, minimal, good, p)
             out += [ell for ell, a in zip(good, answers) if (2 - a) % p]
             out.sort()  # two ascending runs
         return out

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from ._poly import _mul, _sub, _value
 from ._record import _asdict, _frozen
-from .counting import _count_points, trace_of_frobenius
+from .counting import _p_divides, trace_of_frobenius
 from .elliptic import (
     LocalReductionData,
     WeierstrassModel,
@@ -264,7 +264,7 @@ def has_rational_p_torsion(model: WeierstrassModel, p: int) -> bool:
     check_odd_prime(p)
     minimal, _ = minimal_model(model)
     disc = minimal.disc
-    if any(_count_points(minimal, ell) % p for ell in _TORSION_PRIMES if ell != p and disc % ell):
+    if not all(_p_divides(minimal, p, ell) for ell in _TORSION_PRIMES if ell != p and disc % ell):
         return False
     return _division_poly_torsion(minimal, p)
 

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iwakit import classify, counting
+from iwakit import counting
 from iwakit.classify import (
     PrimeClass,
     bulk_classify,
@@ -147,7 +147,7 @@ def test_p2_membership_counts_only_off_the_psi3_route(monkeypatch):
         calls.append(ell)
         return _count_points(model, ell)
 
-    monkeypatch.setattr(classify, "_count_points", counted)
+    monkeypatch.setattr(counting, "_count_points", counted)
     scaled = WeierstrassModel(0, 0, 233**3, -3 * 233**4, -5 * 233**6)  # E99 with u = 233
     assert p2_membership(scaled, 3, 233, 1) is p2_membership(E99, 3, 233, 1)
     assert p2_membership(E99, 3, 997, 1) is (count_points(E99, 997) % 3 == 0)

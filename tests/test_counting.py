@@ -9,6 +9,7 @@ import struct
 import sys
 import tracemalloc
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -23,6 +24,7 @@ from iwakit.counting import (
     _bsgs_annihilators,
     _ec_mul,
     _meet,
+    _p_divides,
     _quartic_gcd,
     _three_divides,
     count_points,
@@ -883,17 +885,22 @@ PRIMES_1_MOD_6 = [ell for ell in sieve_primes(10**5) if ell > 229 and ell % 6 ==
 E27 = WeierstrassModel(0, 0, 1, 0, 0)  # (0, 0) is a rational point of order 3
 
 
-def _psi3_roots(minimal, ell):
-    """The degree of gcd(x^ell - x, psi_3) over F_ell for eulerchar's psi_3 of
-    the short model, by this file's own _ppow and _poly_gcd: the kernel's
-    root count is checked against a gcd and powering it does not share."""
+def _psi3_gcd(minimal, ell):
+    """gcd(x^ell - x, psi_3) over F_ell for eulerchar's psi_3 of the short
+    model, by this file's own _ppow and _poly_gcd: the kernel's root count is
+    checked against a gcd and powering it does not share."""
     A, B = minimal.short
     psi3 = division_polynomial(WeierstrassModel(0, 0, 0, A, B), 3)
     lead = pow(psi3[-1], -1, ell)
     monic = [c * lead % ell for c in psi3]
     x_ell = list(_ppow((0, 1, 0, 0), ell, monic, ell))
     x_ell[1] -= 1
-    return len(_poly_gcd(x_ell, monic, ell)) - 1
+    return _poly_gcd(x_ell, monic, ell)
+
+
+def _psi3_roots(minimal, ell):
+    """The degree of _psi3_gcd."""
+    return len(_psi3_gcd(minimal, ell)) - 1
 
 
 @given(st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1),
@@ -1115,6 +1122,85 @@ def test_three_divides_raises_on_a_forbidden_degree(A, B, ell, roots, allowed):
     assert sum(_value(psi, x) % ell == 0 for x in range(ell)) == roots
     with pytest.raises(AssertionError, match=f"psi_3 has {roots} roots mod {ell}, {allowed}"):
         _three_divides(A, B, ell)
+
+
+# ---------------------------------------------------------------------------
+# _p_divides: the one entry for "p divides #E(F_ell)"
+# ---------------------------------------------------------------------------
+
+# small-order curves and E99: (0, 0) has order 3 on y^2 + y = x^3, y^2 = x^3 + 1
+# has a rational point of order 6, and y^2 = x^3 - x all its 2-torsion
+P_DIVIDES_CURVES = [E27, WeierstrassModel(0, 0, 0, 0, 1), E32, E99]
+
+
+def _ells_in_every_class(p):
+    """227, 229 and 233, and on each side of 229 a seeded prime in every class
+    mod p that has one there: only ell = p is 0 mod p."""
+    rng = random.Random(p)
+    below, above = sieve_primes(229), [ell for ell in sieve_primes(1500) if ell > 229]
+    ells = {227, 229, 233}
+    ells.update(rng.choice([ell for ell in below if ell % p == r]) for r in range(p))
+    ells.update(rng.choice([ell for ell in above if ell % p == r]) for r in range(1, p))
+    return sorted(ells)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_p_divides_agrees_with_the_naive_count(p):
+    ells = _ells_in_every_class(p)
+    assert {ell % p for ell in ells if ell <= 229} == {ell % p for ell in ells if ell > 229} | {0}
+    for model in P_DIVIDES_CURVES:
+        for ell in ells:
+            if model.disc % ell:
+                naive = count_points_naive(model, ell)
+                assert _p_divides(model, p, ell) is (naive % p == 0), (model, ell)
+
+
+def test_p_divides_where_all_of_e5_is_rational():
+    # every point of E(F_ell) has order dividing N / 5 here, so a kernel that
+    # looks for a point of order 5 finds none although 5 divides N
+    model, ell = WeierstrassModel(0, 0, 0, 8, -89), 105401
+    n = count_points_naive(model, ell)
+    assert n == 25 * 4231
+    for p in (3, 5, 7, 11):
+        assert _p_divides(model, p, ell) is (n % p == 0)
+
+
+@pytest.mark.parametrize(("p", "ell"), [(5, 227), (3, 233), (5, 233)])  # naive, psi_3, BSGS
+def test_p_divides_minimizes_a_model_bad_at_ell(p, ell):
+    scaled = WeierstrassModel(0, 0, ell**3, -3 * ell**4, -5 * ell**6)  # E99 with u = ell
+    assert scaled.disc % ell == 0
+    assert _p_divides(scaled, p, ell) is (count_points_naive(E99, ell) % p == 0)
+
+
+@pytest.mark.parametrize(("model", "p", "ell"), [
+    (E99, 5, 11),  # naive
+    (WeierstrassModel(0, 0, 0, 233, 233), 3, 233),  # psi_3
+    (WeierstrassModel(0, 0, 0, 233, 233), 5, 233),  # BSGS
+])
+def test_p_divides_at_a_bad_prime(model, p, ell):
+    with pytest.raises(BadReductionError, match=f"bad reduction at {ell}"):
+        _p_divides(model, p, ell)
+
+
+def test_p_divides_past_the_bsgs_budget():
+    ell = 838885184712050487827701509121  # 30 digits, = 1 mod 3
+    assert ell > BSGS_BUDGET and is_prime(ell) and ell % 3 == 1
+    with pytest.raises(ValueError, match="exceeds the BSGS budget"):
+        _p_divides(E99, 5, ell)
+    # the psi_3 kernel answers.  psi_3 has one root x0 there, by this file's
+    # own gcd, and 3 divides #E(F_ell) exactly when f(x0) is a square
+    A, B = E99.short
+    c0, c1 = _psi3_gcd(E99, ell)
+    x0 = -c0 * pow(c1, -1, ell) % ell
+    assert _p_divides(E99, 3, ell) is (pow(x0**3 + A * x0 + B, (ell - 1) // 2, ell) == 1)
+
+
+def test_only_counting_names_the_psi3_kernel_and_its_codes():
+    # every other module asks through _p_divides or the trace cache
+    names = ("_three_divides", "_THREE_DIVIDES", "_THREE_DOES_NOT_DIVIDE")
+    naming = [(path.name, name) for path in sorted(Path(counting.__file__).parent.glob("*.py"))
+              for name in names if path.name != "counting.py" and name in path.read_text("utf-8")]
+    assert naming == []
 
 
 # ---------------------------------------------------------------------------
@@ -1543,9 +1629,9 @@ def test_report_stores_codes_in_both_classes_and_classify_counts_over_them(tmp_p
 
 def test_three_mode_counts_a_ell_above_the_trace_array():
     # no slot holds ell > GRID_BUDGET, and past 2.68e8 a code would pass the
-    # Hasse bound, so three mode answers such an ell with a_ell
+    # Hasse bound, so asked for 3's verdict the cache answers such an ell with a_ell
     ell = 10000019
-    assert TraceCache(None)._traces(E99, [ell], three=True) == TraceCache(None).traces(E99, [ell])
+    assert TraceCache(None)._traces(E99, [ell], verdict=3) == TraceCache(None).traces(E99, [ell])
 
 
 def test_density_at_p5_on_a_report_cache_equals_a_fresh_run(tmp_path):
